@@ -51,7 +51,9 @@ policy, or interruption/resume history.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -67,7 +69,7 @@ from repro.metrics import summarize_model_rows
 from repro.models import DebugSession, get_model, model_order
 from repro.replay.diff import quarantine_bucket
 from repro.store import RunStore
-from repro.util.hashing import content_address
+from repro.util.hashing import content_address, source_tree_hash
 from repro.util.tables import Table
 
 CORPUS_RESULTS_PATH = "CORPUS_results.json"
@@ -77,26 +79,25 @@ CORPUS_RESULTS_PATH = "CORPUS_results.json"
 CORPUS_CAUSE_ATTEMPTS = 60
 
 
+@functools.lru_cache(maxsize=None)
 def matrix_code_hash() -> str:
     """The code-identity half of a stored cell's ``(seed, model,
     code_hash)`` key.
 
     A stored row is only reusable while the code that would recompute
-    it is unchanged, so the hash covers the case generator's source,
-    this module's source (recording, scoring, and row shape all live
-    here or below it), and the cause-enumeration budget.  Deliberately
-    conservative: any edit to either module invalidates every stored
-    row, which costs one redundant sweep - the opposite mistake serves
-    stale rows forever.
+    it is unchanged, and a row depends on nearly every layer - the
+    generator, recording, replay, the models, analysis and scoring - so
+    the hash covers the source of the whole imported ``repro`` package
+    (:func:`~repro.util.hashing.source_tree_hash`) plus the
+    cause-enumeration budget.  Deliberately conservative: any edit
+    anywhere in the package invalidates every stored row, which costs
+    one redundant sweep - the opposite mistake serves stale rows
+    forever.  Computed once per process, on first use.
     """
-    import inspect
-    import sys
-
-    from repro.corpus import generator
+    import repro
     return content_address([
-        "corpus-matrix-code", 1,
-        inspect.getsource(generator),
-        inspect.getsource(sys.modules[__name__]),
+        "corpus-matrix-code", 2,
+        source_tree_hash(os.path.dirname(os.path.abspath(repro.__file__))),
         CORPUS_CAUSE_ATTEMPTS,
     ])
 
@@ -310,10 +311,11 @@ def run_matrix(seeds: Iterable[int],
     code_hash = matrix_code_hash() if run_store is not None else None
     store_hits: Dict[Tuple[int, str], Dict[str, Any]] = {}
     if run_store is not None:
-        wanted = {(seed, model) for seed in seed_list for model in models}
-        for cell, address in run_store.stored_cells(code_hash).items():
-            if cell in wanted and cell not in done:
-                store_hits[cell] = run_store.get_object(address)
+        owed = [(seed, model) for seed in seed_list for model in models
+                if (seed, model) not in done]
+        for cell, address in run_store.stored_cells(code_hash,
+                                                    owed).items():
+            store_hits[cell] = run_store.get_object(address)
         for seed in seed_list:
             if seed not in done_cases:
                 provenance = run_store.get_case(seed, code_hash)

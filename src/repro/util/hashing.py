@@ -16,11 +16,15 @@ and only JSON-representable values (a non-JSON-able value raises
 Attestation stamps computed through these helpers are byte-identical
 to the pre-factoring implementation (pinned by
 ``tests/test_attestation.py``).
+
+``source_tree_hash`` names a source tree instead of a value: the run
+store keys stored rows by the hash of the code that computed them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import Any
 
 import json
@@ -45,3 +49,24 @@ def content_address(value: Any) -> str:
     dedupe and the divergence buckets rely on.
     """
     return sha256_hex(canonical_json(value))
+
+
+def source_tree_hash(root: str) -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``.py``
+    file under ``root``: the identity of a source tree, wherever it is
+    checked out."""
+    files = []
+    for dirpath, __, filenames in os.walk(root):
+        for name in filenames:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                relative = os.path.relpath(path, root).replace(os.sep, "/")
+                files.append((relative, path))
+    digest = hashlib.sha256()
+    for relative, path in sorted(files):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        # Length-prefixed, so no two trees share an encoding.
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()

@@ -176,20 +176,23 @@ def test_silent_worker_expires_its_lease():
                            lease_seconds=0.3) as coord:
         host, port = coord.address
         stop = threading.Event()
+        honest = []
 
         def mute_worker():
             sock = socket.create_connection((host, port), timeout=5.0)
             try:
                 send_frame(sock, hello_frame("mute"))
-                recv_frame(sock)  # take the lease...
+                recv_frame(sock)  # take the only lease...
+                # An honest worker joins only now, so all it can serve
+                # is the cell requeued when this lease expires.
+                honest.extend(_spawn_thread_workers(coord.address, 1,
+                                                    _double))
                 stop.wait(10.0)   # ...then go silent: no heartbeats
             finally:
                 sock.close()
 
         mute = threading.Thread(target=mute_worker, daemon=True)
         mute.start()
-        # An honest worker joins late and serves the requeued cell.
-        honest = _spawn_thread_workers(coord.address, 1, _double)
         try:
             outcomes = coord.run([("cell", 21)])
         finally:
@@ -325,10 +328,18 @@ def test_mid_sweep_fleet_loss_degrades_and_keeps_finished_cells():
 
 
 def test_close_is_idempotent_and_stops_workers():
+    # Each cell waits until both workers hold one, so both workers are
+    # connected - and owed a stop frame - when the run returns.
+    both_serving = threading.Barrier(2, timeout=10.0)
+
+    def rendezvous(payload, attempt):
+        both_serving.wait()
+        return payload * 2
+
     coord = RemoteCoordinator(policy=FAST, worker_wait=10.0)
-    threads = _spawn_thread_workers(coord.address, 2, _double)
-    outcomes = coord.run([("a", 1)])
-    assert outcomes["a"].ok
+    threads = _spawn_thread_workers(coord.address, 2, rendezvous)
+    outcomes = coord.run([("a", 1), ("b", 2)])
+    assert outcomes["a"].ok and outcomes["b"].ok
     coord.close()
     coord.close()
     for thread in threads:

@@ -2,9 +2,12 @@
 
 Pins the object plane's invariants (one address per content, atomic
 idempotent writes, self-verifying reads), the index's journal idiom
-(append-only, torn final line tolerated), gc's "never touch referenced
-content" rule, the fleet's one-exemplar-per-bucket shipping rule, and
-the ISSUE's acceptance criteria: a store-backed rerun recomputes zero
+(append-only, torn final line tolerated), the per-process index view
+(every store and process sees each other's appends, a replaced,
+truncated or rewritten index is re-parsed, reruns parse each line
+once), the code hash over the whole package, gc's "never touch
+referenced content" rule, the fleet's one-exemplar-per-bucket shipping
+rule, and the acceptance criteria: a store-backed rerun recomputes zero
 cells while producing an artifact byte-identical (modulo timing) to a
 plain run, and a faulty sweep's quarantines land in dedupe buckets with
 exactly one stored exemplar each.
@@ -14,14 +17,21 @@ import copy
 import json
 import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.corpus.matrix import matrix_code_hash, run_matrix
 from repro.errors import ReproError
 from repro.harness.faults import FaultPlan
-from repro.store import INDEX_NAME, RunStore
-from repro.util.hashing import canonical_json, content_address, sha256_hex
+from repro.store import INDEX_NAME, RunStore, runstore
+from repro.util.hashing import (canonical_json, content_address, sha256_hex,
+                                source_tree_hash)
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
 
 @pytest.fixture
@@ -103,6 +113,128 @@ def test_torn_index_tail_is_tolerated_and_healed(store):
     store.put_row(2, "full", "h", {"seed": 2})
     kinds = [entry["seed"] for entry in store.entries()]
     assert kinds == [0, 2]
+    assert index.read_bytes().endswith(b"\n")
+
+
+# -- the per-process index view -----------------------------------------------
+
+
+def test_stores_on_one_directory_share_one_view(store):
+    other = RunStore(os.path.join(store.root, ".", ""))
+    store.put_row(0, "full", "h", {"seed": 0})
+    assert other.get_row(0, "full", "h") == {"seed": 0}
+    other.put_row(1, "full", "h", {"seed": 1})
+    assert set(store.stored_cells("h")) == {(0, "full"), (1, "full")}
+    assert store._index is other._index
+
+
+def test_view_sees_another_process_append(store):
+    store.put_row(0, "full", "h", {"seed": 0})
+    assert store.get_row(1, "full", "h") is None
+    script = ("import sys; from repro.store import RunStore; "
+              "RunStore(sys.argv[1]).put_row(1, 'full', 'h', {'seed': 1})")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    subprocess.run([sys.executable, "-c", script, store.root], env=env,
+                   check=True)
+    assert store.get_row(1, "full", "h") == {"seed": 1}
+    assert [entry["seed"] for entry in store.entries()] == [0, 1]
+
+
+def test_replaced_index_is_reparsed(store):
+    store.put_row(0, "full", "h", {"seed": 0})
+    store.put_row(1, "full", "h", {"seed": 1})
+    assert len(store.entries()) == 2
+    index = pathlib.Path(store.index_path)
+    first, second = index.read_bytes().splitlines(keepends=True)
+    assert len(first) == len(second)
+    # The new file still holds the last parsed line at the parsed
+    # offset; only its inode tells the view the first line changed.
+    replacement = index.with_name("index.new")
+    replacement.write_bytes(second + second + first)
+    os.replace(replacement, index)
+    assert [entry["seed"] for entry in store.entries()] == [1, 1, 0]
+
+
+def test_truncated_index_is_reparsed(store):
+    for seed in range(3):
+        store.put_row(seed, "full", "h", {"seed": seed})
+    assert len(store.entries()) == 3
+    index = pathlib.Path(store.index_path)
+    first = index.read_bytes().splitlines(keepends=True)[0]
+    with open(index, "r+b") as handle:  # same inode, shorter file
+        handle.truncate(len(first))
+    assert [entry["seed"] for entry in store.entries()] == [0]
+    assert store.get_row(2, "full", "h") is None
+
+
+def test_rewritten_last_line_is_reparsed(store):
+    store.put_row(0, "full", "h", {"seed": 0})
+    store.put_row(1, "full", "h", {"seed": 1})
+    assert len(store.entries()) == 2
+    index = pathlib.Path(store.index_path)
+    first, second = index.read_bytes().splitlines(keepends=True)
+    with open(index, "r+b") as handle:  # same inode, longer file
+        handle.write(second + first + second)
+    assert [entry["seed"] for entry in store.entries()] == [1, 0, 1]
+
+
+def test_corrupt_non_final_line_raises(store, monkeypatch):
+    store.put_row(0, "full", "h", {"seed": 0})
+    index = pathlib.Path(store.index_path)
+    good = index.read_bytes()
+    index.write_bytes(good + b'{"kind": "row", "se\n' + good)
+    for __ in range(2):  # the view stays refusing, not half-read
+        with pytest.raises(ReproError, match="corrupt store index line 2"):
+            store.get_row(0, "full", "h")
+    monkeypatch.setattr(runstore, "_VIEWS", {})  # a fresh process
+    with pytest.raises(ReproError, match="corrupt store index line 2"):
+        RunStore(store.root).entries()
+
+
+@pytest.mark.parametrize("line", [
+    '{"kind": "row", "model": "full", "code_hash": "h"}',  # no seed
+    '{"kind": "row", "seed": [0], "model": "full", "code_hash": "h"}',
+    '{"kind": ["row"]}', '[1, 2]', '7'])
+def test_malformed_entry_is_a_corrupt_line(store, line):
+    os.makedirs(store.root)
+    with open(store.index_path, "w", encoding="utf-8") as handle:
+        handle.write('{"kind": "case", "seed": 0, "code_hash": "h"}\n')
+        handle.write(line + "\n")
+    with pytest.raises(ReproError, match="corrupt store index line 2"):
+        store.stored_cells("h")
+
+
+def test_rerun_after_deleted_row_object_recomputes_that_cell(tmp_path):
+    store_dir = str(tmp_path / "store")
+    first = run_matrix([0], models=("full", "failure"), store=store_dir)
+    store = RunStore(store_dir)
+    code_hash = matrix_code_hash()
+    gone = store.stored_cells(code_hash)[(0, "failure")]
+    os.unlink(store._object_path(gone))
+    assert store.get_row(0, "failure", code_hash) is None
+    assert set(store.stored_cells(code_hash)) == {(0, "full")}
+    second = run_matrix([0], models=("full", "failure"), store=store_dir)
+    assert second["timing"]["store_hits"] == 1
+    assert _comparable(second) == _comparable(first)
+    assert store.has_object(gone), "the rerun restored the row's object"
+
+
+def test_reruns_parse_each_index_line_once(tmp_path, monkeypatch):
+    parsed = []
+    decode = runstore._decode_entry
+
+    def counted(line, number, path):
+        parsed.append(line)
+        return decode(line, number, path)
+
+    monkeypatch.setattr(runstore, "_decode_entry", counted)
+    store_dir = str(tmp_path / "store")
+    for __ in range(10):
+        results = run_matrix(SEEDS, models=MODELS, store=store_dir)
+    assert results["timing"]["store_hits"] == len(SEEDS) * len(MODELS)
+    lines = pathlib.Path(store_dir, INDEX_NAME).read_bytes().splitlines(
+        keepends=True)
+    assert sorted(parsed) == sorted(lines)
 
 
 def test_gc_removes_only_unreferenced_objects(store):
@@ -186,6 +318,29 @@ def test_store_backed_artifact_matches_plain_run(store_runs):
     assert "store_hits" not in plain["timing"]
     assert json.dumps(_comparable(plain), sort_keys=True) == \
         json.dumps(_comparable(first), sort_keys=True)
+
+
+def test_code_hash_covers_every_module_of_the_package(tmp_path):
+    copy_dir = tmp_path / "repro"
+    shutil.copytree(PACKAGE_DIR, copy_dir,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert source_tree_hash(str(copy_dir)) == source_tree_hash(PACKAGE_DIR)
+    deep = copy_dir / "vm" / "compiler" / "codegen.py"
+    source = bytearray(deep.read_bytes())
+    source[-1:] = b" " if source[-1:] != b" " else b"\n"
+    deep.write_bytes(bytes(source))
+    assert source_tree_hash(str(copy_dir)) != source_tree_hash(PACKAGE_DIR)
+
+
+def test_code_hash_agrees_across_processes():
+    script = ("from repro.corpus.matrix import matrix_code_hash; "
+              "print(matrix_code_hash())")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    hashes = {subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True,
+                             text=True).stdout.strip()
+              for __ in range(2)}
+    assert hashes == {matrix_code_hash()}
 
 
 def test_code_hash_change_invalidates_stored_cells(store_runs):
