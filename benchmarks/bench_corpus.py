@@ -15,7 +15,8 @@ import copy
 import pytest
 
 from repro.corpus import BUG_CLASSES, run_matrix
-from repro.harness.bench import bench_corpus, bench_model_dispatch
+from repro.harness.bench import (CORPUS_BENCH_CONFIGS, bench_corpus,
+                                 bench_model_dispatch)
 from repro.harness.experiments import MODEL_ORDER
 
 pytestmark = pytest.mark.perf
@@ -66,7 +67,8 @@ def test_relaxation_trend_holds_on_generated_corpus(sweep):
 
 def test_bench_corpus_table_shape():
     table = bench_corpus(repeats=1)
-    assert [row["jobs"] for row in table] == [1, 2]
+    assert [(row["jobs"], row["seeds"])
+            for row in table] == list(CORPUS_BENCH_CONFIGS)
     assert all(row["cells_per_sec"] > 0 for row in table)
 
 

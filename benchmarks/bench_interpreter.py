@@ -14,7 +14,8 @@ import pytest
 
 from repro.harness.bench import (BENCH_SUMMARY_PATH, WORKLOADS,
                                  bench_search, bench_trace_queries,
-                                 run_workload, write_summary)
+                                 odr_replay_runner, run_workload,
+                                 write_summary)
 from repro.util.tables import Table
 
 pytestmark = pytest.mark.perf
@@ -38,9 +39,14 @@ def _emit_summary():
                   search=bench_search())
 
 
-@pytest.mark.parametrize("workload", list(WORKLOADS))
+@pytest.mark.parametrize("workload", list(WORKLOADS) + ["odr_replay"])
 def test_interpreter_throughput(benchmark, workload):
-    machine = benchmark(lambda: run_workload(workload))
+    if workload == "odr_replay":
+        run = odr_replay_runner()
+    else:
+        def run():
+            return run_workload(workload)
+    machine = benchmark(run)
     assert machine.failure is None
     assert machine.steps > 100
     fastest = benchmark.stats.stats.min

@@ -14,6 +14,11 @@ Workloads cover the interpreter's main cost regimes:
                decode-dispatch floor.
 ``calls``      call/return-heavy recursion - frame allocation cost.
 ``array``      shared-array streaming - bounds-checked memory path.
+``odr_replay`` one replay run of msg_server's recorded output-model log
+               under its recorded sync order (``SyncOrderScheduler``
+               around ``RandomScheduler``, as ``OdrReplayer`` runs its
+               attempts) - the constrained-scheduler path every ODR
+               replay search pays per step.
 
 The ``search`` section measures inference-search throughput
 (candidates/sec) on an output-determinism workload, comparing the
@@ -34,13 +39,16 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.apps import ALL_APPS
+from repro.models import DebugSession
 from repro.replay.search import (ExecutionSearch, InputSpace, SearchBudget,
                                  divergent_output_abort)
 from repro.util.intervals import Interval
 from repro.util.tables import Table
-from repro.vm import RandomScheduler, assemble, run_program
+from repro.vm import (Environment, Machine, RandomScheduler,
+                      SyncOrderScheduler, assemble, run_program)
 from repro.vm.trace import StepRecord, Trace
 
 BENCH_SUMMARY_PATH = "BENCH_interpreter.json"
@@ -134,21 +142,37 @@ def run_workload(name: str):
     return run_program(assemble(src), scheduler=RandomScheduler(seed=seed))
 
 
+def odr_replay_runner() -> Callable[[], Machine]:
+    """The ``odr_replay`` workload, set up once (msg_server's output-model
+    log is recorded here); each call of the result is one replay run."""
+    case = ALL_APPS["msg_server"]()
+    log = DebugSession(case, "output").record()
+    return lambda: Machine(
+        case.program, env=Environment(inputs=log.inputs, seed=0),
+        scheduler=SyncOrderScheduler(
+            log.sync_order,
+            inner=RandomScheduler(seed=0, switch_prob=0.3)),
+        max_steps=max(log.total_steps * 4, 1000)).run()
+
+
 def bench_interpreter(repeats: int = 3) -> Table:
     """Steps/sec for every workload (best of ``repeats``, post-warmup)."""
     table = Table(["workload", "steps", "seconds", "steps_per_sec"],
                   title="MiniVM interpreter throughput")
-    for name in WORKLOADS:
-        program = assemble(WORKLOADS[name][0])
-        seed = WORKLOADS[name][1]
-        run_program(program, scheduler=RandomScheduler(seed=seed))  # warmup
+    runs = {}
+    for name, (src, seed) in WORKLOADS.items():
+        program = assemble(src)
+        runs[name] = (lambda program=program, seed=seed: run_program(
+            program, scheduler=RandomScheduler(seed=seed)))
+    runs["odr_replay"] = odr_replay_runner()
+    for name, run in runs.items():
+        run()  # warmup
         best_rate = 0.0
         best_seconds = 0.0
         steps = 0
         for __ in range(max(1, repeats)):
             start = time.perf_counter()
-            machine = run_program(program,
-                                  scheduler=RandomScheduler(seed=seed))
+            machine = run()
             elapsed = time.perf_counter() - start
             steps = machine.steps
             rate = steps / elapsed if elapsed > 0 else float("inf")
@@ -371,6 +395,7 @@ def bench_corpus(repeats: int = 3) -> Table:
     """Matrix cells/sec per (worker count, sweep size)."""
     # Imported lazily: repro.corpus.matrix imports this package.
     from repro.corpus.matrix import run_matrix
+    from repro.models import session
     table = Table(["jobs", "seeds", "cells", "seconds", "cells_per_sec"],
                   title="Corpus matrix throughput (generated scenarios)")
     # Warmup: fills this process's generation cache and decode caches so
@@ -383,6 +408,10 @@ def bench_corpus(repeats: int = 3) -> Table:
         best_seconds = 0.0
         cells = 0
         for __ in range(max(1, repeats)):
+            # The warmup also filled the cause-count cache; every timed
+            # sweep enumerates its cases' root causes again, as a cold
+            # sweep does.
+            session._CAUSE_COUNT_CACHE.clear()
             start = time.perf_counter()
             results = run_matrix(range(n_seeds),
                                  models=CORPUS_BENCH_MODELS,

@@ -28,10 +28,10 @@ from repro.record.log import RecordingLog
 from repro.replay.base import Replayer, ReplayResult, TidMapper
 from repro.vm.environment import Environment
 from repro.vm.failures import FailureReport, IOSpec
-from repro.vm.instructions import is_sync
+from repro.vm.instructions import SYNC_OPS
 from repro.vm.machine import INTERCEPT_MISS, Machine
 from repro.vm.program import Program
-from repro.vm.scheduler import RandomScheduler, Scheduler, SchedulerError
+from repro.vm.scheduler import RandomScheduler, Scheduler, notifier
 
 
 class GuidedOrderScheduler(Scheduler):
@@ -56,6 +56,7 @@ class GuidedOrderScheduler(Scheduler):
         self.dialup_sites = dialup_sites
         self.mapper = mapper
         self.inner = inner or RandomScheduler(seed=1)
+        self._inner_notify = notifier(self.inner)
         self.sync_index = 0
         self.sel_index = 0
         self.divergences = 0
@@ -83,58 +84,63 @@ class GuidedOrderScheduler(Scheduler):
 
     # -- scheduling -----------------------------------------------------------
 
-    def _allowed(self, machine: Machine) -> List[int]:
-        allowed = []
-        for tid in machine.runnable_tids():
-            located = self._next_site(machine, tid)
-            if located is None:
+    def _allowed(self, machine: Machine, runnable: List[int]) -> List[int]:
+        """The runnable threads whose next step the queue heads admit
+        (``runnable`` itself while no thread is held back)."""
+        sync_open = self.sync_index < len(self.sync_order)
+        sel_open = self.sel_index < len(self.selective_order)
+        if not (sync_open or sel_open):
+            return runnable
+        if sync_open:
+            sync_tid, sync_op, __ = self.sync_order[self.sync_index]
+        if sel_open:
+            sel_tid, sel_site = self.selective_order[self.sel_index]
+        to_original = self.mapper.to_original
+        control_plane = self.control_plane
+        dialup_sites = self.dialup_sites
+        threads = machine.threads
+        allowed = runnable
+        for position, tid in enumerate(runnable):
+            # pc == len(body) is the implicit-ret site: no sync op, but
+            # gated by the recorded order like any other site.
+            frame = threads[tid].frames[-1]
+            function = frame.function
+            pc = frame.pc
+            held = False
+            if sync_open and pc < len(function.body):
+                op = function.body[pc].op
+                held = op in SYNC_OPS and (to_original(tid) != sync_tid
+                                           or op != sync_op)
+            if not held and sel_open:
+                name = function.name
+                if name in control_plane or (
+                        dialup_sites and f"{name}@{pc}" in dialup_sites):
+                    held = (to_original(tid) != sel_tid
+                            or f"{name}@{pc}" != sel_site)
+            if held:
+                if allowed is runnable:
+                    allowed = runnable[:position]
+            elif allowed is not runnable:
                 allowed.append(tid)
-                continue
-            function, site = located
-            instr = machine.peek_instr(tid)
-            if instr is not None and is_sync(instr):
-                if not self._sync_head_matches(tid, instr.op):
-                    continue
-            if self._is_recorded_class(function, site):
-                if not self._sel_head_matches(tid, site):
-                    continue
-            allowed.append(tid)
         return allowed
 
-    def _sync_head_matches(self, tid: int, op: str) -> bool:
-        if self.sync_index >= len(self.sync_order):
-            return True
-        expected_tid, expected_op, __ = self.sync_order[self.sync_index]
-        mapped = self.mapper.to_original(tid)
-        return mapped == expected_tid and op == expected_op
-
-    def _sel_head_matches(self, tid: int, site: str) -> bool:
-        if self.sel_index >= len(self.selective_order):
-            return True
-        expected_tid, expected_site = self.selective_order[self.sel_index]
-        mapped = self.mapper.to_original(tid)
-        return mapped == expected_tid and site == expected_site
-
-    def pick(self, machine: Machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
+    def pick(self, machine: Machine, runnable: List[int]) -> int:
         # Skip queue heads until some thread can proceed (divergence
         # tolerance for relaxed recordings).
         while True:
-            allowed = self._allowed(machine)
+            allowed = self._allowed(machine, runnable)
             if allowed:
-                return _inner_pick(self.inner, machine, allowed)
+                return self.inner.pick(machine, allowed)
             self.divergences += 1
             if self.divergences > self.max_divergences:
                 self._abandon()
-                return _inner_pick(self.inner, machine, runnable)
+                return self.inner.pick(machine, runnable)
             if self.sel_index < len(self.selective_order):
                 self.sel_index += 1
             elif self.sync_index < len(self.sync_order):
                 self.sync_index += 1
             else:
-                return _inner_pick(self.inner, machine, runnable)
+                return self.inner.pick(machine, runnable)
 
     def _abandon(self) -> None:
         if not self.abandoned:
@@ -143,7 +149,8 @@ class GuidedOrderScheduler(Scheduler):
             self.sync_index = len(self.sync_order)
 
     def notify(self, step) -> None:
-        self.inner.notify(step)
+        if self._inner_notify is not None:
+            self._inner_notify(step)
         mapped = self.mapper.to_original(step.tid)
         if (step.sync is not None
                 and self.sync_index < len(self.sync_order)):
@@ -152,7 +159,8 @@ class GuidedOrderScheduler(Scheduler):
                 self.sync_index += 1
         if self.sel_index < len(self.selective_order):
             function = step.function
-            if self._is_recorded_class(function, step.site):
+            if function in self.control_plane or (
+                    self.dialup_sites and step.site in self.dialup_sites):
                 expected_tid, expected_site = (
                     self.selective_order[self.sel_index])
                 if mapped == expected_tid and step.site == expected_site:
@@ -259,9 +267,3 @@ class SelectiveReplayer(Replayer):
         machine.io_interceptor = force_control_syscalls
         machine.run()
         return machine, scheduler.divergences
-
-
-def _inner_pick(inner: Scheduler, machine: Machine,
-                allowed: List[int]) -> int:
-    from repro.vm.scheduler import _pick_from
-    return _pick_from(inner, machine, allowed)

@@ -38,6 +38,12 @@ class DeterministicRng:
         """Return an independent child stream identified by ``name``."""
         return DeterministicRng(_derive_seed(self.seed, self.name), name)
 
+    @property
+    def stream(self) -> random.Random:
+        """The underlying ``random.Random``, for per-step callers that
+        cannot afford a wrapper call per draw."""
+        return self._random
+
     def clone(self) -> "DeterministicRng":
         """An exact copy *mid-stream*: the clone continues from the same
         point in the sequence as the original (checkpoint/fork support).

@@ -136,9 +136,13 @@ def is_branch(instr: Instr) -> bool:
     return instr.op in ("jz", "jnz")
 
 
+# Opcodes that create inter-thread ordering.
+SYNC_OPS = frozenset(("lock", "unlock", "spawn", "join"))
+
+
 def is_sync(instr: Instr) -> bool:
     """True for instructions that create inter-thread ordering."""
-    return instr.op in ("lock", "unlock", "spawn", "join")
+    return instr.op in SYNC_OPS
 
 
 def is_shared_read(instr: Instr) -> bool:

@@ -25,6 +25,14 @@ Decoded bodies are cached on the :class:`~repro.vm.program.Function`
 (keyed by program identity), so the thousands of machines a replay
 search spawns for one program all share a single decode.
 
+Run loop
+--------
+:meth:`Machine.run` and :meth:`Machine.advance` share one loop.  Per
+step it checks the stop conditions, asks the scheduler once -
+``pick(machine, runnable)`` with the machine's runnable list (see
+:mod:`repro.vm.scheduler`) - and runs the picked thread's next
+instruction.
+
 Checkpoint / fork
 -----------------
 :meth:`Machine.snapshot` captures a frozen mid-run copy of the whole
@@ -63,7 +71,7 @@ from repro.vm.instructions import (BINARY_FUNCS, BINARY_OPS, Const, Instr,
 from repro.vm.memory import (OutOfBoundsAccess, SharedMemory, array_loc,
                              global_loc)
 from repro.vm.program import Function, Program
-from repro.vm.scheduler import RoundRobinScheduler, Scheduler
+from repro.vm.scheduler import RoundRobinScheduler, Scheduler, notifier
 from repro.vm.thread import Frame, ThreadState, ThreadStatus
 from repro.vm.trace import _NO_EFFECTS, StepRecord, Trace
 
@@ -85,6 +93,10 @@ _BLOCKED = object()
 # "No cycle ceiling" sentinel: an int far above any metered run, so the
 # run loop's ceiling test is a single integer comparison (no None check).
 _NO_CYCLE_CAP = 1 << 62
+# The step target ``run()`` hands the run loop: never reached.
+_NO_STEP_TARGET = 1 << 62
+
+_RUNNABLE = ThreadStatus.RUNNABLE
 
 
 class _UndefinedRegister(Exception):
@@ -639,7 +651,8 @@ class Machine:
         self.early_abort: Optional[EarlyAbort] = None
 
         # Incrementally maintained scheduling state: the sorted runnable
-        # tid list and the live-thread count replace per-step scans.
+        # tid list (what ``scheduler.pick`` receives, read-only) and the
+        # live-thread count replace per-step scans.
         self._runnable: List[int] = []
         self._live_count = 0
 
@@ -656,7 +669,7 @@ class Machine:
     # -- cycle ceiling ----------------------------------------------------
     #
     # Stored internally as an always-int sentinel so the per-iteration
-    # ceiling test in ``_finished`` is one integer comparison.
+    # ceiling test in ``_run_loop`` is one integer comparison.
 
     @property
     def max_native_cycles(self) -> Optional[int]:
@@ -674,39 +687,12 @@ class Machine:
         """Subscribe to the step stream (called after each executed step)."""
         self._observers.append(observer)
 
-    def runnable_tids(self) -> List[int]:
-        """Tids of runnable threads, ascending (stable for schedulers).
-
-        Maintained incrementally on spawn/block/unblock/finish; callers
-        must treat the returned list as read-only.
-        """
-        return self._runnable
-
     def live_tids(self) -> List[int]:
         return sorted(t.tid for t in self.threads.values() if t.is_live)
 
-    def peek_instr(self, tid: int) -> Optional[Instr]:
-        """The next instruction ``tid`` would execute, if any."""
-        thread = self.threads[tid]
-        if not thread.frames:
-            return None
-        frame = thread.frame
-        if frame.pc >= len(frame.function.body):
-            return None
-        return frame.function.body[frame.pc]
-
     def run(self) -> "Machine":
         """Run to completion, failure, deadlock, or a limit/abort."""
-        while not self._finished():
-            if not self._runnable:
-                self._report_deadlock()
-                break
-            tid = self.scheduler.pick(self)
-            thread = self.threads.get(tid)
-            if thread is None or not thread.is_runnable:
-                raise MachineError(
-                    f"scheduler picked non-runnable thread {tid}")
-            self._step(tid)
+        self._run_loop(_NO_STEP_TARGET)
         self._finalize()
         return self
 
@@ -716,17 +702,7 @@ class Machine:
         Unlike :meth:`run` this does not finalize the run: the machine
         can be snapshotted/forked here and continued later with ``run()``.
         """
-        target = self.steps + max_new_steps
-        while self.steps < target and not self._finished():
-            if not self._runnable:
-                self._report_deadlock()
-                break
-            tid = self.scheduler.pick(self)
-            thread = self.threads.get(tid)
-            if thread is None or not thread.is_runnable:
-                raise MachineError(
-                    f"scheduler picked non-runnable thread {tid}")
-            self._step(tid)
+        self._run_loop(self.steps + max_new_steps)
         return self
 
     def snapshot(self) -> "Machine":
@@ -827,24 +803,67 @@ class Machine:
 
     # -- run loop internals -------------------------------------------------
 
-    def _finished(self) -> bool:
-        if self.halted:
-            # Also set by the early-abort hook: an aborted run stops
-            # immediately (self.aborted distinguishes the two).
-            return True
-        if self.failure is not None and self.stop_on_failure:
-            return True
-        if self.steps >= self.max_steps:
-            self.hit_step_limit = True
-            return True
-        if self._live_count == 0:
-            return True
-        if self.meter.native_cycles >= self._cycle_ceiling:
-            # Checked after the completion conditions so a run that
-            # *finishes* exactly at the ceiling is not marked truncated.
-            self.hit_cycle_limit = True
-            return True
-        return False
+    def _run_loop(self, target: int) -> None:
+        """Step until ``target`` steps, completion, failure, deadlock, a
+        limit, or an abort - the one loop behind :meth:`run` and
+        :meth:`advance`.
+
+        Per step: the stop checks, one ``scheduler.pick(self, runnable)``
+        and its validity check, the mode's step function, then the
+        bookkeeping both modes share.  The objects and limits bound to
+        locals here stay fixed for the whole run.
+        """
+        threads = self.threads
+        runnable = self._runnable
+        pick = self.scheduler.pick
+        notify = notifier(self.scheduler)
+        observers = self._observers
+        step = self._step
+        meter = self.meter
+        max_steps = self.max_steps
+        ceiling = self._cycle_ceiling
+        stop_on_failure = self.stop_on_failure
+        while True:
+            steps = self.steps
+            if steps >= target or self.halted:
+                # ``halted`` is also set by the early-abort hook: an
+                # aborted run stops immediately (``aborted`` tells which).
+                return
+            if self.failure is not None and stop_on_failure:
+                return
+            if steps >= max_steps:
+                self.hit_step_limit = True
+                return
+            if not runnable:
+                # Every thread finished, or the live ones are blocked.
+                if self._live_count:
+                    if meter.native_cycles >= ceiling:
+                        self.hit_cycle_limit = True
+                    else:
+                        self._report_deadlock()
+                return
+            if meter.native_cycles >= ceiling:
+                # Checked after the completion conditions so a run that
+                # *finishes* exactly at the ceiling is not marked truncated.
+                self.hit_cycle_limit = True
+                return
+            tid = pick(self, runnable)
+            thread = threads.get(tid)
+            if thread is None or thread.status is not _RUNNABLE:
+                raise MachineError(
+                    f"scheduler picked non-runnable thread {tid}")
+            record = step(thread)
+            if record is None:
+                continue  # the thread blocked or failed; no step happened
+            self.steps = steps + 1
+            meter.native_cycles += record.cost
+            thread.steps_executed += 1
+            if notify is not None:
+                notify(record)
+            for observer in observers:
+                observer(self, record)
+            if record.io is not None:
+                self._check_abort(record)
 
     def _finalize(self) -> None:
         if (self.failure is None and self.io_spec is not None
@@ -923,11 +942,13 @@ class Machine:
 
     # ``self._step`` is bound to one of the two variants below at
     # construction time, so the full-trace hot path carries no mode
-    # branches.  Keep the two bodies in lockstep: they must execute the
-    # identical guest semantics (the counting-equivalence tests pin this).
+    # branches.  Each executes one instruction of ``thread`` and keeps
+    # its mode's trace; the run loop does the rest.  Keep the two bodies
+    # in lockstep: they must execute the identical guest semantics (the
+    # counting-equivalence tests pin this).  None means the thread
+    # blocked or failed and no step happened.
 
-    def _step_full(self, tid: int) -> Optional[StepRecord]:
-        thread = self.threads[tid]
+    def _step_full(self, thread: ThreadState) -> Optional[StepRecord]:
         frame = thread.frames[-1]
         fn = frame.function
         cache = fn.decode_cache
@@ -936,6 +957,7 @@ class Machine:
         else:
             decoded = cache[1]
         pc = frame.pc
+        tid = thread.tid
         if pc >= len(decoded):
             # Falling off the end of a function is an implicit `ret 0`.
             # It is a real step - recorded, charged, and announced to
@@ -959,26 +981,20 @@ class Machine:
                     f"thread {tid}: read of undefined register "
                     f"%{undef.name} in {fn.name}") from None
             if not executed:
-                return None  # thread blocked or failed; no step happened
-        self.steps += 1
-        self.meter.native_cycles += record.cost
-        self.trace.append(record)
-        thread.steps_executed += 1
-        self.scheduler.notify(record)
-        for observer in self._observers:
-            observer(self, record)
-        if record.io is not None:
-            self._check_abort(record)
+                return None
+        trace = self.trace
+        trace.steps.append(record)
+        trace.schedule.append(tid)
+        trace.total_steps += 1
         return record
 
-    def _step_counting(self, tid: int) -> Optional[StepRecord]:
+    def _step_counting(self, thread: ThreadState) -> Optional[StepRecord]:
         """Trace-free variant: identical semantics, no StepRecord kept.
 
         One scratch record is reset and reused for dispatch, scheduler
         notification, and observers; only counts, branch paths, outputs
         (on the environment), and the failure signature survive the step.
         """
-        thread = self.threads[tid]
         frame = thread.frames[-1]
         fn = frame.function
         cache = fn.decode_cache
@@ -987,6 +1003,7 @@ class Machine:
         else:
             decoded = cache[1]
         pc = frame.pc
+        tid = thread.tid
         record = self._scratch
         record.index = self.steps
         record.tid = tid
@@ -1016,17 +1033,9 @@ class Machine:
                     f"thread {tid}: read of undefined register "
                     f"%{undef.name} in {fn.name}") from None
             if not executed:
-                return None  # thread blocked or failed; no step happened
-        self.steps += 1
-        self.meter.native_cycles += record.cost
+                return None
         if record.branch_taken is not None:
             self.trace.record_branch(tid, record.branch_taken)
-        thread.steps_executed += 1
-        self.scheduler.notify(record)
-        for observer in self._observers:
-            observer(self, record)
-        if record.io is not None:
-            self._check_abort(record)
         return record
 
     def _check_abort(self, record: StepRecord) -> None:

@@ -6,27 +6,38 @@ modelling an OS scheduler with quantum jitter.  Replay runs use
 :class:`SyncOrderScheduler` (recorded synchronization order only - the
 ODR-style relaxation that leaves racing instructions unordered).
 
-A scheduler sees the machine (read-only) and picks the next thread to run
-from ``machine.runnable_tids()``.  After every executed step the machine
-calls ``notify(step)`` so stateful schedulers can advance.
+The contract is one call per step: the machine calls
+``pick(machine, runnable)`` with its runnable tid list - non-empty,
+ascending, and read-only to the scheduler - and runs the tid returned,
+which must be one of them.  All policy lives in the schedulers; the
+machine only passes its list.  A scheduler that constrains another
+(:class:`SyncOrderScheduler`, ``GuidedOrderScheduler`` in
+:mod:`repro.replay.selective_replay`) reads each runnable thread's next
+instruction off its top frame (``machine.threads[tid].frames[-1]``),
+filters the list, and calls ``inner.pick(machine, allowed)`` - with the
+runnable list itself when it excludes no thread.
+
+After every executed step the machine calls ``notify(step)``, but only
+on schedulers whose class overrides :meth:`Scheduler.notify`; the
+stateless default is never called (see :func:`notifier`).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReplayDivergenceError, SchedulerError
 from repro.util.rng import DeterministicRng
-from repro.vm.instructions import is_sync
+from repro.vm.instructions import SYNC_OPS
 from repro.vm.trace import StepRecord
 
 
 class Scheduler:
     """Base scheduler interface."""
 
-    def pick(self, machine) -> int:
-        """Return the tid to execute next (must be runnable)."""
+    def pick(self, machine, runnable: List[int]) -> int:
+        """Return the tid to execute next, one of ``runnable``."""
         raise NotImplementedError
 
     def notify(self, step: StepRecord) -> None:
@@ -48,6 +59,14 @@ class Scheduler:
         return copy.deepcopy(self)
 
 
+def notifier(scheduler: Scheduler
+             ) -> Optional[Callable[[StepRecord], None]]:
+    """``scheduler.notify``, or None when its class keeps the no-op."""
+    if type(scheduler).notify is Scheduler.notify:
+        return None
+    return scheduler.notify
+
+
 class RoundRobinScheduler(Scheduler):
     """Deterministic round-robin with a fixed quantum."""
 
@@ -58,21 +77,17 @@ class RoundRobinScheduler(Scheduler):
         self._current: Optional[int] = None
         self._remaining = 0
 
-    def pick(self, machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        if (self._current in runnable) and self._remaining > 0:
-            self._remaining -= 1
-            return self._current
-        # Rotate: next runnable tid after the current one.  ``runnable``
-        # is sorted ascending (the machine maintains it incrementally),
-        # so the first tid past the current one is the rotation target.
-        if self._current is None or self._current not in runnable:
-            chosen = runnable[0]
-        else:
-            current = self._current
+    def pick(self, machine, runnable: List[int]) -> int:
+        current = self._current
+        if current in runnable:
+            if self._remaining > 0:
+                self._remaining -= 1
+                return current
+            # Rotate: the first tid past the current one (``runnable`` is
+            # ascending), wrapping to the lowest.
             chosen = next((t for t in runnable if t > current), runnable[0])
+        else:
+            chosen = runnable[0]
         self._current = chosen
         self._remaining = self.quantum - 1
         return chosen
@@ -100,25 +115,26 @@ class RandomScheduler(Scheduler):
     def __init__(self, seed: int = 0, switch_prob: float = 0.25):
         self.seed = seed
         self.switch_prob = switch_prob
-        self._rng = DeterministicRng(seed, "sched")
+        # Draws come straight off the ``random.Random`` stream, in a fixed
+        # order per pick: random() while the current thread is runnable,
+        # then randrange() on a switch.
+        self._stream = DeterministicRng(seed, "sched").stream
         self._current: Optional[int] = None
 
-    def pick(self, machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        if (self._current in runnable
-                and not self._rng.chance(self.switch_prob)):
-            return self._current
-        self._current = self._rng.choice(runnable)
-        return self._current
+    def pick(self, machine, runnable: List[int]) -> int:
+        current = self._current
+        if current in runnable and self._stream.random() >= self.switch_prob:
+            return current
+        current = self._current = runnable[
+            self._stream.randrange(len(runnable))]
+        return current
 
     def fork(self) -> "RandomScheduler":
         return RandomScheduler(self.seed, self.switch_prob)
 
     def clone(self) -> "RandomScheduler":
         twin = RandomScheduler(self.seed, self.switch_prob)
-        twin._rng = self._rng.clone()
+        twin._stream.setstate(self._stream.getstate())
         twin._current = self._current
         return twin
 
@@ -139,19 +155,16 @@ class FixedScheduler(Scheduler):
         self._index = 0
         self._fallback = RoundRobinScheduler()
 
-    def pick(self, machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
+    def pick(self, machine, runnable: List[int]) -> int:
         if self._index >= len(self.schedule):
-            return self._fallback.pick(machine)
+            return self._fallback.pick(machine, runnable)
         tid = self.schedule[self._index]
         if tid not in runnable:
             if self.strict:
                 raise ReplayDivergenceError(
                     f"schedule step {self._index}: thread {tid} is not "
                     f"runnable (runnable={runnable})")
-            return self._fallback.pick(machine)
+            return self._fallback.pick(machine, runnable)
         return tid
 
     def notify(self, step: StepRecord) -> None:
@@ -184,35 +197,40 @@ class SyncOrderScheduler(Scheduler):
         self.sync_order = list(sync_order)
         self._index = 0
         self._inner = inner or RoundRobinScheduler()
+        self._inner_notify = notifier(self._inner)
 
-    def _allowed(self, machine) -> List[int]:
-        allowed = []
-        for tid in machine.runnable_tids():
-            instr = machine.peek_instr(tid)
-            if instr is None or not is_sync(instr):
+    def pick(self, machine, runnable: List[int]) -> int:
+        index = self._index
+        if index >= len(self.sync_order):
+            # Past the recorded window: sync ops run freely.
+            return self._inner.pick(machine, runnable)
+        expected_tid, expected_op, __ = self.sync_order[index]
+        threads = machine.threads
+        # Only a thread at an out-of-order sync op is held back; the
+        # runnable list is passed on as is until one is.
+        allowed = runnable
+        for position, tid in enumerate(runnable):
+            frame = threads[tid].frames[-1]
+            body = frame.function.body
+            pc = frame.pc
+            if pc < len(body):
+                op = body[pc].op
+                if op in SYNC_OPS and (tid != expected_tid
+                                       or op != expected_op):
+                    if allowed is runnable:
+                        allowed = runnable[:position]
+                    continue
+            if allowed is not runnable:
                 allowed.append(tid)
-            elif self._index < len(self.sync_order):
-                expected_tid, expected_op, _ = self.sync_order[self._index]
-                if tid == expected_tid and instr.op == expected_op:
-                    allowed.append(tid)
-            else:
-                # Past the recorded window: sync ops run freely.
-                allowed.append(tid)
-        return allowed
-
-    def pick(self, machine) -> int:
-        runnable = machine.runnable_tids()
-        if not runnable:
-            raise SchedulerError("no runnable threads")
-        allowed = self._allowed(machine)
         if not allowed:
             raise ReplayDivergenceError(
-                f"sync-order replay stuck at event {self._index}: every "
+                f"sync-order replay stuck at event {index}: every "
                 f"runnable thread is at an out-of-order sync operation")
-        return _pick_from(self._inner, machine, allowed)
+        return self._inner.pick(machine, allowed)
 
     def notify(self, step: StepRecord) -> None:
-        self._inner.notify(step)
+        if self._inner_notify is not None:
+            self._inner_notify(step)
         if (step.sync is not None and self._index < len(self.sync_order)):
             expected_tid, expected_op, _ = self.sync_order[self._index]
             if step.tid == expected_tid and step.op == expected_op:
@@ -225,22 +243,3 @@ class SyncOrderScheduler(Scheduler):
         twin = SyncOrderScheduler(self.sync_order, self._inner.clone())
         twin._index = self._index
         return twin
-
-
-class _Restricted:
-    """Machine proxy restricting the runnable set (for nested schedulers)."""
-
-    def __init__(self, machine, allowed: List[int]):
-        self._machine = machine
-        self._allowed = allowed
-
-    def runnable_tids(self) -> List[int]:
-        return self._allowed
-
-    def peek_instr(self, tid: int):
-        return self._machine.peek_instr(tid)
-
-
-def _pick_from(inner: Scheduler, machine, allowed: List[int]) -> int:
-    """Let ``inner`` choose, but only among ``allowed`` threads."""
-    return inner.pick(_Restricted(machine, allowed))

@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReplayDivergenceError
-from repro.vm import (FixedScheduler, RandomScheduler, RoundRobinScheduler,
-                      SyncOrderScheduler, assemble, run_program)
+from repro.errors import MachineError, ReplayDivergenceError
+from repro.vm import (FixedScheduler, Machine, RandomScheduler,
+                      RoundRobinScheduler, SyncOrderScheduler, assemble,
+                      run_program)
+from repro.vm.scheduler import Scheduler
+from repro.vm.thread import ThreadStatus
 
 RACY = assemble("""
 global counter = 0
@@ -130,3 +133,59 @@ def test_sync_order_scheduler_enforces_lock_order():
     replayed_order = [(s.tid, s.op, s.sync[1])
                       for s in replay.trace.sync_events()]
     assert replayed_order == sync_order
+
+
+# -- the pick contract ------------------------------------------------------
+
+class _BadPick(Scheduler):
+    """Round-robin until a thread of the ``kind`` exists, then picks it:
+    a blocked thread, a finished one, or a tid that was never spawned.
+    Asked again after a bad pick, it fails the test instead of letting a
+    machine that ignored the pick spin on it."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.inner = RoundRobinScheduler()
+        self.bad_picks = 0
+
+    def pick(self, machine, runnable):
+        assert self.bad_picks == 0, "the machine ran a non-runnable pick"
+        if self.kind == "unknown":
+            bad = 99
+        else:
+            status = {"blocked": ThreadStatus.BLOCKED_JOIN,
+                      "finished": ThreadStatus.DONE}[self.kind]
+            bad = next((tid for tid, thread in machine.threads.items()
+                        if thread.status is status), None)
+        if bad is None:
+            return self.inner.pick(machine, runnable)
+        self.bad_picks += 1
+        return bad
+
+
+@pytest.mark.parametrize("kind", ["blocked", "finished", "unknown"])
+@pytest.mark.parametrize("entry", ["run", "advance"])
+def test_picking_a_non_runnable_thread_raises(kind, entry):
+    machine = Machine(RACY, scheduler=_BadPick(kind))
+    with pytest.raises(MachineError, match="non-runnable thread"):
+        if entry == "run":
+            machine.run()
+        else:
+            machine.advance(10_000)
+
+
+@pytest.mark.parametrize("pause_at", [1, 9, 60, 150])
+def test_sync_order_advance_then_run_matches_one_run(pause_at):
+    original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
+    sync_order = [(s.tid, s.op, s.sync[1])
+                  for s in original.trace.sync_events()]
+
+    def replay_machine():
+        return Machine(LOCKED, scheduler=SyncOrderScheduler(
+            sync_order, inner=RandomScheduler(seed=1234)))
+
+    whole = replay_machine().run()
+    paused = replay_machine()
+    paused.advance(pause_at)
+    assert paused.steps == pause_at
+    assert paused.run().trace.fingerprint() == whole.trace.fingerprint()
