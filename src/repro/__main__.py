@@ -33,11 +33,10 @@ Commands
                            fault-tolerant: ``--cell-timeout`` bounds a
                            cell's wall clock, ``--retries`` bounds its
                            retry budget (exponential backoff capped at
-                           ``--max-backoff`` seconds), ``--run-dir``
-                           journals completed cells, ``--resume <dir>``
-                           continues an interrupted sweep without
-                           recomputing them (and refuses a journal
-                           written for different seeds/models), and
+                           ``--max-backoff`` seconds), ``--store DIR``
+                           keeps completed rows so rerunning an
+                           interrupted sweep on the same store resumes
+                           it without recomputing them, and
                            damaged/tampered payloads are quarantined
                            into the artifact's ``fleet`` section
                            (``--no-verify`` downgrades attestation
@@ -275,10 +274,10 @@ def _cmd_corpus(args) -> int:
               f"(failing seed {case.failing_seed})")
         print(case.source)
         return 0
+    from repro.corpus.fleet import FleetPolicy
     from repro.corpus.matrix import fleet_table
     from repro.errors import ReproError
     models = tuple(args.models.split(",")) if args.models else None
-    run_dir = args.resume or args.run_dir
     coordinator = None
     try:
         if args.backend == "remote":
@@ -293,19 +292,14 @@ def _cmd_corpus(args) -> int:
                   f"(waiting up to {args.worker_wait:.0f}s for workers; "
                   f"start them with `repro fleet worker --connect "
                   f"{host}:{port}`)")
+        policy = FleetPolicy(cell_timeout=args.cell_timeout,
+                             retries=args.retries,
+                             backoff_cap=args.max_backoff)
         results = run_matrix(range(args.seeds),
                              **({"models": models} if models else {}),
                              jobs=args.jobs, path=args.output,
-                             cell_timeout=args.cell_timeout,
-                             retries=args.retries,
-                             max_backoff=args.max_backoff,
-                             run_dir=run_dir,
-                             resume=args.resume is not None,
-                             verify=not args.no_verify,
-                             backend=args.backend,
-                             coordinator=coordinator,
-                             worker_wait=args.worker_wait,
-                             store=args.store)
+                             policy=policy, verify=not args.no_verify,
+                             coordinator=coordinator, store=args.store)
     except ReproError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -321,12 +315,9 @@ def _cmd_corpus(args) -> int:
         print()
         print(fleet_table(results).render())
     timing = results["timing"]
-    print(f"\n{fleet['ok']}/{fleet['cells']} cells healthy in "
-          f"{timing['record_seconds'] + timing['replay_seconds']:.2f}s "
-          f"(record {timing['record_seconds']:.2f}s, "
-          f"replay {timing['replay_seconds']:.2f}s, jobs={args.jobs}"
-          + (f", resumed {fleet['resumed_cells']} journaled cells"
-             if fleet["resumed_cells"] else "")
+    print(f"\n{fleet['ok']}/{fleet['cells']} cells healthy "
+          f"(task time: record {timing['record_seconds']:.2f}s, "
+          f"replay {timing['replay_seconds']:.2f}s; jobs={args.jobs}"
           + (f", {timing['store_hits']} store hits"
              if timing.get("store_hits") else "") + ")")
     remote = fleet.get("remote")
@@ -519,21 +510,14 @@ def main(argv=None) -> int:
                             help="with --backend remote: seconds with "
                                  "zero connected workers before the "
                                  "sweep degrades to the local runner")
-    corpus_run.add_argument("--run-dir", default=None,
-                            help="journal completed cells to this "
-                                 "directory as they finish (enables a "
-                                 "later --resume)")
-    corpus_run.add_argument("--resume", default=None, metavar="DIR",
-                            help="resume an interrupted sweep from its "
-                                 "run directory: journaled cells are "
-                                 "not recomputed")
     corpus_run.add_argument("--no-verify", action="store_true",
                             help="downgrade shipped-log attestation "
                                  "failures from quarantine to warning")
     corpus_run.add_argument("--store", default=None, metavar="DIR",
                             help="content-addressed run store: reuse "
                                  "rows already stored under the current "
-                                 "code hash (incremental reruns) and "
+                                 "code hash (rerun an interrupted sweep "
+                                 "on the same store to resume it) and "
                                  "ship one exemplar per quarantine "
                                  "dedupe bucket")
     corpus_parser.set_defaults(func=_cmd_corpus)

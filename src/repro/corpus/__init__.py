@@ -8,15 +8,16 @@ input-dependent crash, lost output - each wrapped as a standard
 :class:`~repro.apps.base.AppCase` that carries its ground-truth root
 cause, and a matrix runner (:mod:`repro.corpus.matrix`) that evaluates
 every (generated case x determinism model) cell in parallel worker
-processes, shipping recordings between processes through the JSON log
-serializer exactly like production logs ship to developer workstations.
+processes, one task per seed that records, ships each recording through
+the JSON log serializer exactly like production logs ship to developer
+workstations, and replays and scores it.
 
 The runner is *supervised* (:mod:`repro.corpus.fleet`): worker crashes
 and hung cells are detected, struck cells retried with deterministic
 backoff, and exhausted cells reported - never raised - in the artifact's
-``fleet`` section; completed cells can be journaled to a run directory
-(:mod:`repro.corpus.journal`) so an interrupted sweep resumes without
-recomputation.
+``fleet`` section.  Completed rows go to a run store (:mod:`repro.store`)
+as they land, so rerunning an interrupted sweep on the same store
+resumes it without recomputation.
 
 The fleet also scales past one host (:mod:`repro.corpus.remote`): a
 socket coordinator dispatches cells to ``repro fleet worker`` processes
@@ -34,7 +35,6 @@ from repro.corpus.fleet import (CellOutcome, CellStatus, FleetPolicy,
                                 WorkerSupervisor)
 from repro.corpus.generator import (BUG_CLASSES, GeneratedCase,
                                     generate_case, generate_corpus)
-from repro.corpus.journal import JournalState, RunJournal
 from repro.corpus.matrix import (CORPUS_RESULTS_PATH, corpus_tables,
                                  run_corpus_experiment, run_matrix)
 from repro.corpus.remote import RemoteCoordinator, serve_worker
@@ -44,6 +44,5 @@ __all__ = [
     "CORPUS_RESULTS_PATH", "corpus_tables", "run_corpus_experiment",
     "run_matrix",
     "CellOutcome", "CellStatus", "FleetPolicy", "WorkerSupervisor",
-    "JournalState", "RunJournal",
     "RemoteCoordinator", "serve_worker",
 ]

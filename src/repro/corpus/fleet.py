@@ -9,7 +9,7 @@ kill it.  :class:`WorkerSupervisor` is the supervision layer:
 - **Persistent, warm workers**: ``jobs`` long-lived processes consume
   *batches* of tasks over pipes (chunked dispatch amortizes the per-cell
   process/IPC overhead that made ``Pool(chunksize=1)`` lose to a single
-  process), and survive across phases so decode caches stay warm.
+  process), and stay warm for the whole run.
 - **Per-cell wall-clock timeouts**: a worker that reports no progress
   for ``cell_timeout`` seconds is killed and replaced; the in-flight
   cell is charged a *timeout* strike, the rest of its batch is requeued
@@ -228,9 +228,8 @@ class _Worker:
 class WorkerSupervisor:
     """Supervised, persistent worker pool (see module docstring).
 
-    One supervisor can serve several :meth:`run` calls (the matrix runs
-    its record and replay phases on the same warm fleet); workers are
-    torn down when the ``with`` block exits.
+    One supervisor can serve several :meth:`run` calls on the same warm
+    fleet; workers are torn down when the ``with`` block exits.
     """
 
     def __init__(self, worker_fn: Callable[[Any, int], Any],
@@ -306,7 +305,7 @@ class WorkerSupervisor:
 
         Returns ``{key: CellOutcome}`` - every key terminal, in input
         order.  ``on_result`` fires once per cell *as it finalizes* (the
-        journaling hook).  Keys must be unique strings.
+        matrix stores each result there).  Keys must be unique strings.
         """
         keys = [key for key, __ in tasks]
         if len(set(keys)) != len(keys):

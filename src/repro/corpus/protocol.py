@@ -4,10 +4,9 @@ Coordinator and workers (:mod:`repro.corpus.remote`) exchange
 **length-prefixed JSON frames** over TCP: a 4-byte big-endian length
 followed by a UTF-8 JSON object.  JSON keeps every frame inspectable
 with any packet capture and keeps the transport honest about what it
-carries - recordings cross the wire only as the attested payload
-strings produced by :mod:`repro.record.serialize`, never as pickled
-Python objects, so a tampered frame is caught by the attestation layer
-exactly like a tampered file.
+carries - results, and a quarantined cell's refused recording as the
+payload string :mod:`repro.record.serialize` produced, never pickled
+Python objects.
 
 Frame types
 -----------
@@ -88,12 +87,27 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value` (tuples and fault plans restored)."""
+    """Invert :func:`encode_value` (tuples and fault plans restored).
+
+    A tag whose body does not match its type is a
+    :class:`~repro.errors.ProtocolError`, like any other malformed frame.
+    """
     if isinstance(value, dict):
         if set(value) == {_PLAN_TAG}:
-            return FaultPlan(**value[_PLAN_TAG])
+            fields = value[_PLAN_TAG]
+            try:
+                return FaultPlan(**fields)
+            except TypeError as exc:
+                raise ProtocolError(
+                    f"malformed {_PLAN_TAG} value {fields!r}: {exc}"
+                ) from None
         if set(value) == {_TUPLE_TAG}:
-            return tuple(decode_value(item) for item in value[_TUPLE_TAG])
+            items = value[_TUPLE_TAG]
+            if not isinstance(items, list):
+                raise ProtocolError(
+                    f"malformed {_TUPLE_TAG} value {items!r}: expected "
+                    f"a list")
+            return tuple(decode_value(item) for item in items)
         return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [decode_value(item) for item in value]

@@ -14,25 +14,26 @@ module is that split made real for the experiment matrix:
   uses.  At-least-once delivery means a re-dispatched cell's original
   result can still arrive late (or a faulty link can deliver a result
   twice); the coordinator finalizes each cell exactly once and drops
-  the duplicates, so journaled rows - pure functions of (seed, model) -
+  the duplicates, so stored rows - pure functions of (seed, model) -
   stay byte-identical regardless of delivery order.
 - :func:`serve_worker` is the production-host side: a loop that
   connects, handshakes, runs leased cells (each in a budgeted thread so
   a hung guest is *abandoned*, not fatal to the worker), heartbeats
-  while a cell runs, and streams results back.  Recordings cross the
-  wire only as attested payload strings inside JSON frames
-  (:mod:`repro.corpus.protocol`); a tampered frame is quarantined
-  per-cell by the attestation layer exactly like a corrupted file.
+  while a cell runs, and streams results back in JSON frames
+  (:mod:`repro.corpus.protocol`).  Each task ships its own recordings
+  and verifies their attestation, so a damaged payload is quarantined
+  per-cell exactly like a corrupted file.
 - **Degraded mode**: a coordinator with no connected workers (none ever
   arrived, or every one died mid-sweep) waits ``worker_wait`` seconds
   for the fleet to (re)appear, then falls back to the local runner it
-  was configured with - journaled progress is kept, only cells with no
-  terminal outcome are handed over, and the sweep still completes.
+  was configured with - only cells with no terminal outcome are handed
+  over, so finished cells are never recomputed, and the sweep still
+  completes.
 
 The coordinator implements the same ``run(tasks, on_result)`` contract
 as :class:`~repro.corpus.fleet.WorkerSupervisor`, so ``run_matrix``
-swaps backends without touching phase logic, and one coordinator serves
-both the record and replay phases over the same connected fleet.
+swaps backends without touching its task logic, and one coordinator
+can serve several runs over the same connected fleet.
 """
 
 from __future__ import annotations
@@ -121,10 +122,9 @@ class RemoteCoordinator:
     Construct with a ``(host, port)`` listen address (port 0 binds an
     ephemeral port; read :attr:`address` for the real one), then
     :meth:`configure` the run policy / fault plan / degraded-mode
-    fallback and call :meth:`run` - once per phase; workers persist
-    across calls.  The coordinator is a context manager: leaving the
-    block sends every connected worker a ``stop`` frame and closes the
-    listener.
+    fallback and call :meth:`run`; workers persist across calls.  The
+    coordinator is a context manager: leaving the block sends every
+    connected worker a ``stop`` frame and closes the listener.
     """
 
     def __init__(self, listen: Tuple[str, int] = ("127.0.0.1", 0),
@@ -146,7 +146,6 @@ class RemoteCoordinator:
             "duplicate_results": 0, "degraded": False,
             "degraded_cells": 0,
         }
-        self._degraded = False
         self._last_worker_event = time.monotonic()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -245,7 +244,7 @@ class RemoteCoordinator:
         The :class:`~repro.corpus.fleet.WorkerSupervisor` contract:
         every key terminal, ``on_result`` fired exactly once per cell as
         it finalizes (at-least-once delivery is deduplicated *before*
-        this hook, so journal appends stay exactly-once).
+        this hook, so store appends stay exactly-once).
         """
         keys = [key for key, __ in tasks]
         if len(set(keys)) != len(keys):
@@ -256,8 +255,6 @@ class RemoteCoordinator:
         if not tasks:
             return outcomes
         payloads = dict(tasks)
-        if self._degraded:  # a prior phase already lost the fleet
-            return self._degrade(list(tasks), outcomes, on_result)
         # (key, payload, attempt, not_before)
         queue: deque = deque((key, payload, 0, 0.0)
                              for key, payload in tasks)
@@ -330,11 +327,15 @@ class RemoteCoordinator:
                     # exactly one copy; drop the rest idempotently.
                     self.stats["duplicate_results"] += 1
                     return
+                ok = frame.get("status") == "ok"
+                # Decoded while the lease is still held: a malformed
+                # value raises ProtocolError, which drops the worker and
+                # charges the leased cell a crash strike.
+                value = decode_value(frame.get("value")) if ok else None
                 worker.lease = None
-                if frame.get("status") == "ok":
+                if ok:
                     outcomes[key].attempts = lease.attempt + 1
-                    finalize(key, CellStatus.OK,
-                             value=decode_value(frame.get("value")))
+                    finalize(key, CellStatus.OK, value=value)
                 else:
                     strike(lease, "error", error=frame.get("error", ""))
 
@@ -415,11 +416,10 @@ class RemoteCoordinator:
                  on_result) -> Dict[str, CellOutcome]:
         """Hand every non-terminal cell to the local fallback runner.
 
-        Journaled progress survives by construction: cells the remote
-        fleet finalized already fired ``on_result`` and are not in
+        Finished cells survive by construction: cells the remote fleet
+        finalized already fired ``on_result`` and are not in
         ``remaining``, so the fallback recomputes nothing that landed.
         """
-        self._degraded = True
         self.stats["degraded"] = True
         self.stats["degraded_cells"] += len(remaining)
         if self.fallback is None:

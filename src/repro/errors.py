@@ -116,28 +116,6 @@ class ProtocolError(ReproError):
     """
 
 
-class ResumeMismatchError(ReproError):
-    """A resumed sweep does not match its run directory's journal.
-
-    ``repro corpus run --resume <dir>`` must recompute only missing
-    cells of the *same* sweep; silently merging a journal recorded for
-    different seeds, models, or journal format would produce an artifact
-    that belongs to neither run.  The structured fields name the
-    disagreement:
-
-    ``field``      what disagreed (``seeds``, ``models``, ``format``)
-    ``journal``    the value recorded in the journal header
-    ``requested``  the value the resuming invocation asked for
-    """
-
-    def __init__(self, message: str, field: str = "",
-                 journal=None, requested=None):
-        super().__init__(message)
-        self.field = field
-        self.journal = journal
-        self.requested = requested
-
-
 class LogFormatError(ReproError):
     """A recording log could not be read, parsed, or version-matched.
 

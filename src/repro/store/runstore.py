@@ -18,14 +18,17 @@ corrupted object instead of returning silently wrong bytes.  Writes are
 atomic (temp file + rename) and idempotent - re-putting existing
 content is a no-op that costs one hash.
 
-The index is the mutable-world view over the immutable objects, in the
-run journal's JSONL idiom (append + flush per entry, torn final line
-ignored on load).  Three entry kinds:
+The index is the mutable-world view over the immutable objects: JSONL,
+append + flush per entry, torn final line ignored on load.  It is also
+a corpus sweep's only record of finished work - resuming an
+interrupted sweep means rerunning it on the same store.  Four entry
+kinds:
 
 ``row``       one matrix cell's metric row, keyed by
               ``(seed, model, code_hash)`` - the incremental-rerun
               lookup: a sweep skips any cell whose key is already
               stored under the current code hash.
+``case``      one seed's case provenance, keyed by ``(seed, code_hash)``.
 ``bucket``    one quarantined/failed recording's membership in a dedupe
               bucket, keyed by ``(failure, fingerprint)`` - the failure
               signature and divergence/quarantine fingerprint from
@@ -278,8 +281,8 @@ class RunStore:
         return list(self._view().entries)
 
     def _append(self, entry: Dict[str, Any]) -> None:
-        """Append one entry, first cutting off a torn final line (journal
-        idiom: welding onto a torn fragment would corrupt both)."""
+        """Append one entry, first cutting off a torn final line
+        (welding onto a torn fragment would corrupt both)."""
         view = self._view()
         line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
         if view.identity is None:  # no index yet, perhaps no directory
@@ -358,14 +361,18 @@ class RunStore:
                           payload: Any = None) -> Tuple[Optional[str], bool]:
         """Record one recording's membership in a dedupe bucket.
 
-        Ships ``payload`` (the recording, JSON-able) only when the
-        bucket has no exemplar yet - the fleet's "one exemplar per
+        Idempotent per cell, as :meth:`put_row` is per row: a cell that
+        is already a member (a rerun re-quarantining it) appends
+        nothing.  Ships ``payload`` (the recording, JSON-able) only when
+        the bucket has no exemplar yet - the fleet's "one exemplar per
         bucket" rule.  Returns ``(exemplar_address, shipped)`` where
         ``shipped`` says whether *this* call stored the payload.
         """
-        self._append({"kind": "bucket", "bucket": bucket,
-                      "failure": list(failure) if failure else None,
-                      "fingerprint": fingerprint, "cell": cell})
+        members = self._view().buckets.get(bucket)
+        if members is None or cell not in members.cells:
+            self._append({"kind": "bucket", "bucket": bucket,
+                          "failure": list(failure) if failure else None,
+                          "fingerprint": fingerprint, "cell": cell})
         existing = self._view().buckets.get(bucket)
         if existing is not None and existing.exemplar:
             return existing.exemplar, False

@@ -11,9 +11,9 @@ import json
 import pytest
 
 from repro.corpus import BUG_CLASSES, generate_case, run_matrix
-from repro.corpus.matrix import (_record_task, corpus_tables,
-                                 run_corpus_experiment)
+from repro.corpus.matrix import corpus_tables, run_corpus_experiment
 from repro.harness.experiments import MODEL_ORDER, evaluate_app_model
+from repro.models import DebugSession
 from repro.record import log_from_dict
 
 SMOKE_SEEDS = range(len(BUG_CLASSES))
@@ -76,12 +76,13 @@ def test_matrix_cell_matches_direct_evaluation(smoke):
 
 
 def test_workers_ship_replayable_serialized_logs():
-    """Phase-1 payloads are self-contained serializer JSON strings."""
-    seed, meta, payloads = _record_task((0, ("full",)))
-    assert meta["bug_class"] == BUG_CLASSES[0]
-    (model, payload), = payloads
-    assert model == "full"
-    log = log_from_dict(json.loads(payload))
+    """A task ships each recording as a self-contained serializer JSON
+    string, recorded as the matrix task records it."""
+    case = generate_case(0)
+    assert case.provenance()["bug_class"] == BUG_CLASSES[0]
+    session = DebugSession(case, "full", seed=case.failing_seed)
+    session.record()
+    log = log_from_dict(json.loads(session.ship()))
     assert log.failure is not None
     assert log.schedule, "full-determinism log must carry the schedule"
 

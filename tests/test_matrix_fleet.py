@@ -1,31 +1,38 @@
 """Matrix acceptance under faults: the sweep completes, converges, and
-resumes.
+resumes from its run store.
 
 These are the ISSUE's acceptance criteria as tests: a sweep with
 injected worker crashes, cell hangs, and payload corruption completes
 with a report, quarantines only the injured cells, and produces healthy
-rows byte-identical to a fault-free run; an interrupted journaled run
-resumed with ``--resume`` recomputes zero already-journaled cells.
+rows byte-identical to a fault-free run; an interrupted sweep rerun on
+the same store recomputes exactly the cells the store does not hold.
+The store's append-only index is the run's journal.  Recomputation is
+counted as ``RunStore.put_row`` calls (the ``put_rows`` fixture).
 """
 
+import copy
 import json
 import os
 
 import pytest
 
-from repro.corpus.journal import JOURNAL_NAME, JOURNAL_VERSION, RunJournal
+from repro.corpus import matrix
+from repro.corpus.fleet import FleetPolicy
 from repro.corpus.matrix import run_matrix
-from repro.errors import ReproError, ResumeMismatchError
+from repro.errors import ReproError
 from repro.harness.faults import FaultPlan
+from repro.store import INDEX_NAME, RunStore
 
 SEEDS = [0, 1, 2]
 MODELS = ("full", "failure")
+ALL_CELLS = sorted((seed, model) for seed in SEEDS for model in MODELS)
 
 # Pinned so the test asserts, not hopes: with these rates and seed, the
 # plan injects every fault class at least once across SEEDS x MODELS
 # (verified by test_plan_covers_every_fault_class below).
 PLAN = FaultPlan(seed=1, crash_rate=0.25, hang_rate=0.2,
                  corrupt_rate=0.3, strikes=1, hang_seconds=30.0)
+FAULTY_POLICY = FleetPolicy(cell_timeout=2.0, retries=2)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +43,46 @@ def clean():
 
 def cells(rows):
     return {f'{r["seed"]}:{r["model"]}': r for r in rows}
+
+
+def comparable(results):
+    trimmed = copy.deepcopy(results)
+    trimmed.pop("timing")  # wall clock + store accounting live here
+    return trimmed
+
+
+def cut_index_after_two_rows(store_dir):
+    """Simulate a crash mid-append: keep the index through its second
+    row entry, then half of the next line with no newline.  Returns the
+    kept rows' cells."""
+    path = os.path.join(store_dir, INDEX_NAME)
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    kept = []
+    for count, line in enumerate(lines):
+        entry = json.loads(line)
+        if entry["kind"] == "row":
+            kept.append((entry["seed"], entry["model"]))
+            if len(kept) == 2:
+                torn = lines[count + 1][:len(lines[count + 1]) // 2]
+                with open(path, "wb") as handle:
+                    handle.write(b"".join(lines[:count + 1]) + torn)
+                return kept
+    raise AssertionError("the index holds fewer than two rows")
+
+
+def interrupt_and_resume(store_dir, put_rows, run):
+    """Sweep, cut the index after two rows, sweep again; check the
+    rerun recomputed exactly the cells that lost their row."""
+    first = run()
+    kept = cut_index_after_two_rows(store_dir)
+    del put_rows[:]
+    resumed = run()
+    stored = {(row["seed"], row["model"]) for row in first["matrix"]}
+    assert sorted(put_rows) == sorted(stored - set(kept))
+    assert resumed["timing"]["store_hits"] == len(kept)
+    assert comparable(resumed) == comparable(first)
+    return resumed
 
 
 def test_plan_covers_every_fault_class():
@@ -57,19 +104,21 @@ def test_healthy_fleet_report_is_clean(clean):
     assert fleet["ok"] == fleet["cells"]
     assert fleet["failed"] == fleet["timeout"] == []
     assert fleet["quarantined"] == [] and fleet["retried"] == {}
+    assert fleet["resumed_cells"] == 0
 
 
 def test_sweep_converges_under_injected_faults(clean):
     """Crashes and hangs retry clean (strikes < retries); corrupted
     payloads are refused by attestation and quarantined; every healthy
-    row is byte-identical to the fault-free run's."""
-    results = run_matrix(SEEDS, models=MODELS, jobs=2, cell_timeout=2.0,
-                         retries=2, faults=PLAN)
+    row is byte-identical to the fault-free run."""
+    results = run_matrix(SEEDS, models=MODELS, jobs=2, policy=FAULTY_POLICY,
+                         faults=PLAN)
     fleet = results["fleet"]
     # Process faults converged: nothing failed or timed out terminally,
-    # but the struck cells show their retries.
+    # but the struck seeds show their retries.
     assert fleet["failed"] == [] and fleet["timeout"] == []
     assert fleet["retried"], "the plan injects at least one crash/hang"
+    assert all(key.startswith("seed:") for key in fleet["retried"])
     # Exactly the corrupted payload cells are quarantined, each refused
     # by attestation with a structured error.
     expected_bad = {f"{s}:{m}" for s in SEEDS for m in MODELS
@@ -87,142 +136,135 @@ def test_sweep_converges_under_injected_faults(clean):
                    sort_keys=True)
 
 
-def test_journaled_run_resumes_with_zero_recomputation(clean, tmp_path):
-    run_dir = str(tmp_path / "sweep")
-    first = run_matrix(SEEDS, models=MODELS, jobs=2, run_dir=run_dir)
-    journal_path = os.path.join(run_dir, JOURNAL_NAME)
-    before = open(journal_path).read().splitlines()
-    resumed = run_matrix(SEEDS, models=MODELS, jobs=2,
-                         run_dir=run_dir, resume=True)
-    after = open(journal_path).read().splitlines()
-    assert len(after) == len(before), \
-        "a fully-journaled sweep must recompute zero cells"
+def test_journaled_run_resumes_with_zero_recomputation(clean, tmp_path,
+                                                       put_rows):
+    store_dir = str(tmp_path / "store")
+    first = run_matrix(SEEDS, models=MODELS, jobs=2, store=store_dir)
+    assert sorted(put_rows) == ALL_CELLS
+    del put_rows[:]
+    resumed = run_matrix(SEEDS, models=MODELS, jobs=2, store=store_dir)
+    assert put_rows == [], "a fully stored sweep must recompute zero cells"
     assert resumed["matrix"] == first["matrix"] == clean["matrix"]
     assert resumed["summary"] == clean["summary"]
-    assert resumed["fleet"]["resumed_cells"] == len(SEEDS) * len(MODELS)
+    assert resumed["timing"]["store_hits"] == len(ALL_CELLS)
 
 
-def test_interrupted_run_resumes_only_the_missing_cells(clean, tmp_path):
-    """Simulate a crash mid-sweep: keep a journal prefix (including a
-    torn final line), resume, and check only the missing cells were
-    recomputed and the final artifact equals the uninterrupted one."""
-    run_dir = str(tmp_path / "sweep")
-    run_matrix(SEEDS, models=MODELS, jobs=2, run_dir=run_dir)
-    journal_path = os.path.join(run_dir, JOURNAL_NAME)
-    lines = open(journal_path).read().splitlines()
-    rows_kept = [l for l in lines[:5] if json.loads(l)["kind"] == "row"]
-    # Keep header + first cells, then a line torn mid-write.
-    open(journal_path, "w").write("\n".join(lines[:5]) +
-                                  '\n{"kind": "row", "se')
-    resumed = run_matrix(SEEDS, models=MODELS, jobs=2,
-                         run_dir=run_dir, resume=True)
+def test_interrupted_run_resumes_only_the_missing_cells(clean, tmp_path,
+                                                        put_rows):
+    """Simulate a crash mid-sweep on the supervised fleet: keep an index
+    prefix (with a torn final line), rerun, and check only the missing
+    cells were recomputed and the artifact equals the uninterrupted
+    one."""
+    store_dir = str(tmp_path / "store")
+    resumed = interrupt_and_resume(
+        store_dir, put_rows,
+        lambda: run_matrix(SEEDS, models=MODELS, jobs=2, store=store_dir))
     assert resumed["matrix"] == clean["matrix"]
-    assert resumed["fleet"]["resumed_cells"] == len(rows_kept)
-    final = [json.loads(l) for l in open(journal_path)]
-    row_cells = [(e["seed"], e["model"]) for e in final
-                 if e["kind"] == "row"]
-    assert sorted(row_cells) == sorted(
-        (s, m) for s in SEEDS for m in MODELS), \
-        "resume completes the journal exactly once per cell"
 
 
-def test_corrupt_journal_interior_is_refused():
-    journal = RunJournal("/nonexistent")
-    assert journal.load().done_cells() == set()
+def test_inline_path_still_works_with_journal(clean, tmp_path, put_rows):
+    """jobs=1 (no worker processes) stores and resumes identically."""
+    store_dir = str(tmp_path / "store")
+    resumed = interrupt_and_resume(
+        store_dir, put_rows,
+        lambda: run_matrix(SEEDS, models=MODELS, jobs=1, store=store_dir))
+    assert resumed["matrix"] == clean["matrix"]
 
 
 def test_corrupt_mid_journal_raises_structured_error(tmp_path):
-    run_dir = tmp_path / "sweep"
-    run_dir.mkdir()
-    path = run_dir / JOURNAL_NAME
-    path.write_text('{"kind": "header"}\nNOT JSON\n{"kind": "row", '
-                    '"seed": 0, "model": "full", "row": {}}\n')
+    store_dir = str(tmp_path / "store")
+    run_matrix(SEEDS[:1], models=MODELS, store=store_dir)
+    path = os.path.join(store_dir, INDEX_NAME)
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    with open(path, "wb") as handle:
+        handle.write(lines[0] + b"NOT JSON\n" + b"".join(lines[2:]))
     with pytest.raises(ReproError) as excinfo:
-        RunJournal(str(run_dir)).load()
+        run_matrix(SEEDS[:1], models=MODELS, store=store_dir)
     assert "line 2" in str(excinfo.value)
-    assert str(path) in str(excinfo.value)
+    assert path in str(excinfo.value)
 
 
 def test_torn_header_line_is_tolerated_on_load_and_reopen(clean,
-                                                          tmp_path):
-    """A run that died while writing the very first journal line leaves
-    a torn *header*: loading ignores the fragment, reopening truncates
-    it, and the resumed sweep completes with a valid journal."""
-    run_dir = tmp_path / "sweep"
-    run_dir.mkdir()
-    path = run_dir / JOURNAL_NAME
-    path.write_text('{"kind": "header", "version": 1, "se')  # no newline
-    state = RunJournal(str(run_dir)).load()
-    assert state.header is None and state.done_cells() == set()
+                                                          tmp_path,
+                                                          put_rows):
+    """A run that died while writing the very first index line leaves
+    only a torn fragment: the rerun ignores it, cuts it off instead of
+    welding onto it, and stores every cell exactly once."""
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    path = store_dir / INDEX_NAME
+    path.write_text('{"kind": "case", "seed": 0, "co')  # no newline
     resumed = run_matrix(SEEDS, models=MODELS, jobs=2,
-                         run_dir=str(run_dir), resume=True)
+                         store=str(store_dir))
     assert resumed["matrix"] == clean["matrix"]
+    assert sorted(put_rows) == ALL_CELLS
     entries = [json.loads(line) for line in open(path)]
-    assert entries[0]["kind"] == "header", \
-        "reopen must truncate the fragment, not weld onto it"
-    assert sum(entry["kind"] == "header" for entry in entries) == 1
+    assert entries[0]["kind"] == "case" and "code_hash" in entries[0]
     row_cells = [(entry["seed"], entry["model"]) for entry in entries
                  if entry["kind"] == "row"]
-    assert sorted(row_cells) == sorted(
-        (seed, model) for seed in SEEDS for model in MODELS)
+    assert sorted(row_cells) == ALL_CELLS
 
 
-def test_resume_with_different_seeds_is_refused_naming_both(tmp_path):
-    run_dir = str(tmp_path / "sweep")
-    run_matrix(SEEDS, models=MODELS, jobs=1, run_dir=run_dir)
-    with pytest.raises(ResumeMismatchError) as excinfo:
-        run_matrix([0, 7], models=MODELS, jobs=1,
-                   run_dir=run_dir, resume=True)
-    error = excinfo.value
-    assert error.field == "seeds"
-    assert error.journal == SEEDS and error.requested == [0, 7]
-    assert str(SEEDS) in str(error) and str([0, 7]) in str(error)
-    assert isinstance(error, ReproError)
-
-
-def test_resume_with_different_models_is_refused_naming_both(tmp_path):
-    run_dir = str(tmp_path / "sweep")
-    run_matrix(SEEDS[:1], models=MODELS, jobs=1, run_dir=run_dir)
-    with pytest.raises(ResumeMismatchError) as excinfo:
-        run_matrix(SEEDS[:1], models=("full",), jobs=1,
-                   run_dir=run_dir, resume=True)
-    error = excinfo.value
-    assert error.field == "models"
-    assert error.journal == list(MODELS) and error.requested == ["full"]
-    assert "failure" in str(error)
-
-
-def test_resume_with_different_journal_format_is_refused(tmp_path):
-    run_dir = tmp_path / "sweep"
-    run_matrix(SEEDS[:1], models=MODELS, jobs=1, run_dir=str(run_dir))
-    path = run_dir / JOURNAL_NAME
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = JOURNAL_VERSION + 1
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(ResumeMismatchError) as excinfo:
-        run_matrix(SEEDS[:1], models=MODELS, jobs=1,
-                   run_dir=str(run_dir), resume=True)
-    assert excinfo.value.field == "format"
-    assert excinfo.value.journal == JOURNAL_VERSION + 1
-    assert excinfo.value.requested == JOURNAL_VERSION
-
-
-def test_matching_resume_is_not_refused(tmp_path):
-    """The refusal must not misfire: identical seeds given in a
-    different order or as a different sequence type still resume."""
-    run_dir = str(tmp_path / "sweep")
-    first = run_matrix(SEEDS, models=MODELS, jobs=1, run_dir=run_dir)
+def test_matching_resume_is_not_refused(tmp_path, put_rows):
+    """Identical seeds given in a different order or as a different
+    sequence type are the same cells: all of them are store hits."""
+    store_dir = str(tmp_path / "store")
+    first = run_matrix(SEEDS, models=MODELS, jobs=1, store=store_dir)
+    del put_rows[:]
     resumed = run_matrix(tuple(reversed(SEEDS)), models=list(MODELS),
-                         jobs=1, run_dir=run_dir, resume=True)
+                         jobs=1, store=store_dir)
+    assert put_rows == []
     assert resumed["matrix"] == first["matrix"]
 
 
-def test_inline_path_still_works_with_journal(tmp_path):
-    """jobs=1 (no worker processes) journals and resumes identically."""
-    run_dir = str(tmp_path / "sweep")
-    first = run_matrix(SEEDS[:1], models=MODELS, jobs=1, run_dir=run_dir)
-    resumed = run_matrix(SEEDS[:1], models=MODELS, jobs=1,
-                         run_dir=run_dir, resume=True)
-    assert resumed["matrix"] == first["matrix"]
-    assert resumed["fleet"]["resumed_cells"] == len(MODELS)
+def test_wider_sweep_recomputes_only_the_new_seeds(clean, tmp_path,
+                                                   put_rows):
+    """The store reuses exactly the overlap of two different sweeps."""
+    store_dir = str(tmp_path / "store")
+    run_matrix(SEEDS[:2], models=MODELS, store=store_dir)
+    del put_rows[:]
+    wider = run_matrix(SEEDS, models=MODELS, store=store_dir)
+    assert sorted(put_rows) == [(2, model) for model in sorted(MODELS)]
+    for section in ("matrix", "summary", "cases"):
+        assert wider[section] == clean[section], section
+
+
+def test_rows_under_another_code_hash_are_all_recomputed(tmp_path,
+                                                         monkeypatch,
+                                                         put_rows):
+    """A resume after a code edit must not serve the old code's rows."""
+    store_dir = str(tmp_path / "store")
+    with monkeypatch.context() as patch:
+        patch.setattr(matrix, "matrix_code_hash", lambda: "older-code")
+        stale = run_matrix(SEEDS[:1], models=MODELS, store=store_dir)
+    del put_rows[:]
+    fresh = run_matrix(SEEDS[:1], models=MODELS, store=store_dir)
+    assert sorted(put_rows) == ALL_CELLS[:len(MODELS)]
+    assert fresh["timing"]["store_hits"] == 0
+    assert comparable(fresh) == comparable(stale)
+
+
+def test_faulty_rerun_requarantines_identically(tmp_path, put_rows):
+    """Quarantined cells are never stored, so a rerun retries them; the
+    deterministic plan injures them again, identically, and the store
+    lists each bucket member once."""
+    store_dir = str(tmp_path / "store")
+    first = run_matrix(SEEDS, models=MODELS, jobs=2, policy=FAULTY_POLICY,
+                       faults=PLAN, store=store_dir)
+    quarantined = {entry["cell"] for entry in first["fleet"]["quarantined"]}
+    assert quarantined
+    del put_rows[:]
+    second = run_matrix(SEEDS, models=MODELS, jobs=2, policy=FAULTY_POLICY,
+                        faults=PLAN, store=store_dir)
+    assert put_rows == [], "healthy cells are store hits"
+    assert second["timing"]["store_hits"] == \
+        len(ALL_CELLS) - len(quarantined)
+    assert second["fleet"]["quarantined"] == first["fleet"]["quarantined"]
+    assert second["fleet"]["buckets"] == first["fleet"]["buckets"]
+    assert second["matrix"] == first["matrix"]
+    stored = RunStore(store_dir).buckets()
+    assert sorted(cell for view in stored.values()
+                  for cell in view.cells) == sorted(quarantined)
+    for view in stored.values():
+        assert view.count == len(set(view.cells)) == len(view.cells)

@@ -217,6 +217,14 @@ def test_codec_passes_scalars_through():
         assert decode_value(encode_value(value)) == value
 
 
+@pytest.mark.parametrize("value", [
+    {"$tuple": 5}, {"$faultplan": {"bogus": 1}}, {"$faultplan": [1]},
+    [{"nested": {"$tuple": "abc"}}]])
+def test_codec_refuses_malformed_tags_with_a_protocol_error(value):
+    with pytest.raises(ProtocolError, match="malformed"):
+        decode_value(value)
+
+
 # -- handshake ----------------------------------------------------------------
 
 

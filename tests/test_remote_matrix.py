@@ -6,29 +6,29 @@ duplicate deliveries, and payload corruption completes, quarantines
 exactly the injured cells, and produces matrix/summary/cases
 byte-identical to a fault-free local run; killing every remote worker
 mid-sweep degrades to the local supervisor and finishes with zero
-journaled cells recomputed.
+stored cells recomputed; and a store written remotely resumes locally.
 """
 
 import json
 import multiprocessing
-import os
 
 import pytest
 
-from repro.corpus.journal import JOURNAL_NAME
+from repro.corpus.fleet import FleetPolicy
 from repro.corpus.matrix import run_matrix
 from repro.corpus.remote import RemoteCoordinator, serve_worker
 from repro.harness.faults import FaultPlan
+from test_matrix_fleet import interrupt_and_resume
 
-SEEDS = [0, 1, 2]
+SEEDS = [0, 1, 2, 3]
 MODELS = ("full", "failure")
 
-# Pinned so the test asserts, not hopes: with these rates and seed, the
-# plan injects every *network* fault class at least once across the
-# record/replay sites, kills strictly fewer workers than the fleet
-# holds, and corrupts at least one payload (verified by
-# test_plan_covers_every_net_fault_class below).
-NET_PLAN = FaultPlan(seed=1, corrupt_rate=0.25, kill_rate=0.12,
+# Pinned so the test asserts, not hopes: network faults draw on the task
+# key (``seed:{s}``), and with these rates and seed the plan injects
+# every *network* fault class at least once across SEEDS, kills strictly
+# fewer workers than the fleet holds, and corrupts at least one payload
+# (verified by test_plan_covers_every_net_fault_class below).
+NET_PLAN = FaultPlan(seed=30, corrupt_rate=0.25, kill_rate=0.12,
                      drop_rate=0.18, stall_rate=0.12, dup_rate=0.2,
                      strikes=1)
 N_WORKERS = 3  # > the kill count the pinned plan draws
@@ -37,12 +37,11 @@ N_WORKERS = 3  # > the kill count the pinned plan draws
 def _net_kinds():
     kinds, kills = [], 0
     for seed in SEEDS:
-        for site in (f"record:{seed}", f"replay:{seed}"):
-            kind = NET_PLAN.net_fault_at(site)
-            if kind:
-                kinds.append(kind)
-            if kind == "kill":
-                kills += 1
+        kind = NET_PLAN.net_fault_at(f"seed:{seed}")
+        if kind:
+            kinds.append(kind)
+        if kind == "kill":
+            kills += 1
     return kinds, kills
 
 
@@ -89,11 +88,11 @@ def test_plan_covers_every_net_fault_class():
 
 
 def test_net_faults_are_seeded_and_strike_gated():
-    assert [NET_PLAN.net_fault_at(f"record:{s}") for s in SEEDS] == \
-        [NET_PLAN.net_fault_at(f"record:{s}") for s in SEEDS]
+    assert [NET_PLAN.net_fault_at(f"seed:{s}") for s in SEEDS] == \
+        [NET_PLAN.net_fault_at(f"seed:{s}") for s in SEEDS]
     # Attempts past the strike budget run clean, so retries converge.
     for seed in SEEDS:
-        assert NET_PLAN.net_fault(f"record:{seed}",
+        assert NET_PLAN.net_fault(f"seed:{seed}",
                                   NET_PLAN.strikes) is None
 
 
@@ -127,8 +126,10 @@ def test_remote_sweep_under_full_fault_barrage(clean):
                            lease_seconds=1.0) as coord:
         procs = _start_fleet(coord.address, N_WORKERS)
         results = run_matrix(SEEDS, models=MODELS, coordinator=coord,
-                             cell_timeout=5.0, retries=3,
-                             faults=NET_PLAN, backoff=0.01)
+                             policy=FleetPolicy(cell_timeout=5.0,
+                                                retries=3,
+                                                backoff_base=0.01),
+                             faults=NET_PLAN)
     _reap(procs)
     fleet = results["fleet"]
     # Network faults converged: nothing failed or timed out terminally.
@@ -156,61 +157,64 @@ def test_remote_sweep_under_full_fault_barrage(clean):
 
 
 def test_killing_every_worker_degrades_without_recomputation(clean,
-                                                             tmp_path):
+                                                             tmp_path,
+                                                             put_rows):
     """Every remote worker departs mid-sweep; the coordinator degrades
-    to the local supervisor, the sweep finishes byte-identical, and the
-    journal holds exactly one row per cell - nothing recomputed."""
-    run_dir = str(tmp_path / "sweep")
+    to the local runner, the sweep finishes byte-identical, and each
+    cell's row is stored exactly once - nothing recomputed."""
     with RemoteCoordinator(("127.0.0.1", 0), worker_wait=1.0,
                            lease_seconds=5.0) as coord:
         procs = _start_fleet(coord.address, 2, max_cells=1,
                              reconnect_attempts=0)
         results = run_matrix(SEEDS, models=MODELS, coordinator=coord,
-                             run_dir=run_dir)
+                             store=str(tmp_path / "store"))
     _reap(procs)
     remote = results["fleet"]["remote"]
     assert remote["degraded"] is True
     assert remote["degraded_cells"] > 0
-    assert remote["degraded_cells"] < len(SEEDS) * len(MODELS), \
-        "some cells landed remotely before the fleet died"
+    assert remote["degraded_cells"] < len(SEEDS), \
+        "some seeds landed remotely before the fleet died"
     for section in ("matrix", "summary", "cases"):
         assert json.dumps(results[section], sort_keys=True) == \
             json.dumps(clean[section], sort_keys=True), section
-    # Zero recomputation: the journal append-log saw each cell once.
-    journal_path = os.path.join(run_dir, JOURNAL_NAME)
-    entries = [json.loads(line) for line in open(journal_path)]
-    row_cells = [(entry["seed"], entry["model"]) for entry in entries
-                 if entry["kind"] == "row"]
-    assert sorted(row_cells) == sorted(
+    assert sorted(put_rows) == sorted(
         (seed, model) for seed in SEEDS for model in MODELS), \
-        "degrade must hand over only cells with no journaled row"
+        "degrade must hand over only cells with no stored row"
 
 
-def test_backend_remote_builds_its_own_coordinator(clean):
-    """`backend="remote"` without an injected coordinator binds its own
-    listener; with no workers it degrades to the local path."""
-    results = run_matrix(SEEDS[:1], models=MODELS, backend="remote",
-                         listen=("127.0.0.1", 0), worker_wait=0.2)
-    assert results["fleet"]["remote"]["degraded"] is True
-    assert json.dumps(results["matrix"], sort_keys=True) == \
-        json.dumps([r for r in clean["matrix"] if r["seed"] == SEEDS[0]],
-                   sort_keys=True)
+def test_degraded_remote_run_resumes_only_the_missing_cells(clean,
+                                                            tmp_path,
+                                                            put_rows):
+    """A remote sweep with no workers degrades to the local runner; cut
+    its store's index after two rows and the rerun recomputes exactly
+    the other cells.  Only the transport report (``fleet.remote``, which
+    counts the degraded tasks) may differ between the two runs."""
+    store_dir = str(tmp_path / "store")
+
+    def degraded_run():
+        with RemoteCoordinator(("127.0.0.1", 0),
+                               worker_wait=0.2) as coord:
+            results = run_matrix(SEEDS, models=MODELS,
+                                 coordinator=coord, store=store_dir)
+        assert results["fleet"].pop("remote")["degraded"] is True
+        return results
+
+    resumed = interrupt_and_resume(store_dir, put_rows, degraded_run)
+    assert resumed["matrix"] == clean["matrix"]
 
 
-def test_remote_journaled_run_resumes_locally(clean, tmp_path):
-    """A journal written by a remote sweep resumes on the local backend
-    with zero recomputation - the journal is backend-agnostic."""
-    run_dir = str(tmp_path / "sweep")
+def test_remote_journaled_run_resumes_locally(clean, tmp_path, put_rows):
+    """A store written by a remote sweep resumes on the local backend
+    with zero recomputation - the store is backend-agnostic."""
+    store_dir = str(tmp_path / "store")
     with RemoteCoordinator(("127.0.0.1", 0), worker_wait=30.0,
                            lease_seconds=5.0) as coord:
         procs = _start_fleet(coord.address, 2)
         first = run_matrix(SEEDS, models=MODELS, coordinator=coord,
-                           run_dir=run_dir)
+                           store=store_dir)
     _reap(procs)
-    journal_path = os.path.join(run_dir, JOURNAL_NAME)
-    before = open(journal_path).read()
-    resumed = run_matrix(SEEDS, models=MODELS, jobs=1,
-                         run_dir=run_dir, resume=True)
-    assert open(journal_path).read() == before
+    del put_rows[:]
+    resumed = run_matrix(SEEDS, models=MODELS, jobs=1, store=store_dir)
+    assert put_rows == []
+    assert resumed["timing"]["store_hits"] == len(SEEDS) * len(MODELS)
     assert resumed["matrix"] == first["matrix"] == clean["matrix"]
-    assert resumed["fleet"]["resumed_cells"] == len(SEEDS) * len(MODELS)
