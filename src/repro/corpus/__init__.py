@@ -12,19 +12,22 @@ processes, one task per seed that records, ships each recording through
 the JSON log serializer exactly like production logs ship to developer
 workstations, and replays and scores it.
 
-The runner is *supervised* (:mod:`repro.corpus.fleet`): worker crashes
-and hung cells are detected, struck cells retried with deterministic
-backoff, and exhausted cells reported - never raised - in the artifact's
-``fleet`` section.  Completed rows go to a run store (:mod:`repro.store`)
-as they land, so rerunning an interrupted sweep on the same store
-resumes it without recomputation.
+The runner is *supervised* (:mod:`repro.corpus.fleet`): one dispatch
+loop drives every backend, each a transport that only moves work -
+inline, pipe-connected worker processes, or socket-connected hosts.
+Worker crashes and hung cells are detected, struck cells retried with
+deterministic backoff, and exhausted cells reported - never raised - in
+the artifact's ``fleet`` section.  Completed rows go to a run store
+(:mod:`repro.store`) as they land, so rerunning an interrupted sweep on
+the same store resumes it without recomputation.
 
 The fleet also scales past one host (:mod:`repro.corpus.remote`): a
 socket coordinator dispatches cells to ``repro fleet worker`` processes
 over length-prefixed JSON frames (:mod:`repro.corpus.protocol`) under
 lease-based at-least-once semantics - heartbeats renew leases, expired
 leases requeue deterministically, duplicate deliveries are deduplicated
-- and degrades to the local runner when the whole remote fleet is lost.
+- and when the whole remote fleet is lost, the same loop switches to the
+local transport, with every cell's retry budget and strikes intact.
 
 More seeds = more scenarios; more jobs = more cores; more workers =
 more machines.  Same seeds = the same corpus, byte for byte -
@@ -32,7 +35,7 @@ supervised, faulty, remote, degraded, or resumed.
 """
 
 from repro.corpus.fleet import (CellOutcome, CellStatus, FleetPolicy,
-                                WorkerSupervisor)
+                                Inline, WorkerSupervisor, dispatch)
 from repro.corpus.generator import (BUG_CLASSES, GeneratedCase,
                                     generate_case, generate_corpus)
 from repro.corpus.matrix import (CORPUS_RESULTS_PATH, corpus_tables,
@@ -43,6 +46,6 @@ __all__ = [
     "BUG_CLASSES", "GeneratedCase", "generate_case", "generate_corpus",
     "CORPUS_RESULTS_PATH", "corpus_tables", "run_corpus_experiment",
     "run_matrix",
-    "CellOutcome", "CellStatus", "FleetPolicy", "WorkerSupervisor",
-    "RemoteCoordinator", "serve_worker",
+    "CellOutcome", "CellStatus", "FleetPolicy", "Inline",
+    "WorkerSupervisor", "dispatch", "RemoteCoordinator", "serve_worker",
 ]

@@ -1,33 +1,36 @@
-"""Fault-tolerant worker fleet: supervision, timeouts, bounded retries.
+"""Fault-tolerant worker fleet: one dispatch loop, three transports.
 
-The corpus matrix is this repo's own "production fleet": many worker
-processes each evaluating (case x model) cells.  A fleet-scale runner
-cannot assume every worker survives and every cell finishes - one hung
-cell must not stall a 20-seed sweep, and one crashed worker must not
-kill it.  :class:`WorkerSupervisor` is the supervision layer:
+The corpus matrix is this repo's own "production fleet": many workers
+each evaluating (case x model) cells.  A fleet-scale runner cannot
+assume every worker survives and every cell finishes - one hung cell
+must not stall a 20-seed sweep, and one crashed worker must not kill
+it.  The job splits in two:
 
-- **Persistent, warm workers**: ``jobs`` long-lived processes consume
-  *batches* of tasks over pipes (chunked dispatch amortizes the per-cell
-  process/IPC overhead that made ``Pool(chunksize=1)`` lose to a single
-  process), and stay warm for the whole run.
-- **Per-cell wall-clock timeouts**: a worker that reports no progress
-  for ``cell_timeout`` seconds is killed and replaced; the in-flight
-  cell is charged a *timeout* strike, the rest of its batch is requeued
-  unpenalized.
-- **Crash detection**: a worker that dies mid-batch (segfault analogue:
-  ``os._exit``, OOM-kill, ...) is detected by its broken pipe / dead
-  process, replaced, and the in-flight cell charged a *crash* strike.
-- **Bounded deterministic retry**: a struck cell is retried up to
-  ``retries`` times with exponential backoff whose delay (including
-  jitter) is a pure function of ``(key, attempt)`` via
-  :func:`retry_seed` - reruns of the same sweep back off identically.
-- **Terminal statuses** (:class:`CellStatus`): a cell that exhausts its
-  retries is *reported*, not raised - ``failed`` for a Python exception
+- :func:`dispatch` is the one retry loop every backend runs.  It owns
+  the queue, attempt counts and strikes, **bounded deterministic
+  retry** - a struck task is retried up to ``retries`` times with
+  exponential backoff whose delay (including jitter) is a pure function
+  of ``(key, attempt)`` via :func:`retry_seed`, so reruns back off
+  identically - and the exactly-once finalize: late and duplicate
+  deliveries are dropped before ``on_result``.  A task that exhausts
+  its retries is *reported* with a terminal status
+  (:class:`CellStatus`), not raised - ``failed`` for a Python exception
   in the task, ``timeout`` for a wall-clock kill, ``quarantined`` for a
-  cell that keeps crashing the worker that runs it (it endangers the
+  task that keeps crashing the worker that runs it (it endangers the
   fleet, so it is set aside).  The sweep completes with a report.
+- A :class:`Transport` only moves work.  :class:`Inline` runs tasks in
+  the calling process; :class:`WorkerSupervisor` runs ``jobs``
+  persistent, warm worker processes that consume *batches* of tasks
+  over pipes, kills and replaces a worker that dies (broken pipe / dead
+  process: a *crash* strike) or reports no progress for
+  ``cell_timeout`` seconds (a *timeout* strike), and hands back the
+  batch mates it never started; and
+  :class:`~repro.corpus.remote.RemoteCoordinator` leases tasks to
+  socket-connected hosts.  A transport that loses every worker makes
+  :func:`dispatch` switch to its fallback transport inside the same
+  loop, so attempts and strikes carry across the switch.
 
-The supervisor is a context manager; leaving the block (normally, on
+Transports are context managers; leaving the block (normally, on
 ``KeyboardInterrupt``, or on any raised exception) terminates and joins
 every worker, so an aborted run never leaves orphan processes.
 
@@ -39,16 +42,21 @@ while deterministic tasks simply ignore it.
 from __future__ import annotations
 
 import hashlib
-import os
 import signal
 import threading
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.errors import ReproError
+
+# One started task, ``(key, payload, attempt)``, and what a transport
+# reports about it, ``(item, kind, detail)``.
+Item = Tuple[str, Any, int]
+Event = Tuple[Item, str, Any]
 
 
 class CellStatus:
@@ -59,8 +67,6 @@ class CellStatus:
     TIMEOUT = "timeout"          # task exceeded the wall-clock budget
     QUARANTINED = "quarantined"  # task kept killing its worker (or its
     #                              payload was refused by attestation)
-
-    TERMINAL = (OK, FAILED, TIMEOUT, QUARANTINED)
 
 
 # Per-attempt strike kinds and the terminal status each maps to when the
@@ -135,6 +141,149 @@ class CellOutcome:
         return self.status == CellStatus.OK
 
 
+# -- the dispatcher -----------------------------------------------------------
+
+
+class Transport:
+    """What :func:`dispatch` drives: a backend that only moves work.
+
+    - ``take(ready, policy)`` starts a prefix of ``ready`` (items in
+      queue order) and returns how many it started;
+    - ``poll(policy)`` waits briefly and returns events about started
+      items: kind ``ok`` (detail: the value), a strike kind of
+      ``error``/``timeout``/``crash`` (detail: the error text), or
+      ``requeue`` for a batch mate that was never started;
+    - :attr:`busy` is true while started items are still owed an event;
+    - ``lost(started, pending)`` is true once the transport has had no
+      worker since the monotonic time ``started`` for longer than it
+      waits for one; ``pending`` items are then switched to the
+      fallback.
+    """
+
+    busy = False
+
+    def take(self, ready: List[Item], policy: FleetPolicy) -> int:
+        raise NotImplementedError
+
+    def poll(self, policy: FleetPolicy) -> List[Event]:
+        raise NotImplementedError
+
+    def lost(self, started: float, pending: int) -> bool:
+        return False
+
+    def close(self) -> None:
+        """Release every worker (idempotent)."""
+
+    def __enter__(self) -> "Transport":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def dispatch(transport: Transport, tasks: Sequence[Tuple[str, Any]],
+             policy: FleetPolicy,
+             on_result: Optional[Callable[[CellOutcome], None]] = None,
+             fallback: Optional[Transport] = None
+             ) -> Dict[str, CellOutcome]:
+    """Run every (key, payload) task to a terminal status.
+
+    Returns ``{key: CellOutcome}`` - every key terminal, in input order.
+    ``on_result`` fires exactly once per task *as it finalizes* (the
+    matrix stores each result there); an event for a task already
+    terminal is a late or duplicate delivery and is dropped before it.
+    Keys must be unique strings.  When ``transport`` reports it has
+    lost every worker, the tasks still pending move to ``fallback`` in
+    this same loop, keeping their attempts and strikes; with no
+    fallback that is a :class:`~repro.errors.ReproError`.
+    """
+    keys = [key for key, __ in tasks]
+    if len(set(keys)) != len(keys):
+        raise ValueError("fleet task keys must be unique")
+    outcomes = {key: CellOutcome(key=key, status="pending") for key in keys}
+    queue: List[Item] = [(key, payload, 0) for key, payload in tasks]
+    not_before: Dict[str, float] = {}  # key -> when its retry may start
+    pending = len(queue)
+    started = time.monotonic()
+    while pending > 0:
+        now = time.monotonic()
+        ready = [item for item in queue if not_before.get(item[0], 0.0) <= now]
+        taken = transport.take(ready, policy) if ready else 0
+        for item in ready[:taken]:
+            queue.remove(item)
+        if not transport.busy:
+            if transport.lost(started, pending):
+                if fallback is None:
+                    raise ReproError(
+                        "the fleet has no connected workers and no local "
+                        "fallback was configured")
+                transport, fallback = fallback, None
+                continue
+            if taken == len(ready):
+                if not queue:
+                    break  # pending>0 but no work anywhere: defensive exit
+                # Everything left is backing off; sleep it out.
+                time.sleep(max(0.0, min(not_before[item[0]]
+                                        for item in queue) - now))
+                continue
+        for item, kind, detail in transport.poll(policy):
+            key, payload, attempt = item
+            outcome = outcomes[key]
+            if outcome.status != "pending":
+                continue
+            if kind == "requeue":  # never started: no strike
+                queue.insert(0, item)
+                continue
+            outcome.attempts = attempt + 1
+            if kind == "ok":
+                outcome.status, outcome.value = CellStatus.OK, detail
+            else:
+                outcome.strikes.append(kind)
+                outcome.error = detail or kind
+                if attempt < policy.retries:
+                    not_before[key] = (time.monotonic()
+                                       + policy.backoff(key, attempt + 1))
+                    queue.append((key, payload, attempt + 1))
+                    continue
+                outcome.status = _STRIKE_STATUS[kind]
+            pending -= 1
+            if on_result is not None:
+                on_result(outcome)
+    return outcomes
+
+
+class Inline(Transport):
+    """The process-free transport: each ``take`` runs one task in the
+    calling process.
+
+    Exceptions are ``error`` strikes, retried like any other; crash and
+    hang supervision needs a real worker process (use
+    :class:`WorkerSupervisor` with ``jobs=1`` when ``cell_timeout``
+    matters more than process-free debugging).
+    """
+
+    def __init__(self, worker_fn: Callable[[Any, int], Any]):
+        self.worker_fn = worker_fn
+        self.events: List[Event] = []
+
+    @property
+    def busy(self) -> bool:
+        return bool(self.events)
+
+    def take(self, ready: List[Item], policy: FleetPolicy) -> int:
+        item = ready[0]
+        try:
+            self.events.append((item, "ok",
+                                self.worker_fn(item[1], item[2])))
+        except Exception:
+            self.events.append((item, "error", traceback.format_exc()))
+        return 1
+
+    def poll(self, policy: FleetPolicy) -> List[Event]:
+        events, self.events = self.events, []
+        return events
+
+
 # -- the worker half ----------------------------------------------------------
 
 
@@ -174,7 +323,7 @@ class _Worker:
                                daemon=True)
         self.process.start()
         child.close()
-        self.batch: List[Tuple[str, Any, int]] = []
+        self.batch: List[Item] = []
         self.done: set = set()
         self.last_progress = time.monotonic()
 
@@ -182,20 +331,7 @@ class _Worker:
     def busy(self) -> bool:
         return bool(self.batch)
 
-    def in_flight(self) -> Optional[Tuple[str, Any, int]]:
-        """The cell this worker is (or died) executing: the first cell
-        of its batch with no streamed result yet."""
-        for item in self.batch:
-            if item[0] not in self.done:
-                return item
-        return None
-
-    def unstarted(self) -> List[Tuple[str, Any, int]]:
-        """Batch cells after the in-flight one (never attempted)."""
-        pending = [item for item in self.batch if item[0] not in self.done]
-        return pending[1:]
-
-    def dispatch(self, batch: List[Tuple[str, Any, int]]) -> None:
+    def start(self, batch: List[Item]) -> None:
         self.batch = batch
         self.done = set()
         self.last_progress = time.monotonic()
@@ -225,11 +361,13 @@ class _Worker:
 # -- the supervisor -----------------------------------------------------------
 
 
-class WorkerSupervisor:
-    """Supervised, persistent worker pool (see module docstring).
+class WorkerSupervisor(Transport):
+    """The pipe transport: a supervised, persistent worker pool (see
+    module docstring).
 
-    One supervisor can serve several :meth:`run` calls on the same warm
-    fleet; workers are torn down when the ``with`` block exits.
+    Workers start only when there is work to take, and one supervisor
+    can serve several dispatches on the same warm fleet; workers are
+    torn down when the ``with`` block exits.
     """
 
     def __init__(self, worker_fn: Callable[[Any, int], Any],
@@ -241,14 +379,18 @@ class WorkerSupervisor:
         self.workers: List[_Worker] = []
         self._prev_sigterm = None
 
+    def run(self, tasks: Sequence[Tuple[str, Any]],
+            on_result: Optional[Callable[[CellOutcome], None]] = None
+            ) -> Dict[str, CellOutcome]:
+        """:func:`dispatch` over this pool under its own policy (the
+        entry point the benchmark suite's ledger wraps)."""
+        return dispatch(self, tasks, self.policy, on_result)
+
     # -- lifecycle ----------------------------------------------------------
 
     def __enter__(self) -> "WorkerSupervisor":
         self._install_sigterm()
         return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _install_sigterm(self) -> None:
         """Turn SIGTERM into SystemExit while the fleet is up.
@@ -287,189 +429,76 @@ class WorkerSupervisor:
                 pass
             self._prev_sigterm = None
 
-    def _spawn(self) -> _Worker:
-        worker = _Worker(self.worker_fn)
-        self.workers.append(worker)
-        return worker
+    # -- the transport ------------------------------------------------------
 
-    def _replace(self, worker: _Worker) -> None:
+    @property
+    def busy(self) -> bool:
+        return any(worker.busy for worker in self.workers)
+
+    def take(self, ready: List[Item], policy: FleetPolicy) -> int:
+        """Bring the fleet up to what the work needs (at most ``jobs``
+        workers), then hand each idle worker a batch."""
+        in_flight = sum(1 for worker in self.workers if worker.busy)
+        while len(self.workers) < min(self.jobs, in_flight + len(ready)):
+            self.workers.append(_Worker(self.worker_fn))
+        chunk = policy.chunk(len(ready), self.jobs)
+        taken = 0
+        for worker in self.workers:
+            if taken < len(ready) and not worker.busy:
+                worker.start(ready[taken:taken + chunk])
+                taken = min(len(ready), taken + chunk)
+        return taken
+
+    def poll(self, policy: FleetPolicy) -> List[Event]:
+        busy = [worker for worker in self.workers if worker.busy]
+        # Wait for progress, bounded so timeouts stay responsive.
+        timeout = 0.05
+        if policy.cell_timeout is not None and busy:
+            deadline = (min(worker.last_progress for worker in busy)
+                        + policy.cell_timeout)
+            timeout = max(0.001, min(deadline - time.monotonic(), timeout))
+        readable = _conn_wait([worker.conn for worker in busy],
+                              timeout=timeout)
+        events: List[Event] = []
+        for worker in busy:
+            if worker.conn not in readable:
+                continue
+            try:
+                while worker.conn.poll():
+                    message = worker.conn.recv()
+                    if message[0] == "batch-done":
+                        worker.batch, worker.done = [], set()
+                        continue
+                    __, key, kind, detail = message
+                    worker.done.add(key)
+                    worker.last_progress = time.monotonic()
+                    item = next(i for i in worker.batch if i[0] == key)
+                    events.append((item, kind, detail))
+            except (EOFError, OSError):
+                events += self._lose(worker, "crash",
+                                     "worker process died running {key!r}")
+        # Wall-clock supervision: kill silent workers.
+        if policy.cell_timeout is not None:
+            now = time.monotonic()
+            for worker in [w for w in self.workers if w.busy]:
+                if now - worker.last_progress > policy.cell_timeout:
+                    events += self._lose(
+                        worker, "timeout",
+                        f"cell {{key!r}} exceeded {policy.cell_timeout}s "
+                        f"wall-clock budget")
+        return events
+
+    def _lose(self, worker: _Worker, kind: str, error: str) -> List[Event]:
+        """Replace a dead or silent worker.
+
+        Its in-flight item - the first of its batch with no streamed
+        result - is charged a ``kind`` strike (``error`` names it as
+        ``{key!r}``); the batch mates it never started are requeued.
+        """
+        owed = [item for item in worker.batch if item[0] not in worker.done]
         worker.kill()
         self.workers.remove(worker)
-
-    # -- the run loop -------------------------------------------------------
-
-    def run(self, tasks: Sequence[Tuple[str, Any]],
-            on_result: Optional[Callable[[CellOutcome], None]] = None
-            ) -> Dict[str, CellOutcome]:
-        """Run every (key, payload) task to a terminal status.
-
-        Returns ``{key: CellOutcome}`` - every key terminal, in input
-        order.  ``on_result`` fires once per cell *as it finalizes* (the
-        matrix stores each result there).  Keys must be unique strings.
-        """
-        keys = [key for key, __ in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("supervised task keys must be unique")
-        outcomes: Dict[str, CellOutcome] = {
-            key: CellOutcome(key=key, status="pending")
-            for key, __ in tasks}
-        # (key, payload, attempt, not_before)
-        queue: deque = deque((key, payload, 0, 0.0)
-                             for key, payload in tasks)
-        pending = len(queue)
-        chunk = self.policy.chunk(pending, self.jobs)
-        while len(self.workers) < min(self.jobs, max(1, pending)):
-            self._spawn()
-
-        def finalize(key: str, status: str, value: Any = None,
-                     error: str = "") -> None:
-            nonlocal pending
-            outcome = outcomes[key]
-            outcome.status = status
-            outcome.value = value
-            if error:
-                outcome.error = error
-            pending -= 1
-            if on_result is not None:
-                on_result(outcome)
-
-        def strike(item: Tuple[str, Any, int], kind: str,
-                   error: str = "") -> None:
-            """Charge one failed attempt; retry or finalize."""
-            key, payload, attempt = item
-            outcome = outcomes[key]
-            outcome.attempts = attempt + 1
-            outcome.strikes.append(kind)
-            outcome.error = error or kind
-            if attempt < self.policy.retries:
-                not_before = (time.monotonic()
-                              + self.policy.backoff(key, attempt + 1))
-                queue.append((key, payload, attempt + 1, not_before))
-            else:
-                finalize(key, _STRIKE_STATUS[kind], error=outcome.error)
-
-        def requeue(items: List[Tuple[str, Any, int]]) -> None:
-            """Give never-attempted batch cells straight back (no strike)."""
-            for key, payload, attempt in items:
-                queue.appendleft((key, payload, attempt, 0.0))
-
-        while pending > 0:
-            now = time.monotonic()
-            # Dispatch ready work to idle workers.
-            idle = [w for w in self.workers if not w.busy]
-            while idle and queue:
-                ready = [item for item in queue if item[3] <= now]
-                if not ready:
-                    break
-                batch = ready[:chunk]
-                for item in batch:
-                    queue.remove(item)
-                worker = idle.pop()
-                worker.dispatch([(k, p, a) for k, p, a, __ in batch])
-
-            busy = [w for w in self.workers if w.busy]
-            if not busy:
-                if queue:  # everything is backing off; sleep it out
-                    time.sleep(max(0.0, min(item[3] for item in queue) - now))
-                    continue
-                break  # pending>0 but no work anywhere: defensive exit
-
-            # Wait for progress, bounded so timeouts stay responsive.
-            timeout = 0.05
-            if self.policy.cell_timeout is not None:
-                deadlines = [w.last_progress + self.policy.cell_timeout
-                             for w in busy]
-                timeout = max(0.001, min(min(deadlines) - now, 0.05))
-            ready_conns = _conn_wait([w.conn for w in busy],
-                                     timeout=timeout)
-
-            for worker in list(busy):
-                if worker.conn not in ready_conns:
-                    continue
-                try:
-                    while worker.conn.poll():
-                        message = worker.conn.recv()
-                        if message[0] == "cell":
-                            __, key, status, value = message
-                            worker.done.add(key)
-                            worker.last_progress = time.monotonic()
-                            item = next(i for i in worker.batch
-                                        if i[0] == key)
-                            if status == "ok":
-                                outcomes[key].attempts = item[2] + 1
-                                finalize(key, CellStatus.OK, value=value)
-                            else:
-                                strike(item, "error", error=value)
-                        elif message[0] == "batch-done":
-                            worker.batch = []
-                            worker.done = set()
-                except (EOFError, OSError):
-                    # Worker crashed mid-batch: charge the in-flight
-                    # cell, requeue the rest, replace the worker.
-                    item = worker.in_flight()
-                    rest = worker.unstarted()
-                    self._replace(worker)
-                    if item is not None:
-                        strike(item, "crash",
-                               error=f"worker process died running "
-                                     f"{item[0]!r}")
-                    requeue(rest)
-
-            # Wall-clock supervision: kill silent workers.
-            if self.policy.cell_timeout is not None:
-                now = time.monotonic()
-                for worker in [w for w in self.workers if w.busy]:
-                    if now - worker.last_progress <= self.policy.cell_timeout:
-                        continue
-                    item = worker.in_flight()
-                    rest = worker.unstarted()
-                    self._replace(worker)
-                    if item is not None:
-                        strike(item, "timeout",
-                               error=f"cell {item[0]!r} exceeded "
-                                     f"{self.policy.cell_timeout}s "
-                                     f"wall-clock budget")
-                    requeue(rest)
-
-            # Keep the fleet at strength.
-            while len(self.workers) < min(self.jobs, max(1, pending)):
-                self._spawn()
-
-        return outcomes
-
-
-def run_inline(worker_fn: Callable[[Any, int], Any],
-               tasks: Sequence[Tuple[str, Any]],
-               policy: Optional[FleetPolicy] = None,
-               on_result: Optional[Callable[[CellOutcome], None]] = None
-               ) -> Dict[str, CellOutcome]:
-    """The jobs<=1 degenerate fleet: same contract, no processes.
-
-    Exceptions are retried with the same deterministic backoff and
-    reported as ``failed`` cells; crash/hang supervision needs a real
-    worker process (use :class:`WorkerSupervisor` with ``jobs=1`` when
-    ``cell_timeout`` matters more than process-free debugging).
-    """
-    policy = policy or FleetPolicy()
-    outcomes: Dict[str, CellOutcome] = {}
-    for key, payload in tasks:
-        outcome = CellOutcome(key=key, status="pending")
-        outcomes[key] = outcome
-        for attempt in range(policy.retries + 1):
-            outcome.attempts = attempt + 1
-            try:
-                value = worker_fn(payload, attempt)
-            except Exception:
-                outcome.strikes.append("error")
-                outcome.error = traceback.format_exc()
-                if attempt < policy.retries:
-                    time.sleep(policy.backoff(key, attempt + 1))
-                continue
-            outcome.status = CellStatus.OK
-            outcome.value = value
-            break
-        else:
-            outcome.status = CellStatus.FAILED
-        if on_result is not None:
-            on_result(outcome)
-    return outcomes
+        if not owed:
+            return []
+        return ([(owed[0], kind, error.format(key=owed[0][0]))]
+                + [(item, "requeue", None) for item in owed[1:]])

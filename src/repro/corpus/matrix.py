@@ -11,12 +11,14 @@ its model's replayer, and scores debugging fidelity against the case's
 *ground-truth* root cause (no per-cell re-diagnosis of the original
 run) - the "developer workstation" half.
 
-The fleet is supervised (:mod:`repro.corpus.fleet`): tasks have
-wall-clock timeouts, crashed or hung workers are detected and replaced,
-struck tasks are retried with deterministic backoff, and a task that
-exhausts its budget is *reported* per cell in the artifact's ``fleet``
-section (status ``failed``/``timeout``/``quarantined``) instead of
-killing the sweep.  A payload that arrives damaged - truncated,
+The tasks run through the fleet's one dispatch loop
+(:func:`repro.corpus.fleet.dispatch`) over a transport picked once per
+sweep - inline, or supervised worker processes: tasks have wall-clock
+timeouts, crashed or hung workers are detected and replaced, struck
+tasks are retried with deterministic backoff, and a task that exhausts
+its budget is *reported* per cell in the artifact's ``fleet`` section
+(status ``failed``/``timeout``/``quarantined``) instead of killing the
+sweep.  A payload that arrives damaged - truncated,
 bit-flipped, or stale against its case - is refused by the attestation
 layer and quarantined.  On the all-healthy path the ``matrix``/``summary``
 sections are byte-identical to an unsupervised run's.
@@ -26,7 +28,8 @@ With a ``coordinator`` the tasks go to socket-connected worker hosts
 - heartbeats renew leases, expired leases requeue with the same
 deterministic backoff, duplicate deliveries are dropped before the
 matrix sees them - and a coordinator that loses its whole fleet
-degrades to the local runner.
+degrades: the same loop switches to the local transport, and each
+task keeps its attempts and strikes.
 
 The run store (:mod:`repro.store`) is the sweep's only index: a cell is
 done once its row is stored under the current :func:`matrix_code_hash`.
@@ -50,7 +53,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.corpus.fleet import (CellOutcome, CellStatus, FleetPolicy,
-                                WorkerSupervisor, run_inline)
+                                Inline, WorkerSupervisor, dispatch)
 from repro.corpus.generator import GeneratedCase, generate_case
 from repro.corpus.remote import RemoteCoordinator
 from repro.errors import LogFormatError, UnknownModelError
@@ -201,8 +204,9 @@ def run_matrix(seeds: Iterable[int],
     run on ``jobs`` supervised worker processes when ``jobs > 1``, a
     task timeout is set, or faults are injected, and inline otherwise.
     A ``coordinator`` (owned and closed by the caller) sends them to
-    remote ``repro fleet worker`` hosts instead, and falls back to that
-    local runner when no worker is connected.
+    remote ``repro fleet worker`` hosts instead, and the same dispatch
+    loop falls back to that local transport when no worker is
+    connected.
 
     ``store`` (a directory path or :class:`~repro.store.RunStore`) is
     the sweep's index: completed rows are stored under ``(seed, model,
@@ -300,21 +304,21 @@ def run_matrix(seeds: Iterable[int],
         for entry in injured:
             quarantine(entry, entry.pop("payload"))
 
-    def run_local(tasks, on_result=None):
-        """The local runner, and a coordinator's degraded-mode fallback."""
-        if jobs > 1 or policy.cell_timeout is not None or faults is not None:
-            with WorkerSupervisor(_fleet_cell, jobs=jobs,
-                                  policy=policy) as fleet:
-                return fleet.run(tasks, on_result=on_result)
-        return run_inline(_fleet_cell, tasks, policy=policy,
-                          on_result=on_result)
-
-    if coordinator is None:
-        run_local(tasks, on_result=finish)
-    else:
-        coordinator.configure(policy=policy, faults=faults,
-                              fallback=run_local)
-        coordinator.run(tasks, on_result=finish)
+    supervised = (jobs > 1 or policy.cell_timeout is not None
+                  or faults is not None)
+    local = (WorkerSupervisor(_fleet_cell, jobs=jobs, policy=policy)
+             if supervised else Inline(_fleet_cell))
+    with local:
+        if coordinator is not None:
+            if faults is not None:
+                coordinator.faults = faults
+            dispatch(coordinator, tasks, policy, on_result=finish,
+                     fallback=local)
+        elif supervised:
+            # The method the benchmark suite's ledger wraps.
+            local.run(tasks, on_result=finish)
+        else:
+            dispatch(local, tasks, policy, on_result=finish)
 
     matrix_rows = [rows[(seed, model)]
                    for seed in seed_list for model in models

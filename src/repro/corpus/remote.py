@@ -4,18 +4,20 @@ The paper's deployment story is a *distributed* one - a production
 fleet records failures, developer workstations replay them - and this
 module is that split made real for the experiment matrix:
 
-- :class:`RemoteCoordinator` is the workstation side.  It listens on a
+- :class:`RemoteCoordinator` is the workstation side, and the socket
+  transport of :func:`~repro.corpus.fleet.dispatch`.  It listens on a
   TCP port, accepts worker connections (``repro fleet worker --connect
-  HOST:PORT``), and dispatches cells under **lease-based at-least-once
-  semantics**: every dispatched cell carries a lease deadline, worker
-  heartbeats renew it, and an expired lease - crashed host, network
-  partition, hung guest - requeues the cell with the same deterministic
-  :func:`~repro.corpus.fleet.retry_seed` backoff the local supervisor
-  uses.  At-least-once delivery means a re-dispatched cell's original
-  result can still arrive late (or a faulty link can deliver a result
-  twice); the coordinator finalizes each cell exactly once and drops
-  the duplicates, so stored rows - pure functions of (seed, model) -
-  stay byte-identical regardless of delivery order.
+  HOST:PORT``), and leases tasks under **lease-based at-least-once
+  semantics**: every leased task carries a deadline, worker heartbeats
+  renew it, and an expired lease - crashed host, network partition,
+  hung guest - is reported as a strike, which the dispatcher retries
+  with the same deterministic :func:`~repro.corpus.fleet.retry_seed`
+  backoff every transport gets.  At-least-once delivery means a
+  re-leased task's original result can still arrive late (or a faulty
+  link can deliver a result twice); the coordinator counts and drops
+  results that match no lease, and the dispatcher finalizes each task
+  exactly once, so stored rows - pure functions of (seed, model) - stay
+  byte-identical regardless of delivery order.
 - :func:`serve_worker` is the production-host side: a loop that
   connects, handshakes, runs leased cells (each in a budgeted thread so
   a hung guest is *abandoned*, not fatal to the worker), heartbeats
@@ -24,16 +26,11 @@ module is that split made real for the experiment matrix:
   and verifies their attestation, so a damaged payload is quarantined
   per-cell exactly like a corrupted file.
 - **Degraded mode**: a coordinator with no connected workers (none ever
-  arrived, or every one died mid-sweep) waits ``worker_wait`` seconds
-  for the fleet to (re)appear, then falls back to the local runner it
-  was configured with - only cells with no terminal outcome are handed
-  over, so finished cells are never recomputed, and the sweep still
-  completes.
-
-The coordinator implements the same ``run(tasks, on_result)`` contract
-as :class:`~repro.corpus.fleet.WorkerSupervisor`, so ``run_matrix``
-swaps backends without touching its task logic, and one coordinator
-can serve several runs over the same connected fleet.
+  arrived, or every one died mid-sweep) for ``worker_wait`` seconds
+  reports itself lost, and the dispatcher switches the tasks with no
+  terminal outcome to its local fallback transport inside the same
+  loop - finished tasks are never recomputed, and each task keeps its
+  attempt count and strikes.
 """
 
 from __future__ import annotations
@@ -44,17 +41,14 @@ import socket
 import threading
 import time
 import traceback
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.corpus.fleet import (CellOutcome, CellStatus, FleetPolicy,
-                                _STRIKE_STATUS)
+from repro.corpus.fleet import Event, FleetPolicy, Item, Transport
 from repro.corpus.protocol import (FrameReader, ProtocolError, abandon_frame,
                                    check_hello, decode_value, encode_frame,
                                    heartbeat_frame, hello_frame, recv_frame,
                                    reject_frame, result_frame, send_frame,
                                    stop_frame, task_frame)
-from repro.errors import ReproError
 from repro.harness.faults import FaultPlan
 
 # Lease renewals are heartbeat-driven; the lease is the heartbeat-loss
@@ -66,29 +60,17 @@ DEFAULT_WORKER_WAIT = 10.0
 _POLL_SECONDS = 0.05
 
 
-class _Lease:
-    """One dispatched cell: who owes what by when."""
-
-    __slots__ = ("key", "payload", "attempt", "deadline")
-
-    def __init__(self, key: str, payload: Any, attempt: int,
-                 deadline: float):
-        self.key = key
-        self.payload = payload
-        self.attempt = attempt
-        self.deadline = deadline
-
-
 class _RemoteWorker:
     """Coordinator-side handle on one connected worker."""
 
-    __slots__ = ("sock", "reader", "worker_id", "lease")
+    __slots__ = ("sock", "reader", "worker_id", "lease", "deadline")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.reader = FrameReader()
         self.worker_id: Optional[str] = None  # set by the hello frame
-        self.lease: Optional[_Lease] = None
+        self.lease: Optional[Item] = None     # the task it owes
+        self.deadline = 0.0                   # when that lease expires
 
     @property
     def ready(self) -> bool:
@@ -116,29 +98,27 @@ class _RemoteWorker:
             pass
 
 
-class RemoteCoordinator:
-    """Dispatch cells to socket-connected workers under leases.
+class RemoteCoordinator(Transport):
+    """Lease tasks to socket-connected workers.
 
     Construct with a ``(host, port)`` listen address (port 0 binds an
-    ephemeral port; read :attr:`address` for the real one), then
-    :meth:`configure` the run policy / fault plan / degraded-mode
-    fallback and call :meth:`run`; workers persist across calls.  The
-    coordinator is a context manager: leaving the block sends every
-    connected worker a ``stop`` frame and closes the listener.
+    ephemeral port; read :attr:`address` for the real one) and hand it
+    to :func:`~repro.corpus.fleet.dispatch` - ``run_matrix`` does, with
+    its local transport as the fallback; workers persist across
+    dispatches, and each dispatch waits ``worker_wait`` seconds for
+    workers afresh.  ``faults`` rides in every task frame, where the
+    worker draws its network faults.  The coordinator is a context
+    manager: leaving the block sends every connected worker a ``stop``
+    frame and closes the listener.
     """
 
     def __init__(self, listen: Tuple[str, int] = ("127.0.0.1", 0),
-                 policy: Optional[FleetPolicy] = None,
                  faults: Optional[FaultPlan] = None,
                  worker_wait: float = DEFAULT_WORKER_WAIT,
-                 lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                 fallback: Optional[Callable[..., Dict[str, CellOutcome]]]
-                 = None):
-        self.policy = policy or FleetPolicy()
+                 lease_seconds: float = DEFAULT_LEASE_SECONDS):
         self.faults = faults
         self.worker_wait = worker_wait
         self.lease_seconds = lease_seconds
-        self.fallback = fallback
         self.workers: List[_RemoteWorker] = []
         self.stats: Dict[str, Any] = {
             "workers_seen": 0, "worker_disconnects": 0,
@@ -159,25 +139,6 @@ class RemoteCoordinator:
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` workers should connect to."""
         return self._listener.getsockname()[:2]
-
-    def configure(self, policy: Optional[FleetPolicy] = None,
-                  faults: Optional[FaultPlan] = None,
-                  fallback: Optional[Callable[..., Dict[str, CellOutcome]]]
-                  = None) -> "RemoteCoordinator":
-        """Late-bind the per-run knobs (``run_matrix`` owns these)."""
-        if policy is not None:
-            self.policy = policy
-        if faults is not None:
-            self.faults = faults
-        if fallback is not None:
-            self.fallback = fallback
-        return self
-
-    def __enter__(self) -> "RemoteCoordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def close(self) -> None:
         """Stop every worker, close the listener (idempotent)."""
@@ -205,7 +166,7 @@ class RemoteCoordinator:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self.workers.append(_RemoteWorker(sock))
 
-    def _drop(self, worker: _RemoteWorker) -> Optional[_Lease]:
+    def _drop(self, worker: _RemoteWorker) -> Optional[Item]:
         """Forget a dead/expired worker; returns its orphaned lease."""
         lease, worker.lease = worker.lease, None
         worker.close()
@@ -216,218 +177,136 @@ class RemoteCoordinator:
         self._last_worker_event = time.monotonic()
         return lease
 
-    def _dispatch(self, worker: _RemoteWorker, key: str, payload: Any,
-                  attempt: int) -> bool:
-        """Lease one cell to one worker; False if the send failed."""
-        budget = self.policy.cell_timeout
-        frame = task_frame(key, payload, attempt,
-                           lease_seconds=self.lease_seconds,
-                           heartbeat_seconds=max(0.05,
-                                                 self.lease_seconds / 4.0),
-                           budget=budget, faults=self.faults)
-        try:
-            worker.send(frame)
-        except (OSError, ProtocolError):
-            self._drop(worker)
+    # -- the transport ------------------------------------------------------
+
+    @property
+    def busy(self) -> bool:
+        return any(worker.lease is not None for worker in self.workers)
+
+    def lost(self, started: float, pending: int) -> bool:
+        """No fleet, and none appearing: degrade ``pending`` tasks."""
+        if self.workers or (time.monotonic()
+                            - max(started, self._last_worker_event)
+                            <= self.worker_wait):
             return False
-        worker.lease = _Lease(key, payload, attempt,
-                              time.monotonic() + self.lease_seconds)
+        self.stats["degraded"] = True
+        self.stats["degraded_cells"] += pending
         return True
 
-    # -- the run loop -------------------------------------------------------
-
-    def run(self, tasks: Sequence[Tuple[str, Any]],
-            on_result: Optional[Callable[[CellOutcome], None]] = None
-            ) -> Dict[str, CellOutcome]:
-        """Run every (key, payload) task to a terminal status.
-
-        The :class:`~repro.corpus.fleet.WorkerSupervisor` contract:
-        every key terminal, ``on_result`` fired exactly once per cell as
-        it finalizes (at-least-once delivery is deduplicated *before*
-        this hook, so store appends stay exactly-once).
-        """
-        keys = [key for key, __ in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError("fleet task keys must be unique")
-        outcomes: Dict[str, CellOutcome] = {
-            key: CellOutcome(key=key, status="pending")
-            for key, __ in tasks}
-        if not tasks:
-            return outcomes
-        payloads = dict(tasks)
-        # (key, payload, attempt, not_before)
-        queue: deque = deque((key, payload, 0, 0.0)
-                             for key, payload in tasks)
-        pending = len(queue)
-        self._last_worker_event = time.monotonic()
-
-        def finalize(key: str, status: str, value: Any = None,
-                     error: str = "") -> None:
-            nonlocal pending
-            outcome = outcomes[key]
-            outcome.status = status
-            outcome.value = value
-            if error:
-                outcome.error = error
-            pending -= 1
-            if on_result is not None:
-                on_result(outcome)
-
-        def strike(lease: _Lease, kind: str, error: str = "") -> None:
-            outcome = outcomes[lease.key]
-            outcome.attempts = lease.attempt + 1
-            outcome.strikes.append(kind)
-            outcome.error = error or kind
-            if lease.attempt < self.policy.retries:
-                not_before = (time.monotonic() +
-                              self.policy.backoff(lease.key,
-                                                  lease.attempt + 1))
-                queue.append((lease.key, lease.payload,
-                              lease.attempt + 1, not_before))
-            else:
-                finalize(lease.key, _STRIKE_STATUS[kind],
-                         error=outcome.error)
-
-        def handle(worker: _RemoteWorker, frame: Dict[str, Any]) -> None:
-            ftype = frame.get("type")
-            if ftype == "hello":
-                try:
-                    worker.worker_id = check_hello(frame)
-                except ProtocolError as exc:
-                    try:
-                        worker.send(reject_frame(str(exc)))
-                    except OSError:
-                        pass
-                    self._drop(worker)
-                    return
-                self.stats["workers_seen"] += 1
-                self._last_worker_event = time.monotonic()
-                return
-            lease = worker.lease
-            if ftype == "heartbeat":
-                if lease is not None and lease.key == frame.get("key"):
-                    lease.deadline = time.monotonic() + self.lease_seconds
-                return
-            if ftype == "abandon":
-                if lease is not None and lease.key == frame.get("key"):
-                    worker.lease = None
-                    self.stats["abandoned_cells"] += 1
-                    strike(lease, "timeout",
-                           error=f"cell {lease.key!r} abandoned by "
-                                 f"worker {worker.worker_id}: "
-                                 f"{frame.get('reason', '')}")
-                return
-            if ftype == "result":
-                key = frame.get("key")
-                if (lease is None or lease.key != key
-                        or outcomes.get(key, CellOutcome(key="", status="")
-                                        ).status != "pending"):
-                    # Late arrival after re-dispatch, or a duplicated
-                    # delivery: the cell is (or will be) finalized by
-                    # exactly one copy; drop the rest idempotently.
-                    self.stats["duplicate_results"] += 1
-                    return
-                ok = frame.get("status") == "ok"
-                # Decoded while the lease is still held: a malformed
-                # value raises ProtocolError, which drops the worker and
-                # charges the leased cell a crash strike.
-                value = decode_value(frame.get("value")) if ok else None
-                worker.lease = None
-                if ok:
-                    outcomes[key].attempts = lease.attempt + 1
-                    finalize(key, CellStatus.OK, value=value)
-                else:
-                    strike(lease, "error", error=frame.get("error", ""))
-
-        while pending > 0:
-            self._accept_new()
-            now = time.monotonic()
-
-            # Lease one ready cell to each ready worker.
-            for worker in [w for w in self.workers if w.ready]:
-                ready = next((item for item in queue if item[3] <= now),
-                             None)
-                if ready is None:
-                    break
-                if self._dispatch(worker, ready[0], ready[1], ready[2]):
-                    queue.remove(ready)
-
-            # Degraded mode: no fleet, and none appearing.
-            if not self.workers and (now - self._last_worker_event
-                                     > self.worker_wait):
-                remaining = [(key, payloads[key]) for key in keys
-                             if outcomes[key].status == "pending"]
-                return self._degrade(remaining, outcomes, on_result)
-
-            # Wait for frames, bounded so leases/backoffs stay live.
-            socks = [self._listener] + [w.sock for w in self.workers]
+    def take(self, ready: List[Item], policy: FleetPolicy) -> int:
+        """Lease one ready task to each ready worker, in order."""
+        taken = 0
+        for worker in [w for w in self.workers if w.ready]:
+            if taken == len(ready):
+                break
+            key, payload, attempt = ready[taken]
+            frame = task_frame(key, payload, attempt,
+                               lease_seconds=self.lease_seconds,
+                               heartbeat_seconds=max(
+                                   0.05, self.lease_seconds / 4.0),
+                               budget=policy.cell_timeout,
+                               faults=self.faults)
             try:
-                readable, __, __ = select.select(socks, [], [],
-                                                 _POLL_SECONDS)
-            except (OSError, ValueError):
-                readable = []  # a socket died under us; next loop reaps
-
-            for worker in list(self.workers):
-                if worker.sock not in readable:
-                    continue
-                try:
-                    data = worker.sock.recv(1 << 16)
-                except (BlockingIOError, InterruptedError):
-                    continue
-                except OSError:
-                    data = b""
-                if not data:
-                    # EOF: a tear inside a frame is a mid-frame drop;
-                    # either way the leased cell is charged a crash.
-                    lease = self._drop(worker)
-                    if lease is not None:
-                        strike(lease, "crash",
-                               error=f"remote worker disconnected "
-                                     f"running {lease.key!r}")
-                    continue
-                worker.reader.feed(data)
-                try:
-                    for frame in worker.reader:
-                        handle(worker, frame)
-                except ProtocolError as exc:
-                    lease = self._drop(worker)
-                    if lease is not None:
-                        strike(lease, "crash",
-                               error=f"protocol violation running "
-                                     f"{lease.key!r}: {exc}")
-
-            # Lease expiry: a silent worker is a partitioned worker.
-            now = time.monotonic()
-            for worker in list(self.workers):
-                lease = worker.lease
-                if lease is None or now <= lease.deadline:
-                    continue
-                self.stats["expired_leases"] += 1
+                worker.send(frame)
+            except (OSError, ProtocolError):
                 self._drop(worker)
-                strike(lease, "timeout",
-                       error=f"lease on {lease.key!r} expired after "
-                             f"{self.lease_seconds}s without a "
-                             f"heartbeat (worker "
-                             f"{worker.worker_id or '?'})")
-        return outcomes
+                continue
+            worker.lease = ready[taken]
+            worker.deadline = time.monotonic() + self.lease_seconds
+            taken += 1
+        return taken
 
-    def _degrade(self, remaining: List[Tuple[str, Any]],
-                 outcomes: Dict[str, CellOutcome],
-                 on_result) -> Dict[str, CellOutcome]:
-        """Hand every non-terminal cell to the local fallback runner.
+    def poll(self, policy: FleetPolicy) -> List[Event]:
+        self._accept_new()
+        # Wait for frames, bounded so leases/backoffs stay live.
+        socks = [self._listener] + [w.sock for w in self.workers]
+        try:
+            readable, __, __ = select.select(socks, [], [], _POLL_SECONDS)
+        except (OSError, ValueError):
+            readable = []  # a socket died under us; next poll reaps
+        events: List[Event] = []
+        for worker in list(self.workers):
+            if worker.sock not in readable:
+                continue
+            try:
+                data = worker.sock.recv(1 << 16)
+            except (BlockingIOError, InterruptedError):
+                continue
+            except OSError:
+                data = b""
+            if not data:
+                # EOF: a tear inside a frame is a mid-frame drop;
+                # either way the leased task is charged a crash.
+                item = self._drop(worker)
+                if item is not None:
+                    events.append((item, "crash",
+                                   f"remote worker disconnected "
+                                   f"running {item[0]!r}"))
+                continue
+            worker.reader.feed(data)
+            try:
+                for frame in worker.reader:
+                    self._handle(worker, frame, events)
+            except ProtocolError as exc:
+                item = self._drop(worker)
+                if item is not None:
+                    events.append((item, "crash",
+                                   f"protocol violation running "
+                                   f"{item[0]!r}: {exc}"))
+        # Lease expiry: a silent worker is a partitioned worker.
+        now = time.monotonic()
+        for worker in list(self.workers):
+            if worker.lease is None or now <= worker.deadline:
+                continue
+            self.stats["expired_leases"] += 1
+            item = self._drop(worker)
+            events.append((item, "timeout",
+                           f"lease on {item[0]!r} expired after "
+                           f"{self.lease_seconds}s without a heartbeat "
+                           f"(worker {worker.worker_id or '?'})"))
+        return events
 
-        Finished cells survive by construction: cells the remote fleet
-        finalized already fired ``on_result`` and are not in
-        ``remaining``, so the fallback recomputes nothing that landed.
-        """
-        self.stats["degraded"] = True
-        self.stats["degraded_cells"] += len(remaining)
-        if self.fallback is None:
-            raise ReproError(
-                "remote fleet has no connected workers and no local "
-                "fallback was configured")
-        outcomes.update(self.fallback(remaining, on_result=on_result))
-        return outcomes
+    def _handle(self, worker: _RemoteWorker, frame: Dict[str, Any],
+                events: List[Event]) -> None:
+        ftype = frame.get("type")
+        if ftype == "hello":
+            try:
+                worker.worker_id = check_hello(frame)
+            except ProtocolError as exc:
+                try:
+                    worker.send(reject_frame(str(exc)))
+                except OSError:
+                    pass
+                self._drop(worker)
+                return
+            self.stats["workers_seen"] += 1
+            self._last_worker_event = time.monotonic()
+            return
+        item = worker.lease
+        if item is None or item[0] != frame.get("key"):
+            if ftype == "result":
+                # Late arrival after re-lease, or a duplicated delivery:
+                # exactly one copy finalizes the task; drop the rest.
+                self.stats["duplicate_results"] += 1
+            return
+        if ftype == "heartbeat":
+            worker.deadline = time.monotonic() + self.lease_seconds
+        elif ftype == "abandon":
+            worker.lease = None
+            self.stats["abandoned_cells"] += 1
+            events.append((item, "timeout",
+                           f"cell {item[0]!r} abandoned by worker "
+                           f"{worker.worker_id}: "
+                           f"{frame.get('reason', '')}"))
+        elif ftype == "result":
+            ok = frame.get("status") == "ok"
+            # Decoded while the lease is still held: a malformed value
+            # raises ProtocolError, which drops the worker and charges
+            # the leased task a crash strike.
+            detail = (decode_value(frame.get("value")) if ok
+                      else frame.get("error", ""))
+            worker.lease = None
+            events.append((item, "ok" if ok else "error", detail))
 
 
 # -- the worker service -------------------------------------------------------

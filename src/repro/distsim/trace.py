@@ -62,23 +62,6 @@ class DistTrace:
     annotations: List[Tuple[str, Dict[str, Any]]] = field(
         default_factory=list)
 
-    def per_node_deliveries(self) -> Dict[str, List[DeliveryRecord]]:
-        grouped: Dict[str, List[DeliveryRecord]] = {}
-        for record in self.deliveries:
-            grouped.setdefault(record.dst, []).append(record)
-        return grouped
-
-    def channel_units(self) -> Dict[str, int]:
-        """Total payload words per message channel (plane classification
-        input); timer dispatches are node-local and excluded."""
-        totals: Dict[str, int] = {}
-        for record in self.deliveries:
-            if record.is_timer:
-                continue
-            totals[record.channel] = (
-                totals.get(record.channel, 0) + record.units)
-        return totals
-
     def channel_rates(self) -> Dict[str, float]:
         """Payload words per delivery, per message channel."""
         counts: Dict[str, int] = {}

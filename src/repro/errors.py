@@ -59,20 +59,6 @@ class ReplayDivergenceError(ReproError):
     """
 
 
-class InferenceBudgetExceeded(ReproError):
-    """An inference/search engine exhausted its step budget.
-
-    The search state at exhaustion is reported so callers can decide to
-    retry with a larger budget (the paper's 'prohibitively large
-    post-factum analysis times' failure mode).
-    """
-
-    def __init__(self, message: str, explored: int = 0, budget: int = 0):
-        super().__init__(message)
-        self.explored = explored
-        self.budget = budget
-
-
 class SolverError(ReproError):
     """The constraint solver was given an ill-formed constraint system."""
 

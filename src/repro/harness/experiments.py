@@ -32,23 +32,6 @@ MODEL_ORDER = model_order()
 CHRONOLOGY = {name: index for index, name in enumerate(MODEL_ORDER)}
 
 
-def score_recorded_log(case: AppCase, model: str, log,
-                       original_cause: Optional[RootCause],
-                       cause_count_attempts: int = 120
-                       ) -> DebuggingMetrics:
-    """Replay a recorded failing log and score it against a known cause.
-
-    The shared replay-side half of a cell evaluation: both
-    :func:`evaluate_app_model` (which records in-process) and the corpus
-    matrix's worker processes (which receive serializer-shipped logs)
-    score through this one path - a :class:`DebugSession` adopting an
-    existing log.
-    """
-    session = DebugSession(case, model).attach(log)
-    return session.score(original_cause=original_cause,
-                         cause_count_attempts=cause_count_attempts)
-
-
 def evaluate_app_model(case: AppCase, model: str,
                        seed: Optional[int] = None,
                        seeds: Iterable[int] = range(200),

@@ -131,11 +131,6 @@ class Instr:
         return f"{prefix}{self.op} {rendered}".strip()
 
 
-def is_branch(instr: Instr) -> bool:
-    """True for instructions whose successor is data-dependent."""
-    return instr.op in ("jz", "jnz")
-
-
 # Opcodes that create inter-thread ordering.
 SYNC_OPS = frozenset(("lock", "unlock", "spawn", "join"))
 
@@ -143,18 +138,3 @@ SYNC_OPS = frozenset(("lock", "unlock", "spawn", "join"))
 def is_sync(instr: Instr) -> bool:
     """True for instructions that create inter-thread ordering."""
     return instr.op in SYNC_OPS
-
-
-def is_shared_read(instr: Instr) -> bool:
-    """True for instructions that read shared memory."""
-    return instr.op in ("load", "aload", "alen")
-
-
-def is_shared_write(instr: Instr) -> bool:
-    """True for instructions that write shared memory."""
-    return instr.op in ("store", "astore")
-
-
-def is_io(instr: Instr) -> bool:
-    """True for instructions that interact with the environment."""
-    return instr.op in ("input", "output", "syscall")

@@ -12,12 +12,14 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from repro.corpus.fleet import (CellStatus, FleetPolicy, WorkerSupervisor,
-                                retry_seed, run_inline)
+from repro.corpus.fleet import (CellStatus, FleetPolicy, Inline,
+                                WorkerSupervisor, dispatch, retry_seed)
+from repro.corpus.remote import RemoteCoordinator, serve_worker
 
 # Fast backoff so retry tests stay sub-second.
 FAST = dict(backoff_base=0.001, backoff_cap=0.01)
@@ -239,6 +241,12 @@ def test_duplicate_keys_are_rejected():
             sup.run([("t", ("ok", 1)), ("t", ("ok", 2))])
 
 
+def test_no_tasks_start_no_workers():
+    with WorkerSupervisor(toy, jobs=4) as sup:
+        assert sup.run([]) == {}
+        assert sup.workers == []
+
+
 # -- determinism of the retry machinery ---------------------------------------
 
 
@@ -278,14 +286,38 @@ def test_chunk_sizes_batches_for_the_fleet():
     assert FleetPolicy().chunk(0, 2) == 1
 
 
-# -- the inline (jobs<=1) degenerate fleet ------------------------------------
+# -- one dispatch contract, three transports ---------------------------------
 
 
-def test_run_inline_matches_the_supervised_contract():
-    outcomes = run_inline(toy, [("a", ("ok", 3)), ("b", ("boom", 0)),
-                                ("c", ("boom-once", 8))],
-                          policy=FleetPolicy(retries=1, **FAST))
-    assert outcomes["a"].ok and outcomes["a"].value == 6
-    assert outcomes["b"].status == CellStatus.FAILED
-    assert outcomes["b"].attempts == 2
-    assert outcomes["c"].ok and outcomes["c"].attempts == 2
+@pytest.mark.parametrize("backend", ["inline", "pipes", "sockets"])
+def test_every_transport_keeps_the_dispatch_contract(backend):
+    threads = []
+    if backend == "inline":
+        transport = Inline(toy)
+    elif backend == "pipes":
+        transport = WorkerSupervisor(toy, jobs=2)
+    else:
+        transport = RemoteCoordinator(worker_wait=10.0)
+        threads = [threading.Thread(
+            target=serve_worker, args=transport.address,
+            kwargs=dict(worker_fn=toy, worker_id=f"t{index}"), daemon=True)
+            for index in range(2)]
+        for thread in threads:
+            thread.start()
+    policy = FleetPolicy(retries=1, **FAST)
+    with transport:
+        with pytest.raises(ValueError, match="unique"):
+            dispatch(transport, [("t", ("ok", 1)), ("t", ("ok", 2))],
+                     policy)
+        outcomes = dispatch(transport, [("a", ("ok", 3)), ("b", ("boom", 0)),
+                                        ("c", ("boom-once", 8))], policy)
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert {key: (o.status, o.value, o.attempts, o.strikes)
+            for key, o in outcomes.items()} == {
+        "a": (CellStatus.OK, 6, 1, []),
+        "b": (CellStatus.FAILED, None, 2, ["error", "error"]),
+        "c": (CellStatus.OK, 8, 2, ["error"]),
+    }
+    assert "boom 0" in outcomes["b"].error

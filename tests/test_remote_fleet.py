@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from repro.corpus.fleet import CellOutcome, CellStatus, FleetPolicy
+from repro.corpus.fleet import (CellStatus, FleetPolicy, Inline,
+                                WorkerSupervisor, dispatch)
 from repro.corpus.protocol import (hello_frame, recv_frame, result_frame,
                                    send_frame)
 from repro.corpus.remote import RemoteCoordinator, serve_worker
@@ -27,22 +28,6 @@ FAST = FleetPolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
 
 def _double(payload, attempt):
     return payload * 2
-
-
-def _inline_fallback(executor=_double):
-    """A degraded-mode runner that executes cells in-process."""
-
-    def fallback(tasks, on_result=None):
-        outcomes = {}
-        for key, payload in tasks:
-            outcome = CellOutcome(key=key, status=CellStatus.OK,
-                                  value=executor(payload, 0), attempts=1)
-            outcomes[key] = outcome
-            if on_result is not None:
-                on_result(outcome)
-        return outcomes
-
-    return fallback
 
 
 def _spawn_thread_workers(address, count, worker_fn, **kwargs):
@@ -62,15 +47,15 @@ def _spawn_thread_workers(address, count, worker_fn, **kwargs):
 
 
 def test_duplicate_task_keys_are_refused():
-    with RemoteCoordinator(policy=FAST, worker_wait=0.1,
-                           fallback=_inline_fallback()) as coord:
+    with RemoteCoordinator(worker_wait=0.1) as coord:
         with pytest.raises(ValueError, match="unique"):
-            coord.run([("k", 1), ("k", 2)])
+            dispatch(coord, [("k", 1), ("k", 2)], FAST,
+                     fallback=Inline(_double))
 
 
 def test_empty_task_list_is_a_noop():
-    with RemoteCoordinator(policy=FAST, worker_wait=0.1) as coord:
-        assert coord.run([]) == {}
+    with RemoteCoordinator(worker_wait=0.1) as coord:
+        assert dispatch(coord, [], FAST) == {}
         assert coord.stats["degraded"] is False
 
 
@@ -78,12 +63,22 @@ def test_empty_task_list_is_a_noop():
 
 
 def test_healthy_run_over_two_workers():
+    # Cells 0 and 1 wait until both workers hold one, so neither worker
+    # can serve every cell before the other's hello is read.
+    both_serving = threading.Barrier(2, timeout=10.0)
+
+    def double_after_rendezvous(payload, attempt):
+        if payload < 2:
+            both_serving.wait()
+        return payload * 2
+
     fired = []
-    with RemoteCoordinator(policy=FAST, worker_wait=10.0,
-                           lease_seconds=5.0) as coord:
-        threads = _spawn_thread_workers(coord.address, 2, _double)
+    with RemoteCoordinator(worker_wait=10.0, lease_seconds=5.0) as coord:
+        threads = _spawn_thread_workers(coord.address, 2,
+                                        double_after_rendezvous)
         tasks = [(f"cell-{index}", index) for index in range(8)]
-        outcomes = coord.run(tasks, on_result=lambda oc: fired.append(oc.key))
+        outcomes = dispatch(coord, tasks, FAST,
+                            on_result=lambda oc: fired.append(oc.key))
     for thread in threads:
         thread.join(timeout=5)
     assert all(outcomes[key].ok for key, __ in tasks)
@@ -98,10 +93,10 @@ def test_healthy_run_over_two_workers():
 
 
 def test_workers_persist_across_sequential_runs():
-    with RemoteCoordinator(policy=FAST, worker_wait=10.0) as coord:
+    with RemoteCoordinator(worker_wait=10.0) as coord:
         threads = _spawn_thread_workers(coord.address, 2, _double)
-        first = coord.run([("a", 1), ("b", 2), ("c", 3)])
-        second = coord.run([("d", 4), ("e", 5)])
+        first = dispatch(coord, [("a", 1), ("b", 2), ("c", 3)], FAST)
+        second = dispatch(coord, [("d", 4), ("e", 5)], FAST)
         assert all(outcome.ok for outcome in first.values())
         assert all(outcome.ok for outcome in second.values())
         # The same two connections served both phases.
@@ -121,8 +116,7 @@ def _exit_on_first_attempt(payload, attempt):
 
 
 def test_worker_process_death_strikes_crash_and_retries():
-    with RemoteCoordinator(policy=FAST, worker_wait=10.0,
-                           lease_seconds=5.0) as coord:
+    with RemoteCoordinator(worker_wait=10.0, lease_seconds=5.0) as coord:
         host, port = coord.address
         procs = [multiprocessing.Process(
             target=serve_worker, args=(host, port),
@@ -131,8 +125,8 @@ def test_worker_process_death_strikes_crash_and_retries():
             daemon=True) for index in range(2)]
         for proc in procs:
             proc.start()
-        outcomes = coord.run([("bomb", "bomb"), ("ok-1", "x"),
-                              ("ok-2", "y")])
+        outcomes = dispatch(coord, [("bomb", "bomb"), ("ok-1", "x"),
+                                    ("ok-2", "y")], FAST)
     for proc in procs:
         proc.join(timeout=5)
         proc.terminate()
@@ -153,11 +147,11 @@ def _hang_on_first_attempt(payload, attempt):
 def test_hung_cell_is_abandoned_at_budget_and_worker_survives():
     policy = FleetPolicy(cell_timeout=0.2, retries=2,
                          backoff_base=0.001, backoff_cap=0.01)
-    with RemoteCoordinator(policy=policy, worker_wait=10.0,
-                           lease_seconds=5.0) as coord:
+    with RemoteCoordinator(worker_wait=10.0, lease_seconds=5.0) as coord:
         threads = _spawn_thread_workers(coord.address, 1,
                                         _hang_on_first_attempt)
-        outcomes = coord.run([("tarpit", "tarpit"), ("after", "z")])
+        outcomes = dispatch(coord, [("tarpit", "tarpit"), ("after", "z")],
+                            policy)
     for thread in threads:
         thread.join(timeout=5)
     # The hung attempt was abandoned (not a dead worker), the retry ran
@@ -172,8 +166,7 @@ def test_hung_cell_is_abandoned_at_budget_and_worker_survives():
 
 def test_silent_worker_expires_its_lease():
     policy = FleetPolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
-    with RemoteCoordinator(policy=policy, worker_wait=10.0,
-                           lease_seconds=0.3) as coord:
+    with RemoteCoordinator(worker_wait=10.0, lease_seconds=0.3) as coord:
         host, port = coord.address
         stop = threading.Event()
         honest = []
@@ -194,7 +187,7 @@ def test_silent_worker_expires_its_lease():
         mute = threading.Thread(target=mute_worker, daemon=True)
         mute.start()
         try:
-            outcomes = coord.run([("cell", 21)])
+            outcomes = dispatch(coord, [("cell", 21)], policy)
         finally:
             stop.set()
     mute.join(timeout=5)
@@ -212,8 +205,7 @@ def test_malformed_result_value_strikes_the_cell_and_run_completes(value):
     """A result whose value does not decode is a protocol violation: the
     sender is dropped, its leased cell charged a crash strike and
     retried elsewhere - the run does not end."""
-    with RemoteCoordinator(policy=FAST, worker_wait=10.0,
-                           lease_seconds=5.0) as coord:
+    with RemoteCoordinator(worker_wait=10.0, lease_seconds=5.0) as coord:
         host, port = coord.address
         honest = []
 
@@ -232,11 +224,12 @@ def test_malformed_result_value_strikes_the_cell_and_run_completes(value):
 
         thread = threading.Thread(target=malformed_worker, daemon=True)
         thread.start()
-        # A cell left pending with no lease would spin run() forever;
+        # A cell left pending with no lease would spin dispatch forever;
         # bound it so that defect fails the test instead of hanging it.
         outcomes = {}
         runner = threading.Thread(
-            target=lambda: outcomes.update(coord.run([("cell", 21)])),
+            target=lambda: outcomes.update(
+                dispatch(coord, [("cell", 21)], FAST)),
             daemon=True)
         runner.start()
         runner.join(timeout=30)
@@ -256,8 +249,7 @@ def test_malformed_result_value_strikes_the_cell_and_run_completes(value):
 
 def test_duplicate_result_delivery_is_deduplicated():
     fired = []
-    with RemoteCoordinator(policy=FAST, worker_wait=10.0,
-                           lease_seconds=5.0) as coord:
+    with RemoteCoordinator(worker_wait=10.0, lease_seconds=5.0) as coord:
         host, port = coord.address
 
         def duplicating_worker():
@@ -279,8 +271,8 @@ def test_duplicate_result_delivery_is_deduplicated():
 
         thread = threading.Thread(target=duplicating_worker, daemon=True)
         thread.start()
-        outcomes = coord.run([("a", 1), ("b", 2)],
-                             on_result=lambda oc: fired.append(oc.key))
+        outcomes = dispatch(coord, [("a", 1), ("b", 2)], FAST,
+                            on_result=lambda oc: fired.append(oc.key))
     thread.join(timeout=5)
     assert all(outcome.ok for outcome in outcomes.values())
     assert sorted(fired) == ["a", "b"]  # exactly once despite duplicates
@@ -288,7 +280,7 @@ def test_duplicate_result_delivery_is_deduplicated():
 
 
 def test_version_skew_is_rejected_and_run_continues():
-    with RemoteCoordinator(policy=FAST, worker_wait=10.0) as coord:
+    with RemoteCoordinator(worker_wait=10.0) as coord:
         host, port = coord.address
         rejection = {}
 
@@ -305,7 +297,7 @@ def test_version_skew_is_rejected_and_run_continues():
         thread = threading.Thread(target=ancient_worker, daemon=True)
         thread.start()
         honest = _spawn_thread_workers(coord.address, 1, _double)
-        outcomes = coord.run([("cell", 5)])
+        outcomes = dispatch(coord, [("cell", 5)], FAST)
     thread.join(timeout=5)
     for worker in honest:
         worker.join(timeout=5)
@@ -320,10 +312,10 @@ def test_version_skew_is_rejected_and_run_continues():
 
 def test_no_workers_degrades_to_local_fallback():
     fired = []
-    with RemoteCoordinator(policy=FAST, worker_wait=0.2,
-                           fallback=_inline_fallback()) as coord:
-        outcomes = coord.run([("a", 10), ("b", 20)],
-                             on_result=lambda oc: fired.append(oc.key))
+    with RemoteCoordinator(worker_wait=0.2) as coord:
+        outcomes = dispatch(coord, [("a", 10), ("b", 20)], FAST,
+                            on_result=lambda oc: fired.append(oc.key),
+                            fallback=Inline(_double))
     assert outcomes["a"].value == 20
     assert outcomes["b"].value == 40
     assert sorted(fired) == ["a", "b"]
@@ -332,21 +324,21 @@ def test_no_workers_degrades_to_local_fallback():
 
 
 def test_degrade_without_fallback_is_a_structured_error():
-    with RemoteCoordinator(policy=FAST, worker_wait=0.1) as coord:
+    with RemoteCoordinator(worker_wait=0.1) as coord:
         with pytest.raises(ReproError, match="no local +fallback"):
-            coord.run([("a", 1)])
+            dispatch(coord, [("a", 1)], FAST)
 
 
 def test_mid_sweep_fleet_loss_degrades_and_keeps_finished_cells():
     fired = []
-    with RemoteCoordinator(policy=FAST, worker_wait=0.3,
-                           lease_seconds=5.0,
-                           fallback=_inline_fallback()) as coord:
+    with RemoteCoordinator(worker_wait=0.3, lease_seconds=5.0) as coord:
         # One worker serves exactly one cell, then departs for good.
         threads = _spawn_thread_workers(coord.address, 1, _double,
                                         max_cells=1, reconnect_attempts=0)
         tasks = [(f"cell-{index}", index) for index in range(4)]
-        outcomes = coord.run(tasks, on_result=lambda oc: fired.append(oc.key))
+        outcomes = dispatch(coord, tasks, FAST,
+                            on_result=lambda oc: fired.append(oc.key),
+                            fallback=Inline(_double))
     for thread in threads:
         thread.join(timeout=5)
     assert all(outcomes[key].ok for key, __ in tasks)
@@ -355,6 +347,40 @@ def test_mid_sweep_fleet_loss_degrades_and_keeps_finished_cells():
     # At least one cell landed remotely, so the fallback got fewer than
     # the full task list - remote progress was not recomputed.
     assert coord.stats["degraded_cells"] < len(tasks)
+
+
+def _log_attempt_and_die(path, attempt):
+    """Append ``attempt pid`` to ``path``, then kill this process."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"{attempt} {os.getpid()}\n")
+    os._exit(3)
+
+
+def test_degraded_mode_keeps_each_cells_retry_budget(tmp_path):
+    """A cell struck remotely keeps its attempts and strikes when the
+    dispatcher switches to the local fallback: three attempts in all
+    under ``retries=2``, the remote crash among them."""
+    path = tmp_path / "attempts.log"
+    with RemoteCoordinator(worker_wait=1.0, lease_seconds=5.0) as coord:
+        host, port = coord.address
+        remote = multiprocessing.Process(
+            target=serve_worker, args=(host, port),
+            kwargs=dict(worker_fn=_log_attempt_and_die, worker_id="doomed",
+                        reconnect_attempts=0), daemon=True)
+        remote.start()
+        with WorkerSupervisor(_log_attempt_and_die, jobs=1) as local:
+            outcomes = dispatch(coord, [("cell", str(path))], FAST,
+                                fallback=local)
+    remote.join(timeout=5)
+    lines = [line.split() for line in path.read_text().splitlines()]
+    assert [attempt for attempt, __ in lines] == ["0", "1", "2"]
+    assert lines[0][1] == str(remote.pid)  # the first crash was remote
+    cell = outcomes["cell"]
+    assert cell.status == CellStatus.QUARANTINED
+    assert cell.attempts == 3
+    assert cell.strikes == ["crash"] * 3
+    assert coord.stats["degraded"] is True
+    assert coord.stats["degraded_cells"] == 1
 
 
 def test_close_is_idempotent_and_stops_workers():
@@ -366,9 +392,9 @@ def test_close_is_idempotent_and_stops_workers():
         both_serving.wait()
         return payload * 2
 
-    coord = RemoteCoordinator(policy=FAST, worker_wait=10.0)
+    coord = RemoteCoordinator(worker_wait=10.0)
     threads = _spawn_thread_workers(coord.address, 2, rendezvous)
-    outcomes = coord.run([("a", 1), ("b", 2)])
+    outcomes = dispatch(coord, [("a", 1), ("b", 2)], FAST)
     assert outcomes["a"].ok and outcomes["b"].ok
     coord.close()
     coord.close()
