@@ -47,7 +47,11 @@ class RootCause:
 
 # Application-provided diagnosis rules, keyed by failure location (spec
 # clause name or failing site).  Each rule sees (trace, failure) and may
-# return a cause or decline with None.
+# return a cause or decline with None.  During enumeration the trace is
+# sparse (events mode): ``trace.steps`` holds only the steps with
+# shared reads/writes, sync or I/O, in execution order, and the queries
+# that need every step raise SparseTraceError (see repro.vm.trace).  A
+# rule must read only those steps and the run-level observables.
 SpecDiagnoser = Callable[[Trace, FailureReport], Optional[RootCause]]
 _SPEC_DIAGNOSERS: Dict[str, SpecDiagnoser] = {}
 
@@ -135,10 +139,13 @@ def enumerate_root_causes(search: ExecutionSearch,
     the paper notes ("potentially including false positives" / requiring
     manual confirmation).
 
-    Because the dedupe key *is* the diagnosis (which inspects the trace),
-    the search keeps full tracing on for candidates; it still prunes via
-    checkpoint prefix sharing, and the budget's cycle ceiling is enforced
-    inside each candidate run rather than between runs.
+    The dedupe key *is* the diagnosis, so the search runs candidates in
+    the sparse ``events`` trace mode - each keeps only its steps with
+    shared-memory, sync or I/O effects, which is all the lockset race
+    analysis and the app rules read - and diagnoses each accepted one as
+    it ran.  It still prunes via checkpoint prefix sharing, and the
+    budget's cycle ceiling is enforced inside each candidate run rather
+    than between runs.
     """
     diagnoser = diagnoser or Diagnoser()
     budget = budget or SearchBudget(max_attempts=400)

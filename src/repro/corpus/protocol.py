@@ -89,9 +89,18 @@ def encode_value(value: Any) -> Any:
 def decode_value(value: Any) -> Any:
     """Invert :func:`encode_value` (tuples and fault plans restored).
 
-    A tag whose body does not match its type is a
-    :class:`~repro.errors.ProtocolError`, like any other malformed frame.
+    A tag whose body does not match its type, or a value nested past the
+    recursion limit, is a :class:`~repro.errors.ProtocolError`, like any
+    other malformed frame.
     """
+    try:
+        return _decode_value(value)
+    except RecursionError:
+        raise ProtocolError(
+            "malformed value: nested too deeply to decode") from None
+
+
+def _decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         if set(value) == {_PLAN_TAG}:
             fields = value[_PLAN_TAG]
@@ -107,10 +116,10 @@ def decode_value(value: Any) -> Any:
                 raise ProtocolError(
                     f"malformed {_TUPLE_TAG} value {items!r}: expected "
                     f"a list")
-            return tuple(decode_value(item) for item in items)
-        return {key: decode_value(item) for key, item in value.items()}
+            return tuple(_decode_value(item) for item in items)
+        return {key: _decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
-        return [decode_value(item) for item in value]
+        return [_decode_value(item) for item in value]
     return value
 
 
@@ -153,7 +162,7 @@ def _recv_exact(sock: socket.socket, count: int,
 def _decode_body(body: bytes) -> Dict[str, Any]:
     try:
         frame = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(

@@ -44,6 +44,16 @@ class MachineError(ReproError):
     """The VM was driven incorrectly (stepping a finished machine, etc.)."""
 
 
+class SparseTraceError(ReproError):
+    """A question that needs every step was asked of a sparse trace.
+
+    An ``events``-mode run (:mod:`repro.vm.machine`) keeps only the
+    steps with shared-memory, synchronization or I/O effects, and no
+    schedule or branch paths.  Queries over those subsets answer as on a
+    full trace; queries that need every step refuse with this error.
+    """
+
+
 class SchedulerError(ReproError):
     """A scheduler made an illegal choice (blocked/unknown thread)."""
 

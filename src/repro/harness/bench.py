@@ -24,7 +24,9 @@ The ``search`` section measures inference-search throughput
 (candidates/sec) on an output-determinism workload, comparing the
 pre-PR-2 configuration (every candidate re-executed from step 0 with
 full tracing) against trace-free candidates and the full checkpoint +
-prune pipeline.
+prune pipeline.  Its ``enumeration`` table times root-cause
+enumeration's candidates - msg_server's 24, each run from scratch and
+diagnosed - under the ``full`` and the sparse ``events`` trace mode.
 
 The ``corpus`` section measures scenario-matrix throughput (evaluated
 cells/sec) on a small generated-corpus sweep, sequentially and with a
@@ -41,8 +43,11 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.rootcause import Diagnoser
 from repro.apps import ALL_APPS
+from repro.apps.base import find_failing_seed
 from repro.models import DebugSession
+from repro.models.session import cause_search
 from repro.replay.search import (ExecutionSearch, InputSpace, SearchBudget,
                                  divergent_output_abort)
 from repro.util.intervals import Interval
@@ -380,6 +385,69 @@ def bench_search(repeats: int = 3) -> Table:
     return table
 
 
+# -- root-cause enumeration candidates ---------------------------------------
+#
+# The candidates count_root_causes enumerates for msg_server (its fixed
+# input space under 24 scheduler seeds), each run from scratch and, when
+# it shows the recorded failure, diagnosed - once per trace mode.
+
+ENUMERATION_MODES = ("full", "events")
+
+
+def enumeration_workload():
+    """msg_server, its failure, and the candidates enumeration tries."""
+    case = ALL_APPS["msg_server"]()
+    failure = case.run(find_failing_seed(case)).failure
+    search = cause_search(case)
+    candidates = [(inputs, seed)
+                  for inputs in search.input_space.candidates()
+                  for seed in search.schedule_seeds]
+    return case, failure, search, candidates
+
+
+def run_enumeration_mode(mode: str, workload) -> set:
+    """Run and diagnose every candidate in ``mode``; the distinct causes."""
+    case, failure, search, candidates = workload
+    diagnoser = Diagnoser(extra_rules=case.diagnoser_rules)
+    causes = set()
+    for inputs, seed in candidates:
+        machine = search.run_candidate(inputs, seed, trace_mode=mode)
+        if machine.failure is not None \
+                and failure.same_failure(machine.failure):
+            cause = diagnoser.diagnose(machine.trace, machine.failure)
+            causes.add((cause.kind, cause.site))
+    return causes
+
+
+def bench_enumeration(repeats: int = 3) -> Table:
+    """Enumeration candidates/sec per trace mode (best of ``repeats``).
+
+    The modes alternate inside each repeat, so both see the same host
+    speed.
+    """
+    workload = enumeration_workload()
+    n_candidates = len(workload[3])
+    table = Table(["mode", "candidates", "seconds", "candidates_per_sec",
+                   "speedup_vs_full", "causes"],
+                  title="Root-cause enumeration candidates (msg_server, "
+                        "run + diagnose)")
+    best = {mode: float("inf") for mode in ENUMERATION_MODES}
+    causes = {mode: run_enumeration_mode(mode, workload)  # warmup
+              for mode in ENUMERATION_MODES}
+    for __ in range(max(1, repeats)):
+        for mode in ENUMERATION_MODES:
+            start = time.perf_counter()
+            causes[mode] = run_enumeration_mode(mode, workload)
+            best[mode] = min(best[mode], time.perf_counter() - start)
+    for mode in ENUMERATION_MODES:
+        table.add_row(mode=mode, candidates=n_candidates,
+                      seconds=best[mode],
+                      candidates_per_sec=round(n_candidates / best[mode]),
+                      speedup_vs_full=round(best["full"] / best[mode], 2),
+                      causes=len(causes[mode]))
+    return table
+
+
 # -- corpus-matrix throughput -------------------------------------------------
 
 CORPUS_BENCH_SEEDS = 6
@@ -514,7 +582,8 @@ def write_summary(interpreter: Optional[Table] = None,
                   path: str = BENCH_SUMMARY_PATH,
                   search: Optional[Table] = None,
                   corpus: Optional[Table] = None,
-                  dispatch: Optional[Table] = None) -> Dict[str, Any]:
+                  dispatch: Optional[Table] = None,
+                  enumeration: Optional[Table] = None) -> Dict[str, Any]:
     """Write the machine-readable perf summary tracked across PRs.
 
     Sections not measured this run (``None``) are carried over from the
@@ -524,8 +593,8 @@ def write_summary(interpreter: Optional[Table] = None,
     try:
         with open(path, "r", encoding="utf-8") as handle:
             previous = json.load(handle)
-        for key in ("workloads", "trace_queries", "search", "corpus",
-                    "model_dispatch"):
+        for key in ("workloads", "trace_queries", "search", "enumeration",
+                    "corpus", "model_dispatch"):
             if key in previous:
                 summary[key] = previous[key]
     except (OSError, ValueError):
@@ -546,6 +615,13 @@ def write_summary(interpreter: Optional[Table] = None,
             "candidates_per_sec": row["candidates_per_sec"],
             "speedup_vs_full": row["speedup_vs_full"],
         } for row in search}
+    if enumeration is not None:
+        summary["enumeration"] = {row["mode"]: {
+            "candidates": row["candidates"],
+            "candidates_per_sec": row["candidates_per_sec"],
+            "speedup_vs_full": row["speedup_vs_full"],
+            "causes": row["causes"],
+        } for row in enumeration}
     if corpus is not None:
         summary["corpus"] = {
             f"jobs_{row['jobs']}_seeds_{row['seeds']}": {
@@ -571,7 +647,7 @@ def run_bench(path: str = BENCH_SUMMARY_PATH,
     if unknown:
         raise ValueError(f"unknown bench sections: {sorted(unknown)}")
     tables: List[Table] = []
-    interpreter = queries = search = corpus = dispatch = None
+    interpreter = queries = search = enumeration = corpus = dispatch = None
     if "interpreter" in selected:
         interpreter = bench_interpreter(repeats=repeats)
         tables.append(interpreter)
@@ -581,11 +657,13 @@ def run_bench(path: str = BENCH_SUMMARY_PATH,
     if "search" in selected:
         search = bench_search(repeats=repeats)
         tables.append(search)
+        enumeration = bench_enumeration(repeats=repeats)
+        tables.append(enumeration)
     if "corpus" in selected:
         corpus = bench_corpus(repeats=repeats)
         tables.append(corpus)
         dispatch = bench_model_dispatch(repeats=repeats)
         tables.append(dispatch)
     write_summary(interpreter, queries, path=path, search=search,
-                  corpus=corpus, dispatch=dispatch)
+                  corpus=corpus, dispatch=dispatch, enumeration=enumeration)
     return tables

@@ -115,6 +115,15 @@ _CAUSE_COUNT_CACHE: ("weakref.WeakKeyDictionary"
     weakref.WeakKeyDictionary())
 
 
+def cause_search(case) -> ExecutionSearch:
+    """The execution space :func:`count_root_causes` enumerates: the
+    case's input space under 24 production-scheduler seeds."""
+    return ExecutionSearch(
+        case.program, case.input_space, schedule_seeds=range(24),
+        io_spec=case.io_spec, net_drop_rate=case.net_drop_rate,
+        switch_prob=case.switch_prob)
+
+
 def count_root_causes(case, failure, max_attempts: int = 120) -> int:
     """The paper's ``n``: distinct root causes reachable for a failure."""
     per_program = _CAUSE_COUNT_CACHE.get(case.program)
@@ -124,12 +133,8 @@ def count_root_causes(case, failure, max_attempts: int = 120) -> int:
     key = (failure.signature(), max_attempts)
     if key in per_program:
         return per_program[key]
-    search = ExecutionSearch(
-        case.program, case.input_space, schedule_seeds=range(24),
-        io_spec=case.io_spec, net_drop_rate=case.net_drop_rate,
-        switch_prob=case.switch_prob)
     causes = enumerate_root_causes(
-        search, failure,
+        cause_search(case), failure,
         diagnoser=Diagnoser(extra_rules=case.diagnoser_rules),
         budget=SearchBudget(max_attempts=max_attempts))
     count = max(len(causes), 1)
@@ -242,7 +247,7 @@ class DebugSession:
             try:
                 data = json.loads(payload)
             except (json.JSONDecodeError, UnicodeDecodeError,
-                    TypeError) as exc:
+                    TypeError, RecursionError) as exc:
                 raise LogFormatError(
                     f"shipped payload is not valid JSON (truncated "
                     f"upload?): {exc}") from exc

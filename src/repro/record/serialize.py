@@ -239,10 +239,12 @@ def log_from_dict(data: Dict[str, Any],
         return _decode_log(data, version)
     except LogFormatError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            RecursionError) as exc:
         # A structurally damaged payload (wrong value shapes, bad enum
-        # values) must never escape as a bare KeyError/TypeError: name
-        # the source so a corrupt shipped log is diagnosable.
+        # values, values nested past the recursion limit) must never
+        # escape as a bare KeyError/TypeError/RecursionError: name the
+        # source so a corrupt shipped log is diagnosable.
         raise LogFormatError(
             f"recording log{origin} is malformed: "
             f"{type(exc).__name__}: {exc}") from exc
@@ -319,7 +321,8 @@ def load_log(path: str, verify: bool = True) -> RecordingLog:
     except OSError as exc:
         raise LogFormatError(
             f"cannot read recording log {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:
         raise LogFormatError(
             f"recording log {path!r} is not valid JSON "
             f"(truncated or binary upload?): {exc}") from exc

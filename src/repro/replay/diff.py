@@ -14,7 +14,10 @@ bucket.  This module is that answer, with the replay-engine discipline:
    exposed (steps, schedule, outputs, failure, branch paths, cycles),
    and only the sections *both* sides carry: a counting-mode trace is
    compared on the observables it kept, and a recording log only on the
-   fields its determinism model paid to record.
+   fields its determinism model paid to record.  A sparse (events-mode)
+   trace kept no schedule and no branch paths, so ``diff_traces``
+   compares it on the run-level observables alone, and
+   ``diff_log_replay`` refuses it.
 
 The shapes mirror a production replay engine: :class:`FieldDiff` (one
 field's expected/actual pair), :class:`DivergencePoint` (the step
@@ -206,9 +209,12 @@ def diff_traces(expected: Trace, actual: Trace) -> DivergenceReport:
     the observables both sides kept - step/cycle counts, outputs,
     failure, and branch paths - so a counting run and its full-trace
     twin compare as equivalent, which is the counting mode's contract.
+    A sparse (events-mode) side is compared the same way minus branch
+    paths, which it does not keep.
     """
     sections: List[str] = []
-    counting = _is_counting(expected) or _is_counting(actual)
+    sparse = expected.sparse or actual.sparse
+    counting = sparse or _is_counting(expected) or _is_counting(actual)
     steps_compared = 0
 
     if not counting:
@@ -252,7 +258,8 @@ def diff_traces(expected: Trace, actual: Trace) -> DivergenceReport:
             return _report(DiffStatus.TRUNCATED, point, sections, 0)
         steps_compared = 0
 
-    for section, point in _run_level_sections(expected, actual, counting):
+    for section, point in _run_level_sections(expected, actual, counting,
+                                              sparse):
         sections.append(section)
         if point is not None:
             return _report(DiffStatus.DIVERGED, point, sections,
@@ -260,7 +267,8 @@ def diff_traces(expected: Trace, actual: Trace) -> DivergenceReport:
     return _matched(sections, steps_compared)
 
 
-def _run_level_sections(expected: Trace, actual: Trace, counting: bool):
+def _run_level_sections(expected: Trace, actual: Trace, counting: bool,
+                        sparse: bool):
     """Yield (section, point-or-None) for the run-level observables."""
     if not counting:
         yield "schedule", _diff_sequence(
@@ -271,8 +279,9 @@ def _run_level_sections(expected: Trace, actual: Trace, counting: bool):
         "inputs_consumed", expected.inputs_consumed,
         actual.inputs_consumed)
     yield "failure", _diff_failure(expected.failure, actual.failure)
-    yield "branch-path", _diff_branch_paths(
-        expected.thread_branch_paths(), actual.thread_branch_paths())
+    if not sparse:
+        yield "branch-path", _diff_branch_paths(
+            expected.thread_branch_paths(), actual.thread_branch_paths())
     if expected.native_cycles != actual.native_cycles:
         yield "cycles", DivergencePoint(
             kind="cycles",
@@ -458,10 +467,13 @@ def diff_log_replay(log, result) -> DivergenceReport:
     to its failure signature, and RCSE's advisory data-plane outputs
     are skipped.  This is the paper's relaxation hierarchy as a
     comparison: each model is judged on the determinism it claims,
-    nothing more.
+    nothing more.  A sparse replay trace cannot be held to a schedule or
+    branch paths, so it raises :class:`~repro.errors.SparseTraceError`.
     """
     sections: List[str] = []
     trace = result.trace
+    if trace is not None:
+        trace.require_every_step("diff_log_replay")
     steps = 0
     contract = _replay_contract(log.model)
 

@@ -23,7 +23,11 @@ which candidate is accepted (enumeration order is preserved):
   only step/cycle counts, the failure signature, the output log, and
   branch paths survive.  The single *accepted* candidate is re-run once
   with full tracing ("record less, infer more", applied to the inference
-  engine itself).
+  engine itself).  A search that dedupes on a diagnosis (root-cause
+  enumeration) runs its candidates in the sparse ``events`` mode
+  instead: a diagnosis reads only the steps with shared-memory, sync or
+  I/O effects, so each candidate keeps exactly those and is diagnosed
+  as it ran, with no re-run.
 * **Prefix sharing.**  Candidates with the same schedule seed are a tree
   over input assignments: two candidates behave identically until the
   first differing input value is consumed.  The search checkpoints the
@@ -243,8 +247,9 @@ class _SeedCheckpoints:
       consumed-input log (the input step's schedule position and every
       RNG stream are value-independent), so the fork rewrites those two
       cells and continues - sharing the entire prefix up to and
-      including the divergent input step.  Full-trace candidates cannot
-      retarget: their trace already holds the old value's step record.
+      including the divergent input step.  Full- and events-trace
+      candidates cannot retarget: their trace already holds the old
+      value's input step record.
     """
 
     __slots__ = ("consumed", "checkpoints")
@@ -493,9 +498,14 @@ class ExecutionSearch:
         a candidate at any executed I/O step - the hook must only fire on
         runs ``accept`` would reject.  With ``collect_all`` the search
         keeps going after acceptance and gathers every *behaviourally
-        distinct* accepted execution (see :func:`default_dedupe_key`;
-        pass ``dedupe_key`` for a custom identity, e.g. the diagnosed
-        root cause) until the budget is exhausted.
+        distinct* accepted execution (see :func:`default_dedupe_key`)
+        until the budget is exhausted.
+
+        ``collect_all`` with a ``dedupe_key`` is root-cause enumeration:
+        the key is a diagnosis.  Its candidates run in the ``events``
+        trace mode, and the accepted machines it returns keep those
+        sparse traces - effect steps only, no schedule or branch paths
+        (:mod:`repro.vm.trace`) - which is all a diagnosis reads.
         """
         budget = budget or SearchBudget()
         outcome = SearchOutcome(machine=None)
@@ -507,12 +517,12 @@ class ExecutionSearch:
         pools: Dict[int, _SeedCheckpoints] = {}
         schedule_seeds = self.schedule_seeds
         allows = budget.allows
-        # A custom dedupe key typically inspects the trace (e.g. root
-        # cause diagnosis), so every *accepted* candidate would need a
-        # full-trace materialization before dedupe; when collection rates
-        # are high that costs more than tracing candidates directly.
+        # A custom dedupe key is a root-cause diagnosis, which reads only
+        # effect steps: an events trace is enough, and most candidates
+        # are accepted, so tracing those steps as the candidate runs
+        # beats a counting pass plus a full-trace re-run of each.
         if collect_all and dedupe_key is not None:
-            trace_mode = "full"
+            trace_mode = "events"
         else:
             trace_mode = self.candidate_trace_mode
         counting = trace_mode == "counting"

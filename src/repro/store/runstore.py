@@ -92,8 +92,9 @@ def _decode_entry(line: bytes, number: int, path: str) -> Dict[str, Any]:
         keys = _ENTRY_KEYS.get(entry.get("kind"), ())
         if all(isinstance(entry.get(key), (int, str)) for key in keys):
             return entry
-    except (ValueError, AttributeError, TypeError):
-        pass  # not JSON, not an object, or an unhashable kind
+    except (ValueError, AttributeError, TypeError, RecursionError):
+        pass  # not JSON (or nested too deeply), not an object, or an
+        # unhashable kind
     raise ReproError(f"corrupt store index line {number} in {path!r}")
 
 
@@ -250,7 +251,7 @@ class RunStore:
                 f"store {self.root!r} has no object {address[:12]}…; "
                 f"was it gc'd, or is the address from another store?"
             ) from None
-        except ValueError:
+        except (ValueError, RecursionError):
             payload = found = None  # not JSON: hashes to no address
         else:
             found = content_address(payload)

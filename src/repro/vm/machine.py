@@ -44,16 +44,29 @@ fingerprint tests pin this).  Replay search uses checkpoints to resume
 candidate executions at the last shared input-consumption point instead
 of re-executing the common prefix.
 
-Lightweight execution modes
----------------------------
-``trace_mode="counting"`` runs the identical execution but allocates no
-:class:`~repro.vm.trace.StepRecord` per step: a single scratch record is
-reused for dispatch/observers, only counts, the failure signature, the
-output log, and per-thread branch paths survive.  Candidate runs in an
-inference search use this mode; the one accepted execution is re-run
-once with full tracing.  ``max_native_cycles`` bounds a run by metered
-cycles (search budgets enforce their ceiling *inside* the candidate run)
-and the ``early_abort`` hook lets searches kill a candidate at its first
+Trace modes
+-----------
+Every mode runs the identical execution; they differ only in what the
+:class:`~repro.vm.trace.Trace` keeps.
+
+``full``      a :class:`~repro.vm.trace.StepRecord` for every step, and
+              the schedule.  Recorders, replays and every trace query
+              need this.
+``counting``  no step records: one scratch record is reused for
+              dispatch/observers, and only counts, the failure
+              signature, the output log and per-thread branch paths
+              survive.  Inference-search candidates run this way; the
+              one accepted execution is re-run once with full tracing.
+``events``    counting's execution, plus a real record (with its global
+              ``index``) for each step that reads or writes shared
+              memory, synchronizes, or does I/O - the steps a
+              root-cause diagnosis reads.  No schedule and no branch
+              paths.  The trace is marked ``sparse``; root-cause
+              enumeration runs its candidates this way.
+
+``max_native_cycles`` bounds a run by metered cycles (search budgets
+enforce their ceiling *inside* the candidate run) and the
+``early_abort`` hook lets searches kill a candidate at its first
 divergent I/O event.
 """
 
@@ -97,6 +110,10 @@ _NO_CYCLE_CAP = 1 << 62
 _NO_STEP_TARGET = 1 << 62
 
 _RUNNABLE = ThreadStatus.RUNNABLE
+
+# trace_mode -> the name of the step function that keeps its trace.
+_STEP_FUNCTIONS = {"full": "_step_full", "counting": "_step_counting",
+                   "events": "_step_events"}
 
 
 class _UndefinedRegister(Exception):
@@ -607,7 +624,7 @@ class Machine:
                  entry_args: Sequence[Any] = (),
                  trace_mode: str = "full",
                  max_native_cycles: Optional[int] = None):
-        if trace_mode not in ("full", "counting"):
+        if trace_mode not in _STEP_FUNCTIONS:
             raise MachineError(f"unknown trace_mode {trace_mode!r}")
         self.program = program
         self.env = env or Environment()
@@ -631,17 +648,14 @@ class Machine:
         self.aborted = False
         self.steps = 0
 
-        # Counting mode reuses one scratch record per step instead of
-        # allocating; the record is valid only for the duration of the
-        # dispatch/observer calls it is passed to.  The per-mode step
-        # function is bound once so the full-trace path pays nothing for
-        # the mode check.
+        # The counting and events modes reuse one scratch record per
+        # step instead of allocating; the record is valid only for the
+        # duration of the dispatch/observer calls it is passed to.  The
+        # per-mode step function is bound once so the full-trace path
+        # pays nothing for the mode check.
         self.trace_mode = trace_mode
-        self._counting = trace_mode == "counting"
-        self._scratch = (StepRecord(0, 0, "", 0, "", 0)
-                         if self._counting else None)
-        self._step = (self._step_counting if self._counting
-                      else self._step_full)
+        self.trace.sparse = trace_mode == "events"
+        self._bind_step()
         # Absolute ceiling on metered native cycles (None = unlimited).
         self.max_native_cycles = max_native_cycles
 
@@ -665,6 +679,12 @@ class Machine:
 
         self._next_tid = 0
         self._spawn_thread(program.entry, list(entry_args))
+
+    def _bind_step(self) -> None:
+        """Bind this mode's step function and its scratch record."""
+        self._scratch = (None if self.trace_mode == "full"
+                         else StepRecord(0, 0, "", 0, "", 0))
+        self._step = getattr(self, _STEP_FUNCTIONS[self.trace_mode])
 
     # -- cycle ceiling ----------------------------------------------------
     #
@@ -756,11 +776,7 @@ class Machine:
         twin.aborted = self.aborted
         twin.steps = self.steps
         twin.trace_mode = self.trace_mode
-        twin._counting = self._counting
-        twin._scratch = (StepRecord(0, 0, "", 0, "", 0)
-                         if self._counting else None)
-        twin._step = (twin._step_counting if twin._counting
-                      else twin._step_full)
+        twin._bind_step()
         twin._cycle_ceiling = self._cycle_ceiling
         twin._observers = []
         twin.load_interceptor = self.load_interceptor
@@ -877,7 +893,7 @@ class Machine:
             k: list(v) for k, v in self.env.inputs_consumed.items()}
         self.trace.failure = self.failure
         self.trace.native_cycles = self.meter.native_cycles
-        if self._counting:
+        if self.trace_mode != "full":
             self.trace.total_steps = self.steps
 
     def _report_deadlock(self) -> None:
@@ -940,13 +956,13 @@ class Machine:
 
     # -- instruction execution ----------------------------------------------
 
-    # ``self._step`` is bound to one of the two variants below at
+    # ``self._step`` is bound to one of the three variants below at
     # construction time, so the full-trace hot path carries no mode
     # branches.  Each executes one instruction of ``thread`` and keeps
-    # its mode's trace; the run loop does the rest.  Keep the two bodies
-    # in lockstep: they must execute the identical guest semantics (the
-    # counting-equivalence tests pin this).  None means the thread
-    # blocked or failed and no step happened.
+    # its mode's trace; the run loop does the rest.  Keep the bodies in
+    # lockstep: they must execute the identical guest semantics (the
+    # counting- and events-equivalence tests pin this).  None means the
+    # thread blocked or failed and no step happened.
 
     def _step_full(self, thread: ThreadState) -> Optional[StepRecord]:
         frame = thread.frames[-1]
@@ -1036,6 +1052,65 @@ class Machine:
                 return None
         if record.branch_taken is not None:
             self.trace.record_branch(tid, record.branch_taken)
+        return record
+
+    def _step_events(self, thread: ThreadState) -> Optional[StepRecord]:
+        """Sparse variant: counting's execution, effect steps kept.
+
+        Runs exactly what :meth:`_step_counting` runs on the scratch
+        record, then keeps a real record - same global ``index`` - of
+        each step that read or wrote shared memory, synchronized, or did
+        I/O, and hands that record to the run loop.  No schedule and no
+        branch paths are kept: no diagnosis reads them.
+        """
+        frame = thread.frames[-1]
+        fn = frame.function
+        cache = fn.decode_cache
+        if cache is None or cache[0] is not self.program:
+            decoded = decode_function(fn, self.program)
+        else:
+            decoded = cache[1]
+        pc = frame.pc
+        tid = thread.tid
+        record = self._scratch
+        record.index = self.steps
+        record.tid = tid
+        record.function = fn.name
+        record.pc = pc
+        record.reads = _NO_EFFECTS
+        record.writes = _NO_EFFECTS
+        record.sync = None
+        record.io = None
+        record.branch_taken = None
+        if pc >= len(decoded):
+            record.op = "ret"
+            record.cost = self._ret_cost
+            self._do_return(thread, 0)
+            return record
+        op, handler = decoded[pc]
+        record.op = op
+        record.cost = self._fn_costs[fn.name][pc]
+        try:
+            executed = handler(self, thread, frame, record)
+        except OutOfBoundsAccess as oob:
+            self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS, str(oob))
+            return None
+        except _UndefinedRegister as undef:
+            raise MachineError(
+                f"thread {tid}: read of undefined register "
+                f"%{undef.name} in {fn.name}") from None
+        if not executed:
+            return None
+        reads = record.reads
+        writes = record.writes
+        sync = record.sync
+        io = record.io
+        if reads or writes or sync is not None or io is not None:
+            # Handlers assign fresh effect lists, so the kept record can
+            # share them with the scratch one.
+            record = StepRecord(record.index, tid, fn.name, pc, op,
+                                record.cost, reads, writes, sync, io)
+            self.trace.steps.append(record)
         return record
 
     def _check_abort(self, record: StepRecord) -> None:

@@ -6,6 +6,22 @@ memory, which synchronization/I-O events it performed, and which branch
 direction it took.  A :class:`Trace` is the full step sequence plus run
 metadata.
 
+Sparse traces
+-------------
+An ``events``-mode run (:mod:`repro.vm.machine`) keeps a *sparse* trace:
+``steps`` holds only the steps that read or wrote shared memory,
+synchronized, or did I/O, each with its true global ``index``; the
+schedule and branch paths stay empty; outputs, consumed inputs, the
+failure, cycles and ``total_steps`` are those of the whole run.  A
+sparse trace sets ``sparse``.  On it the event-subset queries
+(``io_events``, ``sync_events``, ``shared_accesses``, ``write_events``,
+``memory_or_sync_events``) answer exactly as on the full trace of the
+same run, and ``last_write_before`` keys on ``StepRecord.index``, so it
+answers as on a full trace too.  Every query that needs every step -
+``sites_executed``, ``steps_at_site``, ``per_thread_steps``,
+``context_switches``, ``thread_branch_paths``, ``first_divergence``,
+``fingerprint`` - raises :class:`~repro.errors.SparseTraceError`.
+
 Recorders do not get to peek at anything a real recorder could not see;
 each one subscribes to the step stream and logs only the events its
 determinism model pays for.
@@ -16,13 +32,14 @@ Performance notes
 lists: both default to a shared empty tuple and the interpreter assigns a
 real list only on the (rare) steps that actually touch shared memory.
 
-``Trace`` maintains lazily built indexes - per-location write positions,
-per-site positions, and cached io/sync/shared-access event lists - so the
-analysis passes (race detection, root-cause diagnosis, replay search) ask
-O(log n)/O(1) questions instead of rescanning the full step list.  The
-indexes are built on first query and extended incrementally from a
-watermark, so the hot ``append`` path pays nothing for them.  They assume
-steps are only ever *appended*; do not mutate ``trace.steps`` in place.
+``Trace`` maintains lazily built indexes - per-location writes keyed by
+global step number, per-site positions, and cached io/sync/shared-access
+event lists - so the analysis passes (race detection, root-cause
+diagnosis, replay search) ask O(log n)/O(1) questions instead of
+rescanning the full step list.  The indexes are built on first query and
+extended incrementally from a watermark, so the hot ``append`` path pays
+nothing for them.  They assume steps are only ever *appended*; do not
+mutate ``trace.steps`` in place.
 """
 
 from __future__ import annotations
@@ -31,6 +48,7 @@ import hashlib
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import SparseTraceError
 from repro.vm.failures import FailureReport
 from repro.vm.memory import Location
 
@@ -133,7 +151,13 @@ class StepRecord:
 
 
 class Trace:
-    """A complete execution trace plus run metadata."""
+    """An execution trace plus run metadata.
+
+    A full trace holds every step and the schedule.  A counting-mode
+    trace holds no steps, only counts and branch paths.  A ``sparse``
+    (events-mode) trace holds only the effect steps, and refuses the
+    queries that need every step (see the module docstring).
+    """
 
     def __init__(self,
                  steps: Optional[List[StepRecord]] = None,
@@ -151,9 +175,13 @@ class Trace:
         self.failure = failure
         self.native_cycles = native_cycles
         self.total_steps = total_steps or len(self.steps)
+        # Set by an events-mode machine: ``steps`` holds effect steps only.
+        self.sparse = False
         # Lazily built indexes; _indexed_upto is the watermark position.
         self._indexed_upto = 0
-        self._write_index: Dict[Location, List[int]] = {}
+        # loc -> (global step indexes, records) of the writes to it.
+        self._write_index: Dict[Location,
+                                Tuple[List[int], List[StepRecord]]] = {}
         self._site_index: Dict[str, List[int]] = {}
         self._sites: List[str] = []
         self._io_steps: List[StepRecord] = []
@@ -187,7 +215,7 @@ class Trace:
         and only the list spines are duplicated; lazy indexes rebuild on
         first query.  For trace-free (counting) traces the out-of-band
         branch paths are copied instead - they are the only per-step state
-        such traces carry.
+        such traces carry.  A sparse trace forks sparse.
         """
         twin = Trace(
             steps=list(self.steps),
@@ -199,6 +227,7 @@ class Trace:
             native_cycles=self.native_cycles,
             total_steps=self.total_steps,
         )
+        twin.sparse = self.sparse
         if not self.steps and self._branch_paths:
             # Counting-mode trace: branch paths were recorded out of band
             # (with steps present they rebuild lazily from the step list).
@@ -225,7 +254,11 @@ class Trace:
             if step.writes:
                 self._write_steps.append(step)
                 for loc, __ in step.writes:
-                    write_index.setdefault(loc, []).append(pos)
+                    writes = write_index.get(loc)
+                    if writes is None:
+                        writes = write_index[loc] = ([], [])
+                    writes[0].append(step.index)
+                    writes[1].append(step)
             if step.reads or step.writes:
                 self._shared_steps.append(step)
             if step.sync is not None:
@@ -239,10 +272,20 @@ class Trace:
                     step.branch_taken)
         self._indexed_upto = len(steps)
 
+    def require_every_step(self, query: str) -> None:
+        """Refuse ``query`` on a sparse trace: it needs every step."""
+        if self.sparse:
+            raise SparseTraceError(
+                f"{query} needs every step, but this trace is sparse: an "
+                f"events-mode run keeps only its {len(self.steps)} effect "
+                f"steps of {self.total_steps}, and no schedule or branch "
+                f"paths")
+
     # -- queries ---------------------------------------------------------
 
     def per_thread_steps(self) -> Dict[int, List[StepRecord]]:
         """Group steps by thread, preserving per-thread order."""
+        self.require_every_step("per_thread_steps")
         grouped: Dict[int, List[StepRecord]] = {}
         for step in self.steps:
             grouped.setdefault(step.tid, []).append(step)
@@ -250,6 +293,7 @@ class Trace:
 
     def context_switches(self) -> int:
         """Number of points where the running thread changed."""
+        self.require_every_step("context_switches")
         switches = 0
         for prev, cur in zip(self.schedule, self.schedule[1:]):
             if prev != cur:
@@ -258,11 +302,13 @@ class Trace:
 
     def sites_executed(self) -> List[str]:
         """Static sites in execution order (used by slicing/diagnosis)."""
+        self.require_every_step("sites_executed")
         self._extend_indexes()
         return list(self._sites)
 
     def steps_at_site(self, site: str) -> List[StepRecord]:
         """Every step executed at static site ``function@pc``, in order."""
+        self.require_every_step("steps_at_site")
         self._extend_indexes()
         return [self.steps[pos] for pos in self._site_index.get(site, ())]
 
@@ -294,6 +340,7 @@ class Trace:
 
     def thread_branch_paths(self) -> Dict[int, List[bool]]:
         """Per-thread branch outcome sequences (path-determinism checks)."""
+        self.require_every_step("thread_branch_paths")
         self._extend_indexes()
         return {tid: list(path) for tid, path in self._branch_paths.items()}
 
@@ -313,6 +360,8 @@ class Trace:
         verdict (truncation, not divergence), because whichever run is
         shorter executed no step to disagree at.
         """
+        self.require_every_step("first_divergence")
+        other.require_every_step("first_divergence")
         for mine, theirs in zip(self.steps, other.steps):
             diffs = mine.field_diffs(theirs)
             if diffs:
@@ -329,6 +378,7 @@ class Trace:
         determinism regression test pins these digests so performance
         work on the interpreter cannot silently change semantics.
         """
+        self.require_every_step("fingerprint")
         digest = hashlib.sha256()
         for step in self.steps:
             digest.update(repr(step._key()).encode("utf-8"))
@@ -349,14 +399,16 @@ class Trace:
                           step_index: int) -> Optional[StepRecord]:
         """Most recent write to ``loc`` strictly before ``step_index``.
 
-        O(log n) via the per-location write index (positions are ascending,
-        so a bisect finds the last write preceding ``step_index``).
+        ``step_index`` is a global step number (``StepRecord.index``),
+        and the per-location write index is keyed on it, so a sparse
+        trace - which keeps every write - answers as a full one does.
+        O(log n): a bisect finds the last write preceding ``step_index``.
         """
         self._extend_indexes()
-        positions = self._write_index.get(loc)
-        if not positions:
+        writes = self._write_index.get(loc)
+        if writes is None:
             return None
-        cut = bisect_left(positions, step_index)
+        cut = bisect_left(writes[0], step_index)
         if cut == 0:
             return None
-        return self.steps[positions[cut - 1]]
+        return writes[1][cut - 1]

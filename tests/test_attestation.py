@@ -82,9 +82,11 @@ def test_tampered_payload_is_refused_with_structured_error(shipped):
 
 def test_truncated_payload_is_refused_as_log_format_error(shipped):
     payload, __ = shipped
-    with pytest.raises(LogFormatError) as excinfo:
-        DebugSession.receive(payload[:len(payload) // 2])
-    assert "JSON" in str(excinfo.value)
+    for damaged in (payload[:len(payload) // 2],
+                    "[" * 100_000):  # nested past the recursion limit
+        with pytest.raises(LogFormatError) as excinfo:
+            DebugSession.receive(damaged)
+        assert "JSON" in str(excinfo.value)
 
 
 def test_tampered_file_refusal_names_the_path(shipped, tmp_path):

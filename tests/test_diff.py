@@ -18,6 +18,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.apps import racy_counter
 from repro.corpus.generator import generate_case
+from repro.errors import SparseTraceError
 from repro.models import DebugSession
 from repro.record import load_log, save_log
 from repro.record.attest import stamp_attestation
@@ -127,6 +128,38 @@ def test_counting_run_still_diverges_from_a_different_run(case):
                       trace_mode="counting")
     report = diff_traces(counting.trace, other.trace)
     assert report.diverged
+
+
+# -- events mode (sparse traces) ---------------------------------------------
+
+
+def test_events_run_is_equivalent_to_its_full_trace_twin(case):
+    full = _case_run(case, case.failing_seed)
+    events = _case_run(case, case.failing_seed, trace_mode="events")
+    assert events.trace.sparse
+    for expected, actual in ((full, events), (events, full),
+                             (events, events)):
+        report = diff_traces(expected.trace, actual.trace)
+        assert report.status == DiffStatus.MATCHED, report.render()
+        # Neither the steps nor the branch paths it did not keep.
+        assert "counts" in report.sections
+        assert "steps" not in report.sections
+        assert "branch-path" not in report.sections
+
+
+def test_events_run_still_diverges_from_a_different_run(case):
+    events = _case_run(case, case.failing_seed, trace_mode="events")
+    other_case = generate_case(1)
+    other = _case_run(other_case, other_case.failing_seed)
+    assert diff_traces(events.trace, other.trace).diverged
+    assert diff_traces(other.trace, events.trace).diverged
+
+
+def test_diff_log_replay_refuses_a_sparse_replay_trace(case, session):
+    events = _case_run(case, case.failing_seed, trace_mode="events")
+    result = dataclasses.replace(session.replay_result, trace=events.trace)
+    with pytest.raises(SparseTraceError):
+        diff_log_replay(session.log, result)
 
 
 # -- diverging runs -----------------------------------------------------------

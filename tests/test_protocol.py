@@ -7,6 +7,7 @@ payload codec must round-trip tuples and fault plans and refuse the
 non-string dict keys JSON would silently stringify.
 """
 
+import functools
 import socket
 import struct
 import threading
@@ -111,15 +112,20 @@ def test_oversize_frame_is_refused_at_the_sender():
 
 
 def test_non_json_body_is_a_protocol_error():
-    left, right = _socket_pair()
-    try:
-        body = b"\xff\xfenot json"
-        left.sendall(struct.pack(">I", len(body)) + body)
+    for body in (b"\xff\xfenot json",
+                 b"[" * 100_000):  # nested past the recursion limit
+        left, right = _socket_pair()
+        try:
+            left.sendall(struct.pack(">I", len(body)) + body)
+            with pytest.raises(ProtocolError, match="not valid JSON"):
+                recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+        reader = FrameReader()
+        reader.feed(struct.pack(">I", len(body)) + body)
         with pytest.raises(ProtocolError, match="not valid JSON"):
-            recv_frame(right)
-    finally:
-        left.close()
-        right.close()
+            list(reader)
 
 
 def test_non_object_body_is_a_protocol_error():
@@ -219,7 +225,9 @@ def test_codec_passes_scalars_through():
 
 @pytest.mark.parametrize("value", [
     {"$tuple": 5}, {"$faultplan": {"bogus": 1}}, {"$faultplan": [1]},
-    [{"nested": {"$tuple": "abc"}}]])
+    [{"nested": {"$tuple": "abc"}}],
+    pytest.param(functools.reduce(lambda inner, __: [inner], range(900), []),
+                 id="deep-nesting")])
 def test_codec_refuses_malformed_tags_with_a_protocol_error(value):
     with pytest.raises(ProtocolError, match="malformed"):
         decode_value(value)

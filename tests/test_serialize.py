@@ -226,12 +226,14 @@ def test_future_version_file_error_names_the_path(tmp_path, case, seed):
 
 
 def test_corrupt_file_wrapped_in_repro_error(tmp_path):
-    path = tmp_path / "truncated.rrlog.json"
-    path.write_text('{"format_version": 2, "model": "fu')
-    with pytest.raises(LogFormatError) as excinfo:
-        load_log(str(path))
-    assert str(path) in str(excinfo.value)
-    assert isinstance(excinfo.value, ReproError)
+    path = tmp_path / "corrupt.rrlog.json"
+    for text in ('{"format_version": 2, "model": "fu',  # truncated
+                 "[" * 100_000):  # nested past the recursion limit
+        path.write_text(text)
+        with pytest.raises(LogFormatError) as excinfo:
+            load_log(str(path))
+        assert str(path) in str(excinfo.value)
+        assert isinstance(excinfo.value, ReproError)
 
 
 def test_binary_file_wrapped_in_repro_error(tmp_path):
@@ -273,14 +275,20 @@ def test_missing_required_keys_file_error_names_the_path(tmp_path):
 def test_malformed_value_shapes_wrapped_in_log_format_error(
         case, seed, tmp_path):
     """Structurally damaged payloads (wrong value types inside a decoded
-    section) surface as LogFormatError naming the source, never as the
-    bare TypeError/KeyError the decoder tripped over."""
+    section, values nested past the recursion limit) surface as
+    LogFormatError naming the source, never as the bare
+    TypeError/KeyError/RecursionError the decoder tripped over."""
     log = record(case, FullRecorder(), seed)
-    data = json.loads(json.dumps(log_to_dict(log)))
-    data["thread_reads"] = "not a mapping"
-    path = tmp_path / "mangled.rrlog.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(LogFormatError) as excinfo:
-        load_log(str(path))
-    assert str(path) in str(excinfo.value)
-    assert "malformed" in str(excinfo.value)
+    deep = []
+    for __ in range(600):  # json.dumps writes it; decoding recursed out
+        deep = [deep]
+    for key, value in (("thread_reads", "not a mapping"),
+                       ("metadata", {"deep": deep})):
+        data = json.loads(json.dumps(log_to_dict(log)))
+        data[key] = value
+        path = tmp_path / "mangled.rrlog.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(LogFormatError) as excinfo:
+            load_log(str(path))
+        assert str(path) in str(excinfo.value)
+        assert "malformed" in str(excinfo.value)

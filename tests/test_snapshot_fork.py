@@ -1,8 +1,9 @@
 """Checkpoint/fork determinism and the trace-free candidate machinery.
 
 The contract every replay-search optimization rests on: a forked machine
-continues byte-for-byte identically to the original, and a counting-mode
-run is the *same execution* as its full-trace twin minus the records.
+continues byte-for-byte identically to the original, and a counting- or
+events-mode run is the *same execution* as its full-trace twin minus
+the records it does not keep.
 Fingerprints reuse the golden-trace hashing
 (:meth:`repro.vm.trace.Trace.fingerprint`), and the step-0 fork is
 checked against the pinned golden digest itself.
@@ -136,6 +137,33 @@ def test_counting_fork_continues_identically():
     assert fork.meter.native_cycles == full.meter.native_cycles
     assert fork.trace.thread_branch_paths() == \
         full.trace.thread_branch_paths()
+
+
+def _effect_keys(steps):
+    return [s._key() for s in steps
+            if s.reads or s.writes or s.sync is not None
+            or s.io is not None]
+
+
+@pytest.mark.parametrize("fork_at", [1, 7, 113, 1000, 4000])
+def test_events_fork_continues_identically(fork_at):
+    def events_machine():
+        return Machine(assemble(COUNTER_SRC), env=Environment(),
+                       scheduler=RandomScheduler(seed=1),
+                       trace_mode="events")
+    full = counter_machine().run()
+    reference = events_machine().run()
+    machine = events_machine()
+    machine.advance(fork_at)
+    fork = machine.fork().run()
+    assert fork.trace.sparse
+    for run in (reference, fork):
+        assert [s._key() for s in run.trace.steps] == \
+            _effect_keys(full.trace.steps)
+        assert run.steps == run.trace.total_steps == full.steps
+        assert run.meter.native_cycles == full.meter.native_cycles
+        assert run.failure == full.failure
+        assert run.trace.schedule == []
 
 
 def test_unknown_trace_mode_rejected():
@@ -343,6 +371,24 @@ def test_accepted_machine_is_fully_traced():
     assert outcome.machine.trace_mode == "full"
     assert len(outcome.machine.trace.steps) == outcome.machine.steps
     assert outcome.materialized_runs == 1
+
+
+def test_enumeration_search_runs_candidates_in_events_mode():
+    """collect_all with a dedupe key (root-cause enumeration) keeps each
+    accepted candidate's sparse events trace, forks included."""
+    __, search = grid_search()
+    outcome = search.search(lambda m: True,
+                            budget=SearchBudget(max_attempts=100),
+                            collect_all=True,
+                            dedupe_key=lambda m: tuple(m.env.outputs["echo"]))
+    assert outcome.forked_candidates > 0
+    assert outcome.materialized_runs == 0
+    assert len(outcome.all_accepted) == 25  # one per distinct echo pair
+    for machine in outcome.all_accepted:
+        assert machine.trace_mode == "events" and machine.trace.sparse
+        full = search.run_candidate(machine.trace.inputs_consumed, 0)
+        assert [s._key() for s in machine.trace.steps] == \
+            _effect_keys(full.trace.steps)
 
 
 def test_collect_all_default_dedupe_key_is_behavioural():

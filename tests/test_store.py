@@ -68,10 +68,12 @@ def test_object_round_trip(store):
 def test_corrupt_object_is_refused_not_returned(store):
     address = store.put_object({"value": 1})
     path = pathlib.Path(store._object_path(address))
-    path.write_text('{"value":2}')  # modified in place under its name
-    with pytest.raises(ReproError) as excinfo:
-        store.get_object(address)
-    assert "corrupt" in str(excinfo.value)
+    for text in ('{"value":2}',  # modified in place under its name
+                 "[" * 100_000):  # nested past the recursion limit
+        path.write_text(text)
+        with pytest.raises(ReproError) as excinfo:
+            store.get_object(address)
+        assert "corrupt" in str(excinfo.value)
 
 
 def test_missing_object_is_a_typed_error(store):
@@ -194,7 +196,8 @@ def test_corrupt_non_final_line_raises(store, monkeypatch):
 @pytest.mark.parametrize("line", [
     '{"kind": "row", "model": "full", "code_hash": "h"}',  # no seed
     '{"kind": "row", "seed": [0], "model": "full", "code_hash": "h"}',
-    '{"kind": ["row"]}', '[1, 2]', '7'])
+    '{"kind": ["row"]}', '[1, 2]', '7',
+    pytest.param("[" * 100_000, id="deep-nesting")])
 def test_malformed_entry_is_a_corrupt_line(store, line):
     os.makedirs(store.root)
     with open(store.index_path, "w", encoding="utf-8") as handle:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import MachineError
+from repro.corpus.generator import generate_case
+from repro.errors import MachineError, SparseTraceError
 from repro.vm import RandomScheduler, assemble, run_program
 from repro.vm.cost import CostModel, OverheadMeter, RecordingCosts
 from repro.vm.environment import Environment
+from repro.vm.machine import Machine
 
 
 def sample_machine(seed=5):
@@ -65,6 +67,80 @@ def test_trace_steps_at_site():
     assert steps
     assert all(s.site == site for s in steps)
     assert trace.steps_at_site("nowhere@99") == []
+
+
+# -- sparse (events-mode) traces ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def twins():
+    """Corpus seed 0's failing run, traced in full and in events mode."""
+    case = generate_case(0)
+    traces = []
+    for mode in ("full", "events"):
+        env = Environment(inputs={k: list(v) for k, v in case.inputs.items()},
+                          seed=case.failing_seed,
+                          net_drop_rate=case.net_drop_rate)
+        traces.append(Machine(
+            case.program, env=env,
+            scheduler=case.production_scheduler(case.failing_seed),
+            io_spec=case.io_spec, trace_mode=mode).run().trace)
+    full, events = traces
+    assert events.sparse and not full.sparse
+    assert 0 < len(events.steps) < len(full.steps)
+    return full, events
+
+
+def _keys(steps):
+    return [step._key() for step in steps]
+
+
+@pytest.mark.parametrize("query", ["io_events", "sync_events",
+                                   "shared_accesses", "write_events",
+                                   "memory_or_sync_events"])
+def test_sparse_event_subsets_match_the_full_trace(twins, query):
+    full, events = twins
+    assert _keys(getattr(events, query)()) == _keys(getattr(full, query)())
+
+
+def test_sparse_last_write_before_keys_on_the_global_index(twins):
+    full, events = twins
+    checked = 0
+    for step in full.shared_accesses():
+        for loc, __ in list(step.reads) + list(step.writes):
+            for before in (step.index, step.index + 1):
+                expected = full.last_write_before(loc, before)
+                found = events.last_write_before(loc, before)
+                assert (found and found._key()) == \
+                    (expected and expected._key()), (loc, before)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("query", [
+    lambda trace: trace.sites_executed(),
+    lambda trace: trace.steps_at_site("main@0"),
+    lambda trace: trace.per_thread_steps(),
+    lambda trace: trace.context_switches(),
+    lambda trace: trace.thread_branch_paths(),
+    lambda trace: trace.fingerprint(),
+], ids=["sites_executed", "steps_at_site", "per_thread_steps",
+        "context_switches", "thread_branch_paths", "fingerprint"])
+def test_queries_needing_every_step_refuse_a_sparse_trace(twins, query):
+    full, events = twins
+    query(full)
+    with pytest.raises(SparseTraceError):
+        query(events)
+    with pytest.raises(SparseTraceError):
+        query(events.fork())
+
+
+def test_first_divergence_refuses_a_sparse_side(twins):
+    full, events = twins
+    assert full.first_divergence(full) is None
+    for mine, theirs in ((events, full), (full, events), (events, events)):
+        with pytest.raises(SparseTraceError):
+            mine.first_divergence(theirs)
 
 
 def test_environment_input_bookkeeping():
