@@ -13,9 +13,14 @@ from repro.vm.program import Program
 from repro.vm.scheduler import RandomScheduler
 
 
-@dataclass
+@dataclass(eq=False)
 class AppCase:
-    """Everything the harness needs to study one buggy application."""
+    """Everything the harness needs to study one buggy application.
+
+    Compared and hashed by identity (``eq=False``): the cause-count
+    cache keys a case that was not resolved from a reference by the
+    case object itself.
+    """
 
     name: str
     program: Program

@@ -61,7 +61,7 @@ FAILING_SEED_RANGE = range(40)
 MAX_PARAM_DRAWS = 8
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratedCase(AppCase):
     """An :class:`AppCase` plus its generation provenance.
 

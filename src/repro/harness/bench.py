@@ -479,7 +479,7 @@ def bench_corpus(repeats: int = 3) -> Table:
             # The warmup also filled the cause-count cache; every timed
             # sweep enumerates its cases' root causes again, as a cold
             # sweep does.
-            session._CAUSE_COUNT_CACHE.clear()
+            session.clear_cause_counts()
             start = time.perf_counter()
             results = run_matrix(range(n_seeds),
                                  models=CORPUS_BENCH_MODELS,

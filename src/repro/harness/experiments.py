@@ -18,8 +18,7 @@ from repro.apps.base import AppCase
 from repro.metrics import DebuggingMetrics
 from repro.models import (DebugSession, REDIAGNOSE, ModelConfig, get_model,
                           model_order)
-from repro.models.session import (  # noqa: F401 (re-exports)
-    _CAUSE_COUNT_CACHE, count_root_causes)
+from repro.models.session import count_root_causes  # noqa: F401 (re-export)
 
 # The five core models, in the paper's chronological relaxation order -
 # an import-time snapshot of the registry kept for the historical

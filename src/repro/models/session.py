@@ -36,7 +36,8 @@ from repro.metrics import DebuggingMetrics, evaluate_replay
 from repro.models.base import (DeterminismModel, ModelConfig, get_model,
                                replay_log)
 from repro.record import log_from_dict, log_to_dict, record_run
-from repro.record.attest import stamp_attestation, verify_attestation
+from repro.record.attest import (guest_fingerprint, stamp_attestation,
+                                 verify_attestation)
 from repro.record.log import RecordingLog
 from repro.replay.base import ReplayResult
 from repro.replay.diff import DivergenceReport, diff_log_replay
@@ -72,8 +73,36 @@ def resolve_case(ref):
     """Reconstruct a case from a reference (dict or ``kind:key`` string).
 
     Accepts the dict form produced by :func:`case_ref`, the CLI string
-    forms ``corpus:<seed>`` and ``app:<name>``, or a bare app name.
+    forms ``corpus:<seed>`` and ``app:<name>``, or a bare app name.  A
+    malformed reference raises :class:`~repro.errors.ReproError`: one
+    that is neither a dict nor a string, a corpus reference without an
+    integer seed (floats and bools are refused, not truncated), or an
+    app reference whose name is not a registry app.
+
+    Each call rebuilds the case (a corpus seed from ``generate_case``'s
+    per-seed cache, an app from its registry factory) and records the
+    content of the object it returns - the normalised reference and the
+    guest program's fingerprint - which is what
+    :func:`count_root_causes` keys that case's ``n`` by.  Treat a
+    resolved case as immutable, like ``generate_case``'s cached cases:
+    derive a variant with ``dataclasses.replace``, which does not carry
+    the record, never by assigning to a field.
     """
+    kind, key = _normalise_ref(ref)
+    if kind == "corpus":
+        from repro.corpus.generator import generate_case
+        case = generate_case(key)
+    else:
+        from repro.apps import ALL_APPS
+        case = ALL_APPS[key]()
+    if case not in _RESOLVED_CONTENT:  # a cached corpus case: once
+        _RESOLVED_CONTENT[case] = (kind, key,
+                                   guest_fingerprint(case.program))
+    return case
+
+
+def _normalise_ref(ref) -> Tuple[str, Any]:
+    """``("corpus", seed)`` or ``("app", name)`` for a case reference."""
     if isinstance(ref, str):
         if ref.startswith("corpus:"):
             ref = {"kind": "corpus", "seed": ref.split(":", 1)[1]}
@@ -81,38 +110,60 @@ def resolve_case(ref):
             ref = {"kind": "app", "name": ref.split(":", 1)[1]}
         else:
             ref = {"kind": "app", "name": ref}
+    if not isinstance(ref, dict):
+        raise ReproError(f"a case reference is a dict or a string, "
+                         f"got {ref!r}")
     kind = ref.get("kind")
     if kind == "corpus":
-        from repro.corpus.generator import generate_case
-        try:
-            seed = int(ref["seed"])
-        except (ValueError, TypeError) as exc:
+        seed = ref.get("seed")
+        if isinstance(seed, str):  # the CLI form ``corpus:<seed>``
+            try:
+                seed = int(seed)
+            except ValueError:
+                pass
+        if type(seed) is not int:  # refuses floats and bools
             raise ReproError(
                 f"corpus case reference needs an integer seed, "
-                f"got {ref.get('seed')!r}") from exc
-        return generate_case(seed)
+                f"got {ref.get('seed')!r}")
+        return kind, seed
     if kind == "app":
         from repro.apps import ALL_APPS
         name = ref.get("name")
-        if name not in ALL_APPS:
+        if not isinstance(name, str) or name not in ALL_APPS:
             raise ReproError(
                 f"unknown app case {name!r}; see `python -m repro apps`")
-        return ALL_APPS[name]()
+        return kind, name
     raise ReproError(f"cannot resolve case reference {ref!r}; a custom "
                      f"case must be supplied by the caller")
 
 
 # -- cause counting -----------------------------------------------------------
 #
-# Memoized by *program identity* - never by case name.  Generated corpus
-# cases are legion and freely share names across seeds; a name-keyed
-# cache would let one case poison another's ``n``.  The outer
-# WeakKeyDictionary drops a program's entries when the program itself is
-# collected, so a long corpus sweep does not accumulate counts for dead
-# cases.
-_CAUSE_COUNT_CACHE: ("weakref.WeakKeyDictionary"
-                     "[object, Dict[Tuple, int]]") = (
+# ``n`` is memoized by what an enumeration reads: the case's program,
+# input space and knobs, the failure, and the attempt budget.  A case
+# :func:`resolve_case` rebuilt is keyed by its content - the normalised
+# reference plus the guest program's fingerprint - so every session that
+# rebuilds one app or corpus seed in a process shares one enumeration.
+# Any other case is keyed by the case object itself, held weakly: a
+# hand-built variant can share a name *and* a program with a registry
+# app yet differ in a knob (msg_server's ``net_drop_rate``), so neither
+# its name nor its program identifies its execution space.  Never key by
+# name alone - generated corpus cases freely share names across seeds.
+# ``_RESOLVED_CONTENT`` holds the content of each case object
+# ``resolve_case`` returned, weakly, so a ``dataclasses.replace`` copy
+# (a new object) is never mistaken for the case it was derived from.
+_RESOLVED_CONTENT: "weakref.WeakKeyDictionary[Any, Tuple]" = (
     weakref.WeakKeyDictionary())
+_CAUSE_COUNTS_BY_CONTENT: Dict[Tuple, int] = {}
+_CAUSE_COUNTS_BY_CASE: ("weakref.WeakKeyDictionary"
+                        "[Any, Dict[Tuple, int]]") = (
+    weakref.WeakKeyDictionary())
+
+
+def clear_cause_counts() -> None:
+    """Forget every memoized ``n``, on both keys."""
+    _CAUSE_COUNTS_BY_CONTENT.clear()
+    _CAUSE_COUNTS_BY_CASE.clear()
 
 
 def cause_search(case) -> ExecutionSearch:
@@ -126,20 +177,20 @@ def cause_search(case) -> ExecutionSearch:
 
 def count_root_causes(case, failure, max_attempts: int = 120) -> int:
     """The paper's ``n``: distinct root causes reachable for a failure."""
-    per_program = _CAUSE_COUNT_CACHE.get(case.program)
-    if per_program is None:
-        per_program = {}
-        _CAUSE_COUNT_CACHE[case.program] = per_program
     key = (failure.signature(), max_attempts)
-    if key in per_program:
-        return per_program[key]
-    causes = enumerate_root_causes(
-        cause_search(case), failure,
-        diagnoser=Diagnoser(extra_rules=case.diagnoser_rules),
-        budget=SearchBudget(max_attempts=max_attempts))
-    count = max(len(causes), 1)
-    per_program[key] = count
-    return count
+    content = _RESOLVED_CONTENT.get(case)
+    if content is None:
+        counts = _CAUSE_COUNTS_BY_CASE.setdefault(case, {})
+    else:
+        counts = _CAUSE_COUNTS_BY_CONTENT
+        key = content + key
+    if key not in counts:
+        causes = enumerate_root_causes(
+            cause_search(case), failure,
+            diagnoser=Diagnoser(extra_rules=case.diagnoser_rules),
+            budget=SearchBudget(max_attempts=max_attempts))
+        counts[key] = max(len(causes), 1)
+    return counts[key]
 
 
 # -- the session --------------------------------------------------------------
@@ -233,13 +284,13 @@ class DebugSession:
         path, where the receiver never saw the recorder.
 
         The payload is *refused* when it is damaged or stale: truncated
-        or non-JSON strings raise
-        :class:`~repro.errors.LogFormatError`, and an attested log whose
-        recomputed hashes disagree with its stamp - a tampered body, or
-        a guest program that no longer matches the recording - raises
-        :class:`~repro.errors.LogAttestationError` rather than silently
-        diverging at replay.  ``verify=False`` downgrades attestation
-        failures to warnings.
+        or non-JSON strings, and case references :func:`resolve_case`
+        refuses, raise :class:`~repro.errors.LogFormatError`, and an
+        attested log whose recomputed hashes disagree with its stamp - a
+        tampered body, or a guest program that no longer matches the
+        recording - raises :class:`~repro.errors.LogAttestationError`
+        rather than silently diverging at replay.  ``verify=False``
+        downgrades attestation failures (only) to warnings.
         """
         if isinstance(payload, RecordingLog):
             log = payload
@@ -258,7 +309,15 @@ class DebugSession:
                 raise ReproError(
                     "log carries no case reference; pass the case "
                     "explicitly")
-            case = resolve_case(ref)
+            try:
+                case = resolve_case(ref)
+            except ReproError as exc:
+                # Resolved before the attestation check, which needs the
+                # case's program: a damaged reference is a damaged
+                # payload, refused as one.
+                raise LogFormatError(
+                    f"shipped payload's JSON case reference does not "
+                    f"resolve: {exc}") from exc
         verify_attestation(log, case.program, strict=verify,
                            source="shipped payload")
         session = cls(case, log.model, seed=log.metadata.get("seed"),

@@ -82,8 +82,11 @@ def test_tampered_payload_is_refused_with_structured_error(shipped):
 
 def test_truncated_payload_is_refused_as_log_format_error(shipped):
     payload, __ = shipped
+    bad_ref = json.loads(payload)
+    bad_ref["metadata"]["case"] = [1]  # resolved before verification
     for damaged in (payload[:len(payload) // 2],
-                    "[" * 100_000):  # nested past the recursion limit
+                    "[" * 100_000,  # nested past the recursion limit
+                    json.dumps(bad_ref)):
         with pytest.raises(LogFormatError) as excinfo:
             DebugSession.receive(damaged)
         assert "JSON" in str(excinfo.value)

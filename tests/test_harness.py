@@ -19,15 +19,16 @@ def test_registry_contents():
 def test_cause_count_cache_keyed_by_program_identity():
     """Two cases sharing a name must not poison each other's ``n``.
 
-    The cache used to key on (case.name, failure.location) alone;
-    generated corpus cases freely reuse names across seeds, so the first
-    evaluated case's cause count leaked into every namesake.  The cache
-    now keys on program identity.
+    Generated corpus cases freely reuse names across seeds, so a
+    name-keyed cache would leak the first evaluated case's cause count
+    into every namesake.  A case not resolved from a reference is keyed
+    by the case object itself (not by its program, which a knob variant
+    shares; see ``tests/test_cause_count.py``).
     """
     from dataclasses import replace
 
-    from repro.harness.experiments import (_CAUSE_COUNT_CACHE,
-                                           count_root_causes)
+    from repro.models.session import (_CAUSE_COUNTS_BY_CASE,
+                                      count_root_causes)
     from repro.apps.base import find_failing_seed
 
     racy = replace(ALL_APPS["racy_counter"](), name="twin")
@@ -38,12 +39,12 @@ def test_cause_count_cache_keyed_by_program_identity():
     n_racy = count_root_causes(racy, racy_failure, max_attempts=6)
     n_dead = count_root_causes(dead, dead_failure, max_attempts=6)
     assert n_racy >= 1 and n_dead >= 1
-    # Both programs hold their own cache entries despite the shared name.
-    assert racy.program in _CAUSE_COUNT_CACHE
-    assert dead.program in _CAUSE_COUNT_CACHE
-    assert (_CAUSE_COUNT_CACHE[racy.program].keys()
-            != _CAUSE_COUNT_CACHE[dead.program].keys())
-    # And the cached values are actually reused per program.
+    # Both cases hold their own cache entries despite the shared name.
+    assert racy in _CAUSE_COUNTS_BY_CASE
+    assert dead in _CAUSE_COUNTS_BY_CASE
+    assert (_CAUSE_COUNTS_BY_CASE[racy].keys()
+            != _CAUSE_COUNTS_BY_CASE[dead].keys())
+    # And the cached values are actually reused per case.
     assert count_root_causes(racy, racy_failure, max_attempts=6) == n_racy
     assert count_root_causes(dead, dead_failure, max_attempts=6) == n_dead
 

@@ -294,3 +294,12 @@ def test_resolve_case_string_forms():
         resolve_case("corpus:not-a-seed")
     with pytest.raises(ReproError):
         resolve_case({"kind": "custom", "name": "mystery"})
+    # Malformed references (a shipped payload's ``metadata.case`` reaches
+    # resolve_case unchecked) fail typed, and a seed is never truncated.
+    for malformed in ([1], 5, None,
+                      {"kind": "app", "name": ["adder"]},
+                      {"kind": "corpus"},
+                      {"kind": "corpus", "seed": 1.7},
+                      {"kind": "corpus", "seed": True}):
+        with pytest.raises(ReproError):
+            resolve_case(malformed)
