@@ -95,9 +95,7 @@ def resolve_case(ref):
     else:
         from repro.apps import ALL_APPS
         case = ALL_APPS[key]()
-    if case not in _RESOLVED_CONTENT:  # a cached corpus case: once
-        _RESOLVED_CONTENT[case] = (kind, key,
-                                   guest_fingerprint(case.program))
+    _RESOLVED_CONTENT[case] = (kind, key, guest_fingerprint(case.program))
     return case
 
 
@@ -139,8 +137,9 @@ def _normalise_ref(ref) -> Tuple[str, Any]:
 
 # -- cause counting -----------------------------------------------------------
 #
-# ``n`` is memoized by what an enumeration reads: the case's program,
-# input space and knobs, the failure, and the attempt budget.  A case
+# ``n`` is memoized by what an enumeration reads: the case's program and
+# input space, the network and scheduler knobs (a session's config, which
+# a received log ships), the failure, and the attempt budget.  A case
 # :func:`resolve_case` rebuilt is keyed by its content - the normalised
 # reference plus the guest program's fingerprint - so every session that
 # rebuilds one app or corpus seed in a process shares one enumeration.
@@ -166,18 +165,26 @@ def clear_cause_counts() -> None:
     _CAUSE_COUNTS_BY_CASE.clear()
 
 
-def cause_search(case) -> ExecutionSearch:
+def cause_search(case, config: Optional[ModelConfig] = None
+                 ) -> ExecutionSearch:
     """The execution space :func:`count_root_causes` enumerates: the
-    case's input space under 24 production-scheduler seeds."""
+    case's input space under 24 production-scheduler seeds, with the
+    ``net_drop_rate`` and ``switch_prob`` of ``config`` (the case's own
+    when omitted)."""
+    knobs = case if config is None else config
     return ExecutionSearch(
         case.program, case.input_space, schedule_seeds=range(24),
-        io_spec=case.io_spec, net_drop_rate=case.net_drop_rate,
-        switch_prob=case.switch_prob)
+        io_spec=case.io_spec, net_drop_rate=knobs.net_drop_rate,
+        switch_prob=knobs.switch_prob)
 
 
-def count_root_causes(case, failure, max_attempts: int = 120) -> int:
-    """The paper's ``n``: distinct root causes reachable for a failure."""
-    key = (failure.signature(), max_attempts)
+def count_root_causes(case, failure, max_attempts: int = 120,
+                      config: Optional[ModelConfig] = None) -> int:
+    """The paper's ``n``: distinct root causes reachable for a failure,
+    enumerated on ``config``'s knobs (see :func:`cause_search`)."""
+    knobs = case if config is None else config
+    key = (failure.signature(), max_attempts, knobs.net_drop_rate,
+           knobs.switch_prob)
     content = _RESOLVED_CONTENT.get(case)
     if content is None:
         counts = _CAUSE_COUNTS_BY_CASE.setdefault(case, {})
@@ -186,7 +193,7 @@ def count_root_causes(case, failure, max_attempts: int = 120) -> int:
         key = content + key
     if key not in counts:
         causes = enumerate_root_causes(
-            cause_search(case), failure,
+            cause_search(case, config), failure,
             diagnoser=Diagnoser(extra_rules=case.diagnoser_rules),
             budget=SearchBudget(max_attempts=max_attempts))
         counts[key] = max(len(causes), 1)
@@ -375,8 +382,11 @@ class DebugSession:
             self.replay()
         if original_cause is REDIAGNOSE:
             original_cause = self._rediagnose()
+        # ``n`` is enumerated on the knobs the replay ran on: a received
+        # log's shipped config, not the rebuilt case's defaults.
         n_causes = count_root_causes(self.case, self.log.failure,
-                                     max_attempts=cause_count_attempts)
+                                     max_attempts=cause_count_attempts,
+                                     config=self.config)
         return evaluate_replay(
             model=self.model.name,
             overhead=self.log.overhead_factor,

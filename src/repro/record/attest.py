@@ -53,7 +53,14 @@ def guest_fingerprint(program) -> str:
     replaying sides agree even when one holds source text and the other
     only the compiled program.  Two differently-formatted sources that
     compile to the same program intentionally share a fingerprint.
+
+    Hashed once per program object and kept on it
+    (``Program.fingerprint_cache``), so a received log's two attestation
+    checks hash no guest after the first.
     """
+    cached = program.fingerprint_cache
+    if cached is not None:
+        return cached
     dump: List[Any] = [
         "minivm-program",
         program.entry,
@@ -64,7 +71,8 @@ def guest_fingerprint(program) -> str:
     for name in sorted(program.functions):
         fn = program.functions[name]
         dump.append([name, list(fn.params), [repr(i) for i in fn.body]])
-    return sha256_hex(canonical_json(dump))
+    program.fingerprint_cache = sha256_hex(canonical_json(dump))
+    return program.fingerprint_cache
 
 
 def content_fingerprint(log) -> str:

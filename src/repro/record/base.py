@@ -73,10 +73,16 @@ def record_run(program: Program,
     machine = Machine(program, env=env, scheduler=scheduler,
                       io_spec=io_spec, max_steps=max_steps)
     recorder.attach(machine)
-    for observer in extra_observers:
-        machine.add_observer(observer)
-    machine.run()
-    log = recorder.finalize(machine)
+    try:
+        for observer in extra_observers:
+            machine.add_observer(observer)
+        machine.run()
+        log = recorder.finalize(machine)
+    finally:
+        # The machine's observer list holds the recorder: detaching
+        # breaks the cycle, so the machine and its trace are freed as
+        # soon as the caller drops them.
+        recorder.machine = None
     # Self-describing run identity: a shipped log must be attributable
     # (and replayable) without out-of-band context, so the seed, the
     # scheduler's identity, and the program identifier ride along.

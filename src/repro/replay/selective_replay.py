@@ -28,10 +28,10 @@ from repro.record.log import RecordingLog
 from repro.replay.base import Replayer, ReplayResult, TidMapper
 from repro.vm.environment import Environment
 from repro.vm.failures import FailureReport, IOSpec
-from repro.vm.instructions import SYNC_OPS
 from repro.vm.machine import INTERCEPT_MISS, Machine
 from repro.vm.program import Program
 from repro.vm.scheduler import RandomScheduler, Scheduler, notifier
+from repro.vm.thread import ThreadState
 
 
 class GuidedOrderScheduler(Scheduler):
@@ -69,8 +69,9 @@ class GuidedOrderScheduler(Scheduler):
 
     # -- classification -----------------------------------------------------
 
-    def _next_site(self, machine: Machine, tid: int) -> Optional[Tuple[str, str]]:
-        thread = machine.threads[tid]
+    def _next_site(self, threads: Dict[int, ThreadState],
+                   tid: int) -> Optional[Tuple[str, str]]:
+        thread = threads[tid]
         if not thread.frames:
             return None
         frame = thread.frame
@@ -107,9 +108,9 @@ class GuidedOrderScheduler(Scheduler):
             function = frame.function
             pc = frame.pc
             held = False
-            if sync_open and pc < len(function.body):
-                op = function.body[pc].op
-                held = op in SYNC_OPS and (to_original(tid) != sync_tid
+            if sync_open:
+                op = function.sync_ops[pc]
+                held = op is not None and (to_original(tid) != sync_tid
                                            or op != sync_op)
             if not held and sel_open:
                 name = function.name
@@ -246,11 +247,14 @@ class SelectiveReplayer(Replayer):
         for tid, name, result in log.selective_syscalls:
             syscall_feed.setdefault(tid, []).append((name, result))
         cursors: Dict[int, int] = {}
+        # The interceptor is stored on the machine, so it closes over the
+        # threads mapping rather than the machine itself (no cycle).
+        threads = machine.threads
 
         def force_control_syscalls(tid: int, kind: str, name: str, actual):
             if kind != "syscall":
                 return INTERCEPT_MISS
-            located = scheduler._next_site(machine, tid)
+            located = scheduler._next_site(threads, tid)
             if located is None:
                 return INTERCEPT_MISS
             function, site = located

@@ -18,10 +18,17 @@ Built-in syscalls
     is how the message-drop case study injects congestion.
 
 Custom syscalls can be registered for app-specific behaviour.
+
+An environment is attached to the machine that runs it and holds that
+machine only weakly, so a dropped machine, its environment and its trace
+are freed at once by reference counting rather than by the cyclic
+collector.  The ``time`` syscall is the one reader of
+:attr:`Environment.machine`.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import MachineError
@@ -52,19 +59,23 @@ class Environment:
             "net_send": _sys_net_send,
             "has_input": _sys_has_input,
         }
-        self._machine = None  # set by Machine on attach
+        # A weak reference to the owning machine, set by Machine on
+        # attach: the machine holds its environment, so a strong
+        # back-reference would make every machine a reference cycle.
+        self._machine: Optional[weakref.ref] = None
 
     # -- wiring ----------------------------------------------------------
 
     def attach(self, machine) -> None:
         """Called by the machine that owns this environment."""
-        self._machine = machine
+        self._machine = weakref.ref(machine)
 
     @property
     def machine(self):
-        if self._machine is None:
+        machine = self._machine() if self._machine is not None else None
+        if machine is None:
             raise MachineError("environment not attached to a machine")
-        return self._machine
+        return machine
 
     def register_syscall(self, name: str, handler: SyscallHandler) -> None:
         """Install or override a syscall handler."""

@@ -31,7 +31,20 @@ Run loop
 step it checks the stop conditions, asks the scheduler once -
 ``pick(machine, runnable)`` with the machine's runnable list (see
 :mod:`repro.vm.scheduler`) - and runs the picked thread's next
-instruction.
+instruction.  A scheduler that holds threads back at out-of-order sync
+ops reads each one's next op from its function's ``sync_ops`` table,
+built with the function, not by decoding the instruction.
+
+Lifetime
+--------
+No reference cycle runs through a machine, so a dropped machine and its
+trace are freed at once by reference counting, not by the cyclic
+collector - a replay search drops thousands.  The machine keeps its
+mode's plain step function (``_run_loop`` calls ``step(self, thread)``),
+never a bound method of itself; its environment holds it weakly; and
+what is installed on it - observers, interceptors, the early-abort
+hook - must not hold it either (``record_run`` detaches its recorder
+once the log is finalized).
 
 Checkpoint / fork
 -----------------
@@ -651,7 +664,7 @@ class Machine:
         # The counting and events modes reuse one scratch record per
         # step instead of allocating; the record is valid only for the
         # duration of the dispatch/observer calls it is passed to.  The
-        # per-mode step function is bound once so the full-trace path
+        # per-mode step function is picked once so the full-trace path
         # pays nothing for the mode check.
         self.trace_mode = trace_mode
         self.trace.sparse = trace_mode == "events"
@@ -681,10 +694,16 @@ class Machine:
         self._spawn_thread(program.entry, list(entry_args))
 
     def _bind_step(self) -> None:
-        """Bind this mode's step function and its scratch record."""
+        """Pick this mode's step function and its scratch record.
+
+        The plain function is kept, not a bound method: a bound method
+        stored on the machine would point back at it, and every machine
+        and its trace would then wait for the cyclic collector instead
+        of being freed as soon as they are dropped.
+        """
         self._scratch = (None if self.trace_mode == "full"
                          else StepRecord(0, 0, "", 0, "", 0))
-        self._step = getattr(self, _STEP_FUNCTIONS[self.trace_mode])
+        self._step = getattr(type(self), _STEP_FUNCTIONS[self.trace_mode])
 
     # -- cycle ceiling ----------------------------------------------------
     #
@@ -868,7 +887,7 @@ class Machine:
             if thread is None or thread.status is not _RUNNABLE:
                 raise MachineError(
                     f"scheduler picked non-runnable thread {tid}")
-            record = step(thread)
+            record = step(self, thread)
             if record is None:
                 continue  # the thread blocked or failed; no step happened
             self.steps = steps + 1
@@ -956,7 +975,7 @@ class Machine:
 
     # -- instruction execution ----------------------------------------------
 
-    # ``self._step`` is bound to one of the three variants below at
+    # ``self._step`` is one of the three variants below, picked at
     # construction time, so the full-trace hot path carries no mode
     # branches.  Each executes one instruction of ``thread`` and keeps
     # its mode's trace; the run loop does the rest.  Keep the bodies in

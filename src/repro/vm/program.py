@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProgramError
-from repro.vm.instructions import Const, Instr, OPCODES, Reg
+from repro.vm.instructions import Const, Instr, OPCODES, Reg, SYNC_OPS
 
 
 @dataclass
@@ -36,6 +36,14 @@ class Function:
                     raise ProgramError(
                         f"{self.name}: duplicate label {instr.label!r}")
                 self.labels[instr.label] = pc
+        # The sync opcode at each pc, or None, plus a trailing None for
+        # the implicit ``ret`` at ``pc == len(body)``: the constraining
+        # schedulers read a runnable thread's next sync op with one index
+        # on every step instead of decoding its instruction.
+        self.sync_ops: List[Optional[str]] = [
+            instr.op if instr.op in SYNC_OPS else None
+            for instr in self.body]
+        self.sync_ops.append(None)
         # Decode-once dispatch cache, populated lazily by the interpreter:
         # (owning program, [handler per instruction]).  Keyed by program
         # identity because call/spawn targets resolve against the program
@@ -90,6 +98,11 @@ class Program:
         # Per-cost-model instruction cost arrays, shared by every machine
         # running this program (keyed by the cost table's contents).
         self._cost_arrays_cache: Dict[Tuple, Dict[str, list]] = {}
+        # The structural SHA-256 :func:`repro.record.attest.guest_fingerprint`
+        # computes, kept here by its first call: a program is not edited
+        # after validation (the decode and cost-array caches rely on
+        # that too), so every later attestation check reuses it.
+        self.fingerprint_cache: Optional[str] = None
         self._validate()
 
     def function(self, name: str) -> Function:

@@ -13,9 +13,10 @@ which must be one of them.  All policy lives in the schedulers; the
 machine only passes its list.  A scheduler that constrains another
 (:class:`SyncOrderScheduler`, ``GuidedOrderScheduler`` in
 :mod:`repro.replay.selective_replay`) reads each runnable thread's next
-instruction off its top frame (``machine.threads[tid].frames[-1]``),
-filters the list, and calls ``inner.pick(machine, allowed)`` - with the
-runnable list itself when it excludes no thread.
+sync op off its top frame from a per-function table
+(``frame.function.sync_ops[frame.pc]``), filters the list, and calls
+``inner.pick(machine, allowed)`` - with the runnable list itself when it
+excludes no thread.
 
 After every executed step the machine calls ``notify(step)``, but only
 on schedulers whose class overrides :meth:`Scheduler.notify`; the
@@ -29,7 +30,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReplayDivergenceError, SchedulerError
 from repro.util.rng import DeterministicRng
-from repro.vm.instructions import SYNC_OPS
 from repro.vm.trace import StepRecord
 
 
@@ -211,15 +211,12 @@ class SyncOrderScheduler(Scheduler):
         allowed = runnable
         for position, tid in enumerate(runnable):
             frame = threads[tid].frames[-1]
-            body = frame.function.body
-            pc = frame.pc
-            if pc < len(body):
-                op = body[pc].op
-                if op in SYNC_OPS and (tid != expected_tid
-                                       or op != expected_op):
-                    if allowed is runnable:
-                        allowed = runnable[:position]
-                    continue
+            op = frame.function.sync_ops[frame.pc]
+            if op is not None and (tid != expected_tid
+                                   or op != expected_op):
+                if allowed is runnable:
+                    allowed = runnable[:position]
+                continue
             if allowed is not runnable:
                 allowed.append(tid)
         if not allowed:

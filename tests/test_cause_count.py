@@ -131,3 +131,27 @@ def test_knob_variants_do_not_share_n():
                     replace(resolved, net_drop_rate=0.3)):
         assert count_root_causes(variant, failure, max_attempts=attempts) \
             == fresh[variant.net_drop_rate]
+
+
+def test_received_variant_counts_n_on_its_shipped_knobs(enumerations):
+    """``score`` enumerates ``n`` on the knobs the replay ran on.
+
+    A hand-built msg_server variant without network drops ships as
+    ``app:msg_server``, so the workstation rebuilds the registry app
+    (drop rate 0.05) while the shipped config keeps the recorded 0.0.
+    Scored on the rebuilt case's knobs it read ``n`` = 2, where the
+    same log attached to the variant itself reads 1.
+    """
+    variant = replace(ALL_APPS["msg_server"](), net_drop_rate=0.0)
+    payload = _shipped(variant, "full")
+    received = DebugSession.receive(payload)
+    assert received.case.net_drop_rate != 0.0
+    assert received.config.net_drop_rate == 0.0
+    attached = DebugSession(variant, "full").attach(received.log)
+    cause = variant.known_cause
+    assert attached.score(original_cause=cause).n_causes == 1
+    assert received.score(original_cause=cause).n_causes == 1
+    # The rebuilt case stays on its content key, which now carries the
+    # shipped knobs: the registry app's own 0.05 sessions keep theirs.
+    assert any(key[-2:] == (0.0, variant.switch_prob)
+               for key in _CAUSE_COUNTS_BY_CONTENT)

@@ -182,6 +182,30 @@ def test_environment_custom_syscall():
     assert machine.env.outputs["o"] == [42]
 
 
+def test_time_syscall_reads_the_machine_only_while_it_lives():
+    """The environment holds its machine weakly: ``time`` reads the
+    running machine's cycles, and once the machine is dropped (freed at
+    once, as no cycle holds it) ``env.machine`` refuses like an
+    environment that was never attached."""
+    program = assemble("""
+    fn main():
+        mov %a, 1
+        syscall %t, "time"
+        output "o", %t
+        halt
+    """)
+    from repro.vm.machine import Machine
+    machine = Machine(program).run()
+    env = machine.env
+    assert env.outputs["o"] == [machine.cost_model.instruction_cost("mov")]
+    assert env.machine is machine
+    del machine
+    with pytest.raises(MachineError, match="not attached"):
+        env.machine
+    with pytest.raises(MachineError, match="not attached"):
+        Environment().syscall("time", [])
+
+
 def test_net_send_drop_rate():
     env = Environment(seed=3, net_drop_rate=1.0)
 

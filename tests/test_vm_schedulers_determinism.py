@@ -189,3 +189,105 @@ def test_sync_order_advance_then_run_matches_one_run(pause_at):
     paused.advance(pause_at)
     assert paused.steps == pause_at
     assert paused.run().trace.fingerprint() == whole.trace.fingerprint()
+
+
+# -- the per-function sync-op table ----------------------------------------
+
+def _programs():
+    from repro.apps import ALL_APPS
+    from repro.corpus.generator import generate_case
+    for name, make in ALL_APPS.items():
+        yield name, make().program
+    for seed in range(24):
+        yield f"corpus:{seed}", generate_case(seed).program
+
+
+def test_sync_ops_table_matches_the_body_at_every_pc():
+    """``sync_ops[pc]`` is the op exactly when it is a sync op, and the
+    implicit ``ret`` at ``pc == len(body)`` has an entry, ``None``."""
+    from repro.vm.instructions import SYNC_OPS
+    checked = 0
+    for where, program in _programs():
+        for fn in program.functions.values():
+            body = fn.body
+            assert len(fn.sync_ops) == len(body) + 1, (where, fn.name)
+            for pc in range(len(body) + 1):
+                op = body[pc].op if pc < len(body) else None
+                expected = op if op in SYNC_OPS else None
+                assert fn.sync_ops[pc] == expected, (where, fn.name, pc)
+                checked += 1
+    assert checked > 1000
+
+
+# main spawns two workers, then joins them; worker one locks, unlocks,
+# runs a nop and falls off the end of its body (an implicit ``ret``).
+FALLS_OFF = assemble("""
+mutex m
+fn main():
+    spawn %t1, first
+    spawn %t2, second
+    join %t1
+    join %t2
+    halt
+fn first():
+    lock m
+    unlock m
+    nop
+fn second():
+    lock m
+    unlock m
+    ret
+""")
+
+
+class _Watching(RoundRobinScheduler):
+    """Round-robin that records, per pick, the machine's runnable list,
+    the list the sync-order scheduler allowed, how many sync steps have
+    run, and each runnable thread's (pc, body length, table entry)."""
+
+    def __init__(self):
+        super().__init__()
+        self.picks = []
+
+    def pick(self, machine, runnable):
+        ready = [tid for tid, thread in sorted(machine.threads.items())
+                 if thread.is_runnable]
+        state = {}
+        for tid in ready:
+            frame = machine.threads[tid].frames[-1]
+            state[tid] = (frame.pc, len(frame.function.body),
+                          frame.function.sync_ops[frame.pc])
+        synced = sum(1 for s in machine.trace.steps if s.sync is not None)
+        self.picks.append((ready, list(runnable), synced, state))
+        return super().pick(machine, runnable)
+
+
+def test_sync_order_admits_a_thread_falling_off_its_end_while_holding():
+    sync_order = [(0, "spawn", 1), (0, "spawn", 2), (1, "lock", "m"),
+                  (1, "unlock", "m"), (2, "lock", "m"), (2, "unlock", "m"),
+                  (0, "join", 1), (0, "join", 2)]
+    watcher = _Watching()
+    machine = Machine(FALLS_OFF, scheduler=SyncOrderScheduler(
+        sync_order, inner=watcher)).run()
+    assert machine.failure is None
+    assert [(s.tid, s.op, s.sync[1])
+            for s in machine.trace.sync_events()] == sync_order
+    assert "first@3" in [s.site for s in machine.trace.steps
+                         if s.op == "ret"]
+    # Each pick allowed exactly the threads whose table entry is None or
+    # the next recorded (tid, op); one admitted ``first`` at its end
+    # (pc == len(body), entry None) while main was held at a join.
+    admitted_at_end = False
+    for runnable, allowed, synced, state in watcher.picks:
+        if synced == len(sync_order):  # past the recorded window
+            assert allowed == runnable
+            continue
+        expected = sync_order[synced][:2]
+        assert allowed == [tid for tid in runnable
+                           if state[tid][2] is None
+                           or (tid, state[tid][2]) == expected]
+        if (1 in allowed and state[1][0] == state[1][1]
+                and 0 in runnable and 0 not in allowed):
+            assert state[1][2] is None and state[0][2] == "join"
+            admitted_at_end = True
+    assert admitted_at_end
