@@ -372,22 +372,27 @@ class ExecutionSearch:
         self.prefix_sharing = prefix_sharing
         self.max_checkpoints = max_checkpoints
         self.candidate_trace_mode = candidate_trace_mode
-        self._scheduler_factory = scheduler_factory or (
-            lambda seed: RandomScheduler(seed=seed,
-                                         switch_prob=self.switch_prob))
-        self._env_factory = env_factory or self._default_env
-
-    def _default_env(self, inputs: Dict[str, List[Any]],
-                     seed: int) -> Environment:
-        return Environment(inputs=inputs, seed=seed,
-                           net_drop_rate=self.net_drop_rate)
+        # None means the default, built in ``_spawn_candidate``: a
+        # default stored here as a bound method or a lambda over ``self``
+        # would hold the search in a reference cycle.
+        self._scheduler_factory = scheduler_factory
+        self._env_factory = env_factory
 
     def _spawn_candidate(self, inputs: Dict[str, List[Any]], seed: int,
                          trace_mode: str,
                          max_native_cycles: Optional[int]) -> Machine:
-        env = self._env_factory(inputs, self.env_seed_base + seed)
-        return Machine(self.program, env=env,
-                       scheduler=self._scheduler_factory(seed),
+        env_seed = self.env_seed_base + seed
+        if self._env_factory is None:
+            env = Environment(inputs=inputs, seed=env_seed,
+                              net_drop_rate=self.net_drop_rate)
+        else:
+            env = self._env_factory(inputs, env_seed)
+        if self._scheduler_factory is None:
+            scheduler = RandomScheduler(seed=seed,
+                                        switch_prob=self.switch_prob)
+        else:
+            scheduler = self._scheduler_factory(seed)
+        return Machine(self.program, env=env, scheduler=scheduler,
                        io_spec=self.io_spec, max_steps=self.max_steps,
                        trace_mode=trace_mode,
                        max_native_cycles=max_native_cycles)

@@ -30,7 +30,8 @@ from repro.vm.environment import Environment
 from repro.vm.failures import FailureReport, IOSpec
 from repro.vm.machine import INTERCEPT_MISS, Machine
 from repro.vm.program import Program
-from repro.vm.scheduler import RandomScheduler, Scheduler, notifier
+from repro.vm.scheduler import (RandomScheduler, Scheduler, notifier,
+                                 sticky_inner)
 from repro.vm.thread import ThreadState
 
 
@@ -57,6 +58,7 @@ class GuidedOrderScheduler(Scheduler):
         self.mapper = mapper
         self.inner = inner or RandomScheduler(seed=1)
         self._inner_notify = notifier(self.inner)
+        self._sticky = sticky_inner(self.inner)
         self.sync_index = 0
         self.sel_index = 0
         self.divergences = 0
@@ -69,25 +71,29 @@ class GuidedOrderScheduler(Scheduler):
 
     # -- classification -----------------------------------------------------
 
-    def _next_site(self, threads: Dict[int, ThreadState],
-                   tid: int) -> Optional[Tuple[str, str]]:
+    def records_next_step(self, threads: Dict[int, ThreadState],
+                          tid: int) -> bool:
+        """Whether thread ``tid``'s next step is of the recorded class:
+        in a control-plane function or at a dial-up site.
+
+        ``pc == len(body)`` is the implicit-ret virtual site: it
+        executes (and is recorded) exactly like an explicit ret, so it
+        is classified like any other site.
+        """
         thread = threads[tid]
         if not thread.frames:
-            return None
-        frame = thread.frame
-        # pc == len(body) is the implicit-ret virtual site: it executes
-        # (and is recorded) exactly like an explicit ret, so it must be
-        # gated against the recorded order like any other site.
-        return frame.function.name, f"{frame.function.name}@{frame.pc}"
-
-    def _is_recorded_class(self, function: str, site: str) -> bool:
-        return function in self.control_plane or site in self.dialup_sites
+            return False
+        frame = thread.frames[-1]
+        name = frame.function.name
+        return (name in self.control_plane
+                or f"{name}@{frame.pc}" in self.dialup_sites)
 
     # -- scheduling -----------------------------------------------------------
 
-    def _allowed(self, machine: Machine, runnable: List[int]) -> List[int]:
-        """The runnable threads whose next step the queue heads admit
-        (``runnable`` itself while no thread is held back)."""
+    def _allowed(self, threads: Dict[int, ThreadState],
+                 runnable: List[int]) -> List[int]:
+        """The threads of ``runnable`` whose next step the queue heads
+        admit (``runnable`` itself while no thread is held back)."""
         sync_open = self.sync_index < len(self.sync_order)
         sel_open = self.sel_index < len(self.selective_order)
         if not (sync_open or sel_open):
@@ -99,7 +105,6 @@ class GuidedOrderScheduler(Scheduler):
         to_original = self.mapper.to_original
         control_plane = self.control_plane
         dialup_sites = self.dialup_sites
-        threads = machine.threads
         allowed = runnable
         for position, tid in enumerate(runnable):
             # pc == len(body) is the implicit-ret site: no sync op, but
@@ -126,10 +131,21 @@ class GuidedOrderScheduler(Scheduler):
         return allowed
 
     def pick(self, machine: Machine, runnable: List[int]) -> int:
+        threads = machine.threads
+        sticky = self._sticky
+        if sticky is not None:
+            current = sticky.current
+            if current in runnable and self._allowed(threads, [current]):
+                # The current thread may run, so the allowed list holds
+                # it: no queue head is skipped, and the stay is settled
+                # from that thread alone.
+                if sticky.keeps():
+                    return current
+                return sticky.switch(self._allowed(threads, runnable))
         # Skip queue heads until some thread can proceed (divergence
         # tolerance for relaxed recordings).
         while True:
-            allowed = self._allowed(machine, runnable)
+            allowed = self._allowed(threads, runnable)
             if allowed:
                 return self.inner.pick(machine, allowed)
             self.divergences += 1
@@ -252,13 +268,8 @@ class SelectiveReplayer(Replayer):
         threads = machine.threads
 
         def force_control_syscalls(tid: int, kind: str, name: str, actual):
-            if kind != "syscall":
-                return INTERCEPT_MISS
-            located = scheduler._next_site(threads, tid)
-            if located is None:
-                return INTERCEPT_MISS
-            function, site = located
-            if not scheduler._is_recorded_class(function, site):
+            if kind != "syscall" or not scheduler.records_next_step(threads,
+                                                                    tid):
                 return INTERCEPT_MISS
             mapped = mapper.to_original(tid)
             queue = syscall_feed.get(mapped, [])

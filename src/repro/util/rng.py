@@ -26,6 +26,17 @@ def _derive_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def copy_stream(stream: random.Random) -> random.Random:
+    """A ``random.Random`` that continues from ``stream``'s position.
+
+    The copy is made without seeding it first: ``setstate`` overwrites
+    the whole generator state, so a seed would be wasted work.
+    """
+    twin = random.Random.__new__(random.Random)
+    twin.setstate(stream.getstate())
+    return twin
+
+
 class DeterministicRng:
     """A named, seeded random stream with stable cross-run behaviour."""
 
@@ -48,8 +59,10 @@ class DeterministicRng:
         """An exact copy *mid-stream*: the clone continues from the same
         point in the sequence as the original (checkpoint/fork support).
         """
-        twin = DeterministicRng(self.seed, self.name)
-        twin._random.setstate(self._random.getstate())
+        twin = DeterministicRng.__new__(DeterministicRng)
+        twin.seed = self.seed
+        twin.name = self.name
+        twin._random = copy_stream(self._random)
         return twin
 
     def randint(self, lo: int, hi: int) -> int:

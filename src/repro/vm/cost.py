@@ -80,16 +80,6 @@ class CostModel:
         """Base cycles for one instruction."""
         return self.instruction_costs.get(op, 1)
 
-    def cost_array(self, ops) -> list:
-        """Per-instruction costs for a sequence of opcodes.
-
-        The interpreter precomputes one array per function body at machine
-        construction so the per-step path indexes a list instead of hashing
-        the opcode string into ``instruction_costs``.
-        """
-        get = self.instruction_costs.get
-        return [get(op, 1) for op in ops]
-
 
 @dataclass
 class OverheadMeter:

@@ -14,16 +14,19 @@ value-deterministic replay.
 
 Decode-once dispatch
 --------------------
-Instructions are compiled to bound handler closures the first time a
-function executes under a program: operands are pre-classified as
-``Const``/``Reg`` (a constant is captured by value, a register by name),
-jump labels are resolved to integer targets, global locations are
-pre-built, and binary opcodes are bound to their evaluation functions.
-The per-step path is then ``handler(machine, thread, frame, record)`` -
-no opcode string comparisons, no per-operand ``isinstance`` checks.
-Decoded bodies are cached on the :class:`~repro.vm.program.Function`
-(keyed by program identity), so the thousands of machines a replay
-search spawns for one program all share a single decode.
+:func:`code_table` compiles a whole program once per cost table:
+operands are pre-classified as ``Const``/``Reg`` (a constant is captured
+by value, a register by name), jump labels are resolved to integer
+targets, global locations are pre-built, and binary opcodes are bound to
+their evaluation functions.  Each function becomes a list of
+``(op, handler, cost)`` entries, one per pc, plus a trailing entry at
+``pc == len(body)``: falling off a function's end is an implicit
+``ret``, a real step like an explicit one.  The table is cached on the
+:class:`~repro.vm.program.Program`, so the thousands of machines a
+replay search spawns share one decode, and every frame carries its
+function's list.  A step is then ``frame.code[frame.pc]`` and one
+``handler(machine, thread, frame, record)`` call - no cache check, no
+cost lookup, no end-of-body test, no opcode string comparisons.
 
 Run loop
 --------
@@ -33,18 +36,22 @@ step it checks the stop conditions, asks the scheduler once -
 :mod:`repro.vm.scheduler`) - and runs the picked thread's next
 instruction.  A scheduler that holds threads back at out-of-order sync
 ops reads each one's next op from its function's ``sync_ops`` table,
-built with the function, not by decoding the instruction.
+built with the function, not by decoding the instruction; around a
+:class:`~repro.vm.scheduler.RandomScheduler` it settles a pick that
+keeps the current thread from that thread alone.
 
 Lifetime
 --------
-No reference cycle runs through a machine, so a dropped machine and its
-trace are freed at once by reference counting, not by the cyclic
-collector - a replay search drops thousands.  The machine keeps its
-mode's plain step function (``_run_loop`` calls ``step(self, thread)``),
-never a bound method of itself; its environment holds it weakly; and
-what is installed on it - observers, interceptors, the early-abort
-hook - must not hold it either (``record_run`` detaches its recorder
-once the log is finalized).
+No reference cycle runs through a machine or its program, so a dropped
+machine and its trace are freed at once by reference counting, not by
+the cyclic collector - a replay search drops thousands.  The machine
+keeps its mode's plain step function (``_run_loop`` calls
+``step(self, thread)``), never a bound method of itself; its environment
+holds it weakly; and what is installed on it - observers, interceptors,
+the early-abort hook - must not hold it either (``record_run`` detaches
+its recorder once the log is finalized).  The code table holds no
+reference back to its program, and the ``call`` handler reads the
+callee's code off the machine rather than capturing it.
 
 Checkpoint / fork
 -----------------
@@ -109,6 +116,9 @@ IoInterceptor = Callable[[int, str, str, Callable[[], Any]], Any]
 # Early-abort hook: called after every executed I/O step; returning True
 # stops the run (the caller promises it would reject the run anyway).
 EarlyAbort = Callable[["Machine", StepRecord], bool]
+# One decoded instruction: its opcode, its handler
+# ``(machine, thread, frame, record) -> bool`` and its cost in cycles.
+CodeEntry = Tuple[str, Callable[..., bool], int]
 
 # Backwards-compatible alias (symbolic execution resolves binary opcodes
 # through the interpreter module).
@@ -536,11 +546,19 @@ def _compile_call(fn, instr, program):
     def run_call(machine, thread, frame, record):
         call_args = [get(frame) for get in getters]
         frame.pc += 1  # return address
+        # The callee's code is read off the machine, not captured: a
+        # captured list would hold this handler, a cycle for any
+        # recursive function.
         thread.frames.append(
-            Frame(function, 0, dict(zip(params, call_args)),
-                  return_register=dst))
+            Frame(function, machine._code[fname], 0,
+                  dict(zip(params, call_args)), dst))
         return True
     return run_call
+
+
+def _run_ret(machine, thread, frame, record):
+    machine._do_return(thread, 0)
+    return True
 
 
 def _compile_ret(fn, instr, program):
@@ -551,11 +569,7 @@ def _compile_ret(fn, instr, program):
             machine._do_return(thread, get(frame))
             return True
         return run_ret_value
-
-    def run_ret(machine, thread, frame, record):
-        machine._do_return(thread, 0)
-        return True
-    return run_ret
+    return _run_ret
 
 
 def _compile_halt(fn, instr, program):
@@ -604,23 +618,35 @@ _COMPILERS: Dict[str, Callable] = {
 }
 
 
-def decode_function(fn: Function, program: Program) -> List[Tuple[str, Callable]]:
-    """Compile ``fn``'s body to ``(op, handler)`` pairs and cache it.
+def code_table(program: Program,
+               cost_model: CostModel) -> Dict[str, List[CodeEntry]]:
+    """Each function's decoded code under ``cost_model``: one
+    ``(op, handler, cost)`` entry per pc, plus a trailing entry at
+    ``pc == len(body)`` - falling off a function's end is an implicit
+    ``ret`` with no value, a real step like an explicit one.
 
-    The cache lives on the function, keyed by program identity, so every
-    machine running the same program shares one decode.
+    Built once per program and cost table, and cached on the program
+    (keyed by the table's contents), so every machine running the
+    program shares it; callers must treat it as read-only.
     """
-    decoded = fn.decoded_for(program)
-    if decoded is not None:
-        return decoded
-    decoded = []
-    for instr in fn.body:
-        compiler = _COMPILERS.get(instr.op)
-        if compiler is None:  # pragma: no cover - validation rejects these
-            raise MachineError(f"unimplemented opcode {instr.op!r}")
-        decoded.append((instr.op, compiler(fn, instr, program)))
-    fn.decode_cache = (program, decoded)
-    return decoded
+    key = tuple(sorted(cost_model.instruction_costs.items()))
+    table = program.code_tables.get(key)
+    if table is not None:
+        return table
+    cost = cost_model.instruction_cost
+    table = {}
+    for name, fn in program.functions.items():
+        code = []
+        for instr in fn.body:
+            compiler = _COMPILERS.get(instr.op)
+            if compiler is None:  # pragma: no cover - validation rejects these
+                raise MachineError(f"unimplemented opcode {instr.op!r}")
+            code.append((instr.op, compiler(fn, instr, program),
+                         cost(instr.op)))
+        code.append(("ret", _run_ret, cost("ret")))
+        table[name] = code
+    program.code_tables[key] = table
+    return table
 
 
 class Machine:
@@ -683,12 +709,9 @@ class Machine:
         self._runnable: List[int] = []
         self._live_count = 0
 
-        # Per-function cost arrays for this machine's cost model, so the
-        # per-step path indexes a list instead of hashing opcode strings.
-        # Shared across machines via the program's cost-array cache.
-        self._fn_costs: Dict[str, List[int]] = program.cost_arrays(
-            self.cost_model)
-        self._ret_cost = self.cost_model.instruction_cost("ret")
+        # Each function's decoded code under this cost model, shared by
+        # every machine running the program; frames carry their entry.
+        self._code = code_table(program, self.cost_model)
 
         self._next_tid = 0
         self._spawn_thread(program.entry, list(entry_args))
@@ -803,8 +826,7 @@ class Machine:
         twin.early_abort = self.early_abort
         twin._runnable = list(self._runnable)
         twin._live_count = self._live_count
-        twin._fn_costs = self._fn_costs
-        twin._ret_cost = self._ret_cost
+        twin._code = self._code
         twin._next_tid = self._next_tid
         return twin
 
@@ -892,7 +914,6 @@ class Machine:
                 continue  # the thread blocked or failed; no step happened
             self.steps = steps + 1
             meter.native_cycles += record.cost
-            thread.steps_executed += 1
             if notify is not None:
                 notify(record)
             for observer in observers:
@@ -934,7 +955,8 @@ class Machine:
         tid = self._next_tid
         self._next_tid += 1
         function = self.program.function(fname)
-        self.threads[tid] = ThreadState(tid, function, args)
+        self.threads[tid] = ThreadState(tid, function, self._code[fname],
+                                        args)
         # Tids are assigned in ascending order, so append keeps the
         # runnable list sorted.
         self._runnable.append(tid)
@@ -985,38 +1007,22 @@ class Machine:
 
     def _step_full(self, thread: ThreadState) -> Optional[StepRecord]:
         frame = thread.frames[-1]
-        fn = frame.function
-        cache = fn.decode_cache
-        if cache is None or cache[0] is not self.program:
-            decoded = decode_function(fn, self.program)
-        else:
-            decoded = cache[1]
         pc = frame.pc
+        op, handler, cost = frame.code[pc]
         tid = thread.tid
-        if pc >= len(decoded):
-            # Falling off the end of a function is an implicit `ret 0`.
-            # It is a real step - recorded, charged, and announced to
-            # observers - exactly like an explicit `ret`, so recorders
-            # see consistent thread-completion behaviour on both paths.
-            record = StepRecord(self.steps, tid, fn.name, pc, "ret",
-                                self._ret_cost)
-            self._do_return(thread, 0)
-        else:
-            op, handler = decoded[pc]
-            record = StepRecord(self.steps, tid, fn.name, pc, op,
-                                self._fn_costs[fn.name][pc])
-            try:
-                executed = handler(self, thread, frame, record)
-            except OutOfBoundsAccess as oob:
-                self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS,
-                                    str(oob))
-                return None
-            except _UndefinedRegister as undef:
-                raise MachineError(
-                    f"thread {tid}: read of undefined register "
-                    f"%{undef.name} in {fn.name}") from None
-            if not executed:
-                return None
+        record = StepRecord(self.steps, tid, frame.function.name, pc, op,
+                            cost)
+        try:
+            executed = handler(self, thread, frame, record)
+        except OutOfBoundsAccess as oob:
+            self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS, str(oob))
+            return None
+        except _UndefinedRegister as undef:
+            raise MachineError(
+                f"thread {tid}: read of undefined register "
+                f"%{undef.name} in {frame.function.name}") from None
+        if not executed:
+            return None
         trace = self.trace
         trace.steps.append(record)
         trace.schedule.append(tid)
@@ -1031,44 +1037,32 @@ class Machine:
         (on the environment), and the failure signature survive the step.
         """
         frame = thread.frames[-1]
-        fn = frame.function
-        cache = fn.decode_cache
-        if cache is None or cache[0] is not self.program:
-            decoded = decode_function(fn, self.program)
-        else:
-            decoded = cache[1]
         pc = frame.pc
+        op, handler, cost = frame.code[pc]
         tid = thread.tid
         record = self._scratch
         record.index = self.steps
         record.tid = tid
-        record.function = fn.name
+        record.function = frame.function.name
         record.pc = pc
+        record.op = op
+        record.cost = cost
         record.reads = _NO_EFFECTS
         record.writes = _NO_EFFECTS
         record.sync = None
         record.io = None
         record.branch_taken = None
-        if pc >= len(decoded):
-            record.op = "ret"
-            record.cost = self._ret_cost
-            self._do_return(thread, 0)
-        else:
-            op, handler = decoded[pc]
-            record.op = op
-            record.cost = self._fn_costs[fn.name][pc]
-            try:
-                executed = handler(self, thread, frame, record)
-            except OutOfBoundsAccess as oob:
-                self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS,
-                                    str(oob))
-                return None
-            except _UndefinedRegister as undef:
-                raise MachineError(
-                    f"thread {tid}: read of undefined register "
-                    f"%{undef.name} in {fn.name}") from None
-            if not executed:
-                return None
+        try:
+            executed = handler(self, thread, frame, record)
+        except OutOfBoundsAccess as oob:
+            self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS, str(oob))
+            return None
+        except _UndefinedRegister as undef:
+            raise MachineError(
+                f"thread {tid}: read of undefined register "
+                f"%{undef.name} in {frame.function.name}") from None
+        if not executed:
+            return None
         if record.branch_taken is not None:
             self.trace.record_branch(tid, record.branch_taken)
         return record
@@ -1083,32 +1077,21 @@ class Machine:
         branch paths are kept: no diagnosis reads them.
         """
         frame = thread.frames[-1]
-        fn = frame.function
-        cache = fn.decode_cache
-        if cache is None or cache[0] is not self.program:
-            decoded = decode_function(fn, self.program)
-        else:
-            decoded = cache[1]
         pc = frame.pc
+        op, handler, cost = frame.code[pc]
         tid = thread.tid
         record = self._scratch
         record.index = self.steps
         record.tid = tid
-        record.function = fn.name
+        record.function = frame.function.name
         record.pc = pc
+        record.op = op
+        record.cost = cost
         record.reads = _NO_EFFECTS
         record.writes = _NO_EFFECTS
         record.sync = None
         record.io = None
         record.branch_taken = None
-        if pc >= len(decoded):
-            record.op = "ret"
-            record.cost = self._ret_cost
-            self._do_return(thread, 0)
-            return record
-        op, handler = decoded[pc]
-        record.op = op
-        record.cost = self._fn_costs[fn.name][pc]
         try:
             executed = handler(self, thread, frame, record)
         except OutOfBoundsAccess as oob:
@@ -1117,7 +1100,7 @@ class Machine:
         except _UndefinedRegister as undef:
             raise MachineError(
                 f"thread {tid}: read of undefined register "
-                f"%{undef.name} in {fn.name}") from None
+                f"%{undef.name} in {frame.function.name}") from None
         if not executed:
             return None
         reads = record.reads
@@ -1127,8 +1110,8 @@ class Machine:
         if reads or writes or sync is not None or io is not None:
             # Handlers assign fresh effect lists, so the kept record can
             # share them with the scratch one.
-            record = StepRecord(record.index, tid, fn.name, pc, op,
-                                record.cost, reads, writes, sync, io)
+            record = StepRecord(record.index, tid, record.function, pc, op,
+                                cost, reads, writes, sync, io)
             self.trace.steps.append(record)
         return record
 

@@ -44,18 +44,6 @@ class Function:
             instr.op if instr.op in SYNC_OPS else None
             for instr in self.body]
         self.sync_ops.append(None)
-        # Decode-once dispatch cache, populated lazily by the interpreter:
-        # (owning program, [handler per instruction]).  Keyed by program
-        # identity because call/spawn targets resolve against the program
-        # this function is executing in.
-        self.decode_cache: Optional[Tuple[object, list]] = None
-
-    def decoded_for(self, program: "Program") -> Optional[list]:
-        """The cached decoded body for ``program``, if already built."""
-        cache = self.decode_cache
-        if cache is not None and cache[0] is program:
-            return cache[1]
-        return None
 
     def target(self, label: str) -> int:
         """Resolve a label to its program counter."""
@@ -95,13 +83,14 @@ class Program:
         self.arrays = dict(arrays or {})
         self.mutexes = set(mutexes or [])
         self.entry = entry
-        # Per-cost-model instruction cost arrays, shared by every machine
-        # running this program (keyed by the cost table's contents).
-        self._cost_arrays_cache: Dict[Tuple, Dict[str, list]] = {}
+        # Each function's decoded code under a cost table, keyed by the
+        # table's contents and filled by :func:`repro.vm.machine.code_table`:
+        # every machine running this program under that table shares it.
+        self.code_tables: Dict[Tuple, Dict[str, list]] = {}
         # The structural SHA-256 :func:`repro.record.attest.guest_fingerprint`
         # computes, kept here by its first call: a program is not edited
-        # after validation (the decode and cost-array caches rely on
-        # that too), so every later attestation check reuses it.
+        # after validation (the code tables rely on that too), so every
+        # later attestation check reuses it.
         self.fingerprint_cache: Optional[str] = None
         self._validate()
 
@@ -113,21 +102,6 @@ class Program:
     def instruction_count(self) -> int:
         """Total static instruction count across all functions."""
         return sum(len(fn.body) for fn in self.functions.values())
-
-    def cost_arrays(self, cost_model) -> Dict[str, list]:
-        """Per-function instruction cost arrays under ``cost_model``.
-
-        Cached by the cost table's contents so the thousands of machines
-        a replay search spawns for one program don't each re-derive
-        identical arrays; callers must treat the result as read-only.
-        """
-        key = tuple(sorted(cost_model.instruction_costs.items()))
-        arrays = self._cost_arrays_cache.get(key)
-        if arrays is None:
-            arrays = {name: cost_model.cost_array(i.op for i in fn.body)
-                      for name, fn in self.functions.items()}
-            self._cost_arrays_cache[key] = arrays
-        return arrays
 
     # -- validation -----------------------------------------------------
 

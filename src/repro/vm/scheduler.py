@@ -18,6 +18,16 @@ sync op off its top frame from a per-function table
 ``inner.pick(machine, allowed)`` - with the runnable list itself when it
 excludes no thread.
 
+Sticky picks: around a :class:`RandomScheduler` whose ``pick`` is its
+own (:func:`sticky_inner`), a constraining scheduler first checks the
+inner's current thread alone.  If that thread is runnable and admitted
+it draws :meth:`RandomScheduler.keeps`, and builds the allowed list
+only when the draw says switch, for :meth:`RandomScheduler.switch`.
+Those are the draws ``inner.pick(machine, allowed)`` would make -
+``random()`` only when the current thread is allowed, ``randrange`` over
+the same list on a switch - so no decision moves; a held or
+non-runnable current thread takes the filter-then-pick path as before.
+
 After every executed step the machine calls ``notify(step)``, but only
 on schedulers whose class overrides :meth:`Scheduler.notify`; the
 stateless default is never called (see :func:`notifier`).
@@ -29,7 +39,7 @@ import copy
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReplayDivergenceError, SchedulerError
-from repro.util.rng import DeterministicRng
+from repro.util.rng import DeterministicRng, copy_stream
 from repro.vm.trace import StepRecord
 
 
@@ -110,6 +120,11 @@ class RandomScheduler(Scheduler):
     uniformly chosen runnable thread.  Fully determined by its seed, which
     is what makes 'record the seed' a valid (full-determinism) recording
     strategy for schedule non-determinism in this substrate.
+
+    A pick is two public halves, :meth:`keeps` and :meth:`switch`, which
+    a constraining scheduler may call itself (see
+    :class:`SyncOrderScheduler`) to make the same draws as ``pick`` on
+    its allowed list.
     """
 
     def __init__(self, seed: int = 0, switch_prob: float = 0.25):
@@ -119,23 +134,35 @@ class RandomScheduler(Scheduler):
         # order per pick: random() while the current thread is runnable,
         # then randrange() on a switch.
         self._stream = DeterministicRng(seed, "sched").stream
-        self._current: Optional[int] = None
+        # The thread picked last (None before the first pick).
+        self.current: Optional[int] = None
 
     def pick(self, machine, runnable: List[int]) -> int:
-        current = self._current
-        if current in runnable and self._stream.random() >= self.switch_prob:
-            return current
-        current = self._current = runnable[
-            self._stream.randrange(len(runnable))]
+        if self.current in runnable and self.keeps():
+            return self.current
+        return self.switch(runnable)
+
+    def keeps(self) -> bool:
+        """Draw whether the current thread runs again: a pick's first
+        draw, made only when the current thread may run."""
+        return self._stream.random() >= self.switch_prob
+
+    def switch(self, allowed: Sequence[int]) -> int:
+        """Draw the next thread uniformly from ``allowed`` (non-empty)
+        and make it current."""
+        current = self.current = allowed[
+            self._stream.randrange(len(allowed))]
         return current
 
     def fork(self) -> "RandomScheduler":
         return RandomScheduler(self.seed, self.switch_prob)
 
     def clone(self) -> "RandomScheduler":
-        twin = RandomScheduler(self.seed, self.switch_prob)
-        twin._stream.setstate(self._stream.getstate())
-        twin._current = self._current
+        twin = RandomScheduler.__new__(RandomScheduler)
+        twin.seed = self.seed
+        twin.switch_prob = self.switch_prob
+        twin._stream = copy_stream(self._stream)
+        twin.current = self.current
         return twin
 
 
@@ -181,6 +208,22 @@ class FixedScheduler(Scheduler):
         return twin
 
 
+def sticky_inner(inner: Scheduler) -> Optional[RandomScheduler]:
+    """``inner`` when its pick is :class:`RandomScheduler`'s own - a
+    :meth:`~RandomScheduler.keeps` draw for a runnable current thread,
+    then a :meth:`~RandomScheduler.switch` draw - else None.
+
+    A constraining scheduler around such an inner settles a pick that
+    keeps the current thread from that thread alone and builds its
+    allowed list only on a switch; the draws are the ones
+    ``inner.pick(machine, allowed)`` would make.
+    """
+    if isinstance(inner, RandomScheduler) \
+            and type(inner).pick is RandomScheduler.pick:
+        return inner
+    return None
+
+
 class SyncOrderScheduler(Scheduler):
     """Enforces a recorded synchronization order, nothing more.
 
@@ -198,6 +241,7 @@ class SyncOrderScheduler(Scheduler):
         self._index = 0
         self._inner = inner or RoundRobinScheduler()
         self._inner_notify = notifier(self._inner)
+        self._sticky = sticky_inner(self._inner)
 
     def pick(self, machine, runnable: List[int]) -> int:
         index = self._index
@@ -206,8 +250,36 @@ class SyncOrderScheduler(Scheduler):
             return self._inner.pick(machine, runnable)
         expected_tid, expected_op, __ = self.sync_order[index]
         threads = machine.threads
-        # Only a thread at an out-of-order sync op is held back; the
-        # runnable list is passed on as is until one is.
+        sticky = self._sticky
+        if sticky is not None:
+            current = sticky.current
+            if current in runnable:
+                frame = threads[current].frames[-1]
+                op = frame.function.sync_ops[frame.pc]
+                # ``_allowed``'s test for one thread: if the current
+                # thread may run, the allowed list holds it and is not
+                # empty, so the stay is settled from that thread alone.
+                if op is None or (current == expected_tid
+                                  and op == expected_op):
+                    if sticky.keeps():
+                        return current
+                    return sticky.switch(self._allowed(
+                        threads, runnable, expected_tid, expected_op))
+        allowed = self._allowed(threads, runnable, expected_tid,
+                                expected_op)
+        if not allowed:
+            raise ReplayDivergenceError(
+                f"sync-order replay stuck at event {index}: every "
+                f"runnable thread is at an out-of-order sync operation")
+        return self._inner.pick(machine, allowed)
+
+    @staticmethod
+    def _allowed(threads, runnable: List[int], expected_tid: int,
+                 expected_op: str) -> List[int]:
+        """The threads of ``runnable`` the next recorded sync event,
+        ``(expected_tid, expected_op)``, admits: only a thread at an
+        out-of-order sync op is held back, and ``runnable`` itself is
+        returned until one is."""
         allowed = runnable
         for position, tid in enumerate(runnable):
             frame = threads[tid].frames[-1]
@@ -219,11 +291,7 @@ class SyncOrderScheduler(Scheduler):
                 continue
             if allowed is not runnable:
                 allowed.append(tid)
-        if not allowed:
-            raise ReplayDivergenceError(
-                f"sync-order replay stuck at event {index}: every "
-                f"runnable thread is at an out-of-order sync operation")
-        return self._inner.pick(machine, allowed)
+        return allowed
 
     def notify(self, step: StepRecord) -> None:
         if self._inner_notify is not None:

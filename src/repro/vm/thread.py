@@ -25,26 +25,31 @@ class ThreadStatus(enum.Enum):
 
 
 class Frame:
-    """One call frame: the executing function, its pc and registers."""
+    """One call frame: the executing function, its pc and registers, and
+    the function's decoded code - one ``(op, handler, cost)`` entry per
+    pc plus a trailing implicit ``ret`` (:func:`repro.vm.machine.code_table`),
+    so a step reads its instruction with one index."""
 
-    __slots__ = ("function", "pc", "registers", "return_register")
+    __slots__ = ("function", "code", "pc", "registers", "return_register")
 
     def __init__(self,
                  function: Function,
+                 code: list,
                  pc: int = 0,
                  registers: Optional[Dict[str, Any]] = None,
                  return_register: Optional[str] = None):
         self.function = function
+        self.code = code
         self.pc = pc
         self.registers = registers if registers is not None else {}
         # Register in the *caller's* frame receiving this call's return value.
         self.return_register = return_register
 
     def clone(self) -> "Frame":
-        """A copy for machine snapshot/fork: the function object is shared
-        (immutable + decode cache), registers are copied by value."""
-        return Frame(self.function, self.pc, dict(self.registers),
-                     self.return_register)
+        """A copy for machine snapshot/fork: the function and its code are
+        shared (neither is edited), registers are copied by value."""
+        return Frame(self.function, self.code, self.pc,
+                     dict(self.registers), self.return_register)
 
     def __repr__(self) -> str:
         return (f"Frame({self.function.name}@{self.pc}, "
@@ -54,21 +59,20 @@ class Frame:
 class ThreadState:
     """A MiniVM thread: a stack of frames plus scheduling status."""
 
-    __slots__ = ("tid", "frames", "status", "blocked_on", "return_value",
-                 "steps_executed")
+    __slots__ = ("tid", "frames", "status", "blocked_on", "return_value")
 
-    def __init__(self, tid: int, function: Function, args: List[Any]):
+    def __init__(self, tid: int, function: Function, code: list,
+                 args: List[Any]):
         if len(args) != len(function.params):
             raise MachineError(
                 f"thread {tid}: {function.name} expects "
                 f"{len(function.params)} args, got {len(args)}")
         registers = dict(zip(function.params, args))
         self.tid = tid
-        self.frames: List[Frame] = [Frame(function, 0, registers)]
+        self.frames: List[Frame] = [Frame(function, code, 0, registers)]
         self.status = ThreadStatus.RUNNABLE
         self.blocked_on: Any = None      # mutex name / tid / channel
         self.return_value: Any = 0       # value of the thread's top function
-        self.steps_executed = 0
 
     @property
     def frame(self) -> Frame:
@@ -100,7 +104,6 @@ class ThreadState:
         twin.status = self.status
         twin.blocked_on = self.blocked_on
         twin.return_value = self.return_value
-        twin.steps_executed = self.steps_executed
         return twin
 
     def __repr__(self) -> str:

@@ -21,14 +21,13 @@ step - regenerate the digests with::
 and say why in the commit message.
 """
 
-from typing import Optional
-
 import pytest
 
 from repro.apps import ALL_APPS
 from repro.harness.bench import COUNTER_SRC
 from repro.models import DebugSession
 from repro.models.session import resolve_case
+from repro.replay.base import ReplayResult
 from repro.vm import RandomScheduler, assemble, run_program
 
 SEED = 11
@@ -54,15 +53,16 @@ GOLDEN_COUNTER_DIGEST = (
     "6fa62483c435c4cd1515cf0c1b3548d55995a808778b00f2960f16f98f598326")
 
 # (case reference, model) -> fingerprint of the replay a workstation
-# makes of the shipped recording (see ``_replay_fingerprint``), or None
+# makes of the shipped recording (see ``_replay``), or None
 # where the replay returns no trace.  Replayers drive their own
 # schedulers - FixedScheduler (full), RoundRobinScheduler (value),
 # SyncOrderScheduler around RandomScheduler (output), RandomScheduler
 # inside synthesis (failure) and GuidedOrderScheduler (rcse) - so these
 # pin the constrained scheduling paths no production-run digest reaches.
-# Corpus seeds 0-11 under every core model, and every app but
-# msg_server (whose output search alone takes seconds) under the two
-# models with constrained schedulers.
+# Corpus seeds 0-11 under every core model, and every app under the
+# two models with constrained schedulers (msg_server's rcse replay is
+# left out: the output replay's sync-order search is the one that takes
+# seconds, and it is the one pinned below).
 GOLDEN_REPLAY_DIGESTS = {
     ("corpus:0", "full"):
         "4ab5de6ec5ec4abf069d25035f868a43eb9431e71aaea80fa5a5d49014071e67",
@@ -204,6 +204,16 @@ GOLDEN_REPLAY_DIGESTS = {
         "3c2d37b8adbe27bcbb2bd8dd0c22c16b951d2d8220c1b7c7c1f337a74ee164a5",
     ("app:racy_counter", "rcse"):
         "5da02dab50db9ae61363215e2df823a589ab8117a89c0f4a7d75c1559e8170c6",
+    ("app:msg_server", "output"):
+        "dafe7497afc0c8db1524b009c7de8acaa84498f79c47c451c2ce64d5339da1ba",
+}
+
+# (case reference, model) -> the replay's (attempts, inference_cycles):
+# msg_server's output replay searches 26 inner-scheduler seeds under its
+# recorded sync order, so these pin every sync-order pick of the
+# rejected candidates too, not only of the accepted one.
+GOLDEN_REPLAY_SEARCH = {
+    ("app:msg_server", "output"): (26, 744_472),
 }
 
 
@@ -228,22 +238,26 @@ def test_counter_workload_golden_trace():
     assert machine.trace.fingerprint() == GOLDEN_COUNTER_DIGEST
 
 
-def _replay_fingerprint(ref: str, model: str) -> Optional[str]:
+def _replay(ref: str, model: str) -> ReplayResult:
     """Record at the case's failing seed (apps: the first failing seed),
-    ship, receive and replay; the replay trace's fingerprint."""
+    ship, receive and replay."""
     case = resolve_case(ref)
     session = DebugSession(case, model,
                            seed=getattr(case, "failing_seed", None))
     session.record()
-    replay = DebugSession.receive(session.ship()).replay()
-    return None if replay.trace is None else replay.trace.fingerprint()
+    return DebugSession.receive(session.ship()).replay()
 
 
 @pytest.mark.parametrize("ref,model", list(GOLDEN_REPLAY_DIGESTS))
 def test_replay_golden_trace(ref, model):
-    assert _replay_fingerprint(ref, model) == \
-        GOLDEN_REPLAY_DIGESTS[(ref, model)], (
+    replay = _replay(ref, model)
+    fingerprint = None if replay.trace is None else replay.trace.fingerprint()
+    assert fingerprint == GOLDEN_REPLAY_DIGESTS[(ref, model)], (
         f"{ref} under {model}: the replay's observable behaviour changed")
+    if (ref, model) in GOLDEN_REPLAY_SEARCH:
+        assert (replay.attempts, replay.inference_cycles) == \
+            GOLDEN_REPLAY_SEARCH[(ref, model)], (
+            f"{ref} under {model}: the replay search changed")
 
 
 def test_fingerprint_is_schedule_sensitive():

@@ -4,11 +4,14 @@ No reference cycle runs through a :class:`~repro.vm.machine.Machine`: it
 keeps its plain step function (not a bound method of itself), its
 environment holds it weakly, ``record_run`` detaches the recorder, and
 the selective replayer's interceptor closes over the threads mapping.
-So a machine and its trace go the moment their last reference does.
-Each test runs a workload with the cyclic collector off and
-``gc.DEBUG_SAVEALL`` on, then collects: any machine, trace, step record
-or environment that only the collector could free lands in
-``gc.garbage``.
+Nor does one run through a program: its code table holds no reference
+back to it, and an :class:`~repro.replay.search.ExecutionSearch` stores
+no bound method or lambda over itself.  So a machine and its trace go
+the moment their last reference does, and so do a program a received
+log rebuilt and the searches that ran it.  Each test runs a workload
+with the cyclic collector off and ``gc.DEBUG_SAVEALL`` on, then
+collects: any watched object that only the collector could free lands
+in ``gc.garbage``.
 """
 
 import gc
@@ -21,15 +24,20 @@ from repro.apps.base import find_failing_seed
 from repro.models import DebugSession, model_order
 from repro.models.session import (clear_cause_counts, count_root_causes,
                                   resolve_case)
+from repro.replay.search import ExecutionSearch
+from repro.vm.assembler import assemble
 from repro.vm.environment import Environment
 from repro.vm.machine import Machine
+from repro.vm.program import Function, Program
 from repro.vm.trace import StepRecord, Trace
 
-WATCHED = (Machine, Trace, StepRecord, Environment)
+WATCHED = (Machine, Trace, StepRecord, Environment, Program, Function,
+           ExecutionSearch)
 
 
-def cyclic_garbage(workload) -> Counter:
-    """The watched objects ``workload`` left for the cyclic collector."""
+def cyclic_garbage(workload, watched=WATCHED) -> Counter:
+    """The ``watched`` objects ``workload`` left for the cyclic
+    collector."""
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -37,7 +45,7 @@ def cyclic_garbage(workload) -> Counter:
         workload()
         gc.collect()
         return Counter(type(obj).__name__ for obj in gc.garbage
-                       if isinstance(obj, WATCHED))
+                       if isinstance(obj, watched))
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -58,6 +66,31 @@ def test_bare_run_and_fork_leave_no_cycles(trace_mode):
         assert machine.run().steps == fork.run().steps > 40
 
     assert cyclic_garbage(run_and_fork) == Counter()
+
+
+def test_recursive_program_leaves_nothing_for_the_collector():
+    """A program's code table holds no cycle, even for a function that
+    calls itself: the ``call`` handler reads the callee's code off the
+    machine instead of capturing it."""
+    source = """
+    fn fact(n):
+        jz %n, base
+        sub %m, %n, 1
+        call %r, fact, %m
+        mul %r, %r, %n
+        ret %r
+    base:
+        ret 1
+    fn main():
+        call %x, fact, 5
+        output "o", %x
+        halt
+    """
+
+    def assemble_and_run():
+        assert Machine(assemble(source)).run().env.outputs["o"] == [120]
+
+    assert cyclic_garbage(assemble_and_run, watched=object) == Counter()
 
 
 @pytest.mark.parametrize("ref", ["app:racy_counter", "corpus:0"])

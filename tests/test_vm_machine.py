@@ -92,7 +92,8 @@ def test_fall_off_function_end_returns_zero():
 
 
 def test_implicit_ret_is_a_recorded_step():
-    """Falling off a function's end must be observable like explicit ret."""
+    """Falling off a function's end must be observable like explicit ret,
+    in every trace mode: a step, charged, seen by observers."""
     from repro.vm import assemble
     program = assemble("""
     fn noop():
@@ -103,18 +104,24 @@ def test_implicit_ret_is_a_recorded_step():
         output "o", %y
         halt
     """)
-    observed = []
-    machine = Machine(program)
-    machine.add_observer(lambda m, step: observed.append(step))
-    machine.run()
-    rets = [s for s in machine.trace.steps if s.op == "ret"]
-    assert len(rets) == 1
-    # Recorded at the virtual pc one past the function body.
-    assert rets[0].function == "noop"
-    assert rets[0].pc == 1
-    assert any(s.op == "ret" for s in observed), \
-        "observers must see the implicit return"
-    assert machine.env.outputs["o"] == [0]
+    for trace_mode in ("full", "counting", "events"):
+        observed = []
+        machine = Machine(program, trace_mode=trace_mode)
+        machine.add_observer(
+            lambda m, step: observed.append(
+                (step.function, step.pc, step.op, step.cost)))
+        machine.run()
+        # call, nop, the implicit ret, output, halt.
+        assert machine.steps == 5, trace_mode
+        assert machine.meter.native_cycles == 4 + 1 + 2 + 12 + 1, trace_mode
+        # Observed at the virtual pc one past the function body.
+        assert observed == [("main", 0, "call", 4), ("noop", 0, "nop", 1),
+                            ("noop", 1, "ret", 2), ("main", 1, "output", 12),
+                            ("main", 2, "halt", 1)], \
+            f"{trace_mode}: observers must see the implicit return"
+        assert machine.env.outputs["o"] == [0], trace_mode
+    rets = [s for s in Machine(program).run().trace.steps if s.op == "ret"]
+    assert [(s.function, s.pc) for s in rets] == [("noop", 1)]
 
 
 def test_implicit_and_explicit_ret_are_consistent():
@@ -143,25 +150,43 @@ def test_implicit_and_explicit_ret_are_consistent():
 
 
 def test_decode_cache_shared_between_machines():
-    """Decoded handler tables are built once per (function, program)."""
-    from repro.vm import assemble
+    """A program is decoded once per cost table: machines on one program
+    share one code table, each function's code ends with the implicit
+    ``ret``, and a machine with other costs gets its own table."""
+    from repro.vm import CostModel, assemble
+    from repro.vm.machine import code_table
     program = assemble("""
+    fn helper():
+        nop
     fn main():
+        call %r, helper
         const %a, 1
         output "o", %a
         halt
     """)
-    m1 = Machine(program)
-    m1.run()
-    fn = program.function("main")
-    cache_after_first = fn.decode_cache
-    assert cache_after_first is not None
-    assert cache_after_first[0] is program
-    m2 = Machine(program)
-    m2.run()
-    assert fn.decode_cache is cache_after_first, \
-        "second machine must reuse the decoded body"
-    assert m2.env.outputs["o"] == [1]
+    first, second = Machine(program), Machine(program)
+    main_code = first.threads[0].frames[-1].code
+    assert second.threads[0].frames[-1].code is main_code, \
+        "the second machine must reuse the decoded code"
+    table = code_table(program, CostModel())
+    assert table["main"] is main_code
+    assert list(program.code_tables.values()) == [table]
+    assert [(op, cost) for op, __, cost in main_code] == \
+        [("call", 4), ("const", 1), ("output", 12), ("halt", 1), ("ret", 2)]
+    assert [(op, cost) for op, __, cost in table["helper"]] == \
+        [("nop", 1), ("ret", 2)], \
+        "the code must end with the implicit ret at pc == len(body)"
+    for machine in (first, second):
+        assert machine.run().env.outputs["o"] == [1]
+        assert machine.meter.native_cycles == 4 + 1 + 2 + 1 + 12 + 1
+
+    costly = Machine(program, cost_model=CostModel({"output": 50, "ret": 7}))
+    costly_code = costly.threads[0].frames[-1].code
+    assert costly_code is not main_code
+    assert [cost for __, __, cost in costly_code] == [4, 1, 50, 1, 7]
+    assert costly.run().meter.native_cycles == 4 + 1 + 7 + 1 + 50 + 1
+    assert len(program.code_tables) == 2
+    assert Machine(program).threads[0].frames[-1].code is main_code
 
 
 def test_division_by_zero_failure():

@@ -7,7 +7,7 @@ from repro.errors import MachineError, ReplayDivergenceError
 from repro.vm import (FixedScheduler, Machine, RandomScheduler,
                       RoundRobinScheduler, SyncOrderScheduler, assemble,
                       run_program)
-from repro.vm.scheduler import Scheduler
+from repro.vm.scheduler import Scheduler, sticky_inner
 from repro.vm.thread import ThreadStatus
 
 RACY = assemble("""
@@ -133,6 +133,46 @@ def test_sync_order_scheduler_enforces_lock_order():
     replayed_order = [(s.tid, s.op, s.sync[1])
                       for s in replay.trace.sync_events()]
     assert replayed_order == sync_order
+
+
+class _WatchingRandom(RandomScheduler):
+    """A RandomScheduler whose own pick records, per pick, how many
+    threads were runnable and the list it was given: around it the
+    constraining schedulers keep filter-then-pick."""
+
+    def __init__(self, seed, switch_prob):
+        super().__init__(seed, switch_prob)
+        self.picks = []
+
+    def pick(self, machine, runnable):
+        ready = sum(1 for thread in machine.threads.values()
+                    if thread.is_runnable)
+        self.picks.append((ready, list(runnable)))
+        return super().pick(machine, runnable)
+
+
+def test_sync_order_sticky_pick_matches_filter_then_pick():
+    """Around a RandomScheduler the current thread's stay is settled from
+    that thread alone; around any other pick the allowed list is built on
+    every step.  Both make the same draws, so the same run."""
+    original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
+    sync_order = [(s.tid, s.op, s.sync[1])
+                  for s in original.trace.sync_events()]
+    assert sticky_inner(RandomScheduler()) is not None
+    assert sticky_inner(_WatchingRandom(0, 0.3)) is None
+    assert sticky_inner(RoundRobinScheduler()) is None
+    held_back = 0
+    for seed in range(8):
+        sticky = run_program(LOCKED, scheduler=SyncOrderScheduler(
+            sync_order, inner=RandomScheduler(seed, 0.3)))
+        watcher = _WatchingRandom(seed, 0.3)
+        filtered = run_program(LOCKED, scheduler=SyncOrderScheduler(
+            sync_order, inner=watcher))
+        assert sticky.trace.fingerprint() == filtered.trace.fingerprint()
+        assert len(watcher.picks) >= filtered.steps
+        held_back += sum(1 for ready, given in watcher.picks
+                         if len(given) < ready)
+    assert held_back > 0, "no pick held a thread back"
 
 
 # -- the pick contract ------------------------------------------------------
