@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.record.log import RecordingLog
+from repro.replay.search import SearchOutcome
 from repro.vm.failures import FailureReport, IOSpec
 from repro.vm.machine import Machine
 from repro.vm.program import Program
@@ -62,6 +63,20 @@ class Replayer:
             replay_cycles=machine.meter.native_cycles,
             **extra,
         )
+
+    @staticmethod
+    def _result_from_outcome(model: str,
+                             outcome: SearchOutcome) -> ReplayResult:
+        """The replay a search found, or a not-found result charging
+        what it explored."""
+        if not outcome.found or outcome.machine is None:
+            return ReplayResult(model=model, trace=None, failure=None,
+                                inference_cycles=outcome.inference_cycles,
+                                attempts=outcome.attempts, found=False)
+        # outcome.inference_cycles already excludes the accepted execution.
+        return Replayer._result_from_machine(
+            model, outcome.machine, attempts=outcome.attempts,
+            inference_cycles=outcome.inference_cycles)
 
 
 class TidMapper:

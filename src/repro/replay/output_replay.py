@@ -14,14 +14,13 @@ replayed run matches the recorded outputs and branch paths.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.errors import ReplayDivergenceError
 from repro.record.log import RecordingLog
-from repro.replay.base import (PerThreadFeed, Replayer, ReplayResult,
-                               TidMapper)
+from repro.replay.base import PerThreadFeed, Replayer, ReplayResult, TidMapper
 from repro.replay.search import (ExecutionSearch, InputSpace, SearchBudget,
-                                 SearchOutcome, divergent_output_abort)
+                                 divergent_output_abort)
 from repro.vm.environment import Environment
 from repro.vm.failures import IOSpec
 from repro.vm.machine import INTERCEPT_MISS, Machine
@@ -54,12 +53,12 @@ class OutputOnlyReplayer(Replayer):
             program, self.input_space,
             schedule_seeds=self.schedule_seeds,
             io_spec=io_spec, net_drop_rate=self.net_drop_rate)
-        # Candidates run trace-free and die at their first output value
-        # that diverges from the log; only the accepted run is re-traced.
+        # Candidates after the first run trace-free, and each dies at its
+        # first output value that diverges from the log.
         outcome = search.search(
             lambda m: outputs_match(m, log.outputs), budget=self.budget,
             early_abort=divergent_output_abort(log.outputs))
-        return _result_from_outcome(self.model, outcome)
+        return self._result_from_outcome(self.model, outcome)
 
 
 class OdrReplayer(Replayer):
@@ -81,68 +80,43 @@ class OdrReplayer(Replayer):
 
     def replay(self, program: Program, log: RecordingLog,
                io_spec: Optional[IOSpec] = None) -> ReplayResult:
-        attempts = 0
-        inference_cycles = 0
-        accepted: Optional[Tuple[Machine, str, int]] = None
-        abort = divergent_output_abort(log.outputs)
-        for index, seed in enumerate(self.inner_seeds):
-            if not self.budget.allows(attempts, inference_cycles):
-                break
-            # The first attempt keeps full tracing so an immediate accept
-            # needs no second run; retries run trace-free (branch paths
-            # are still collected - the acceptor needs them) and die at
-            # the first output that diverges from the recorded log.  The
-            # budget's remaining cycle allowance caps each run.
-            mode = "full" if index == 0 else "counting"
-            machine = self._run_once(
-                program, log, io_spec, seed, trace_mode=mode,
-                max_native_cycles=self.budget.remaining_cycles(
-                    inference_cycles),
-                early_abort=abort)
-            attempts += 1
-            inference_cycles += machine.meter.native_cycles
-            if machine.aborted or machine.hit_cycle_limit:
-                continue
-            if (outputs_match(machine, log.outputs)
-                    and self._paths_match(machine, log)):
-                accepted = (machine, mode, seed)
-                break
-        if accepted is None:
-            return ReplayResult(model=self.model, trace=None, failure=None,
-                                inference_cycles=inference_cycles,
-                                attempts=attempts, found=False)
-        best, mode, seed = accepted
-        # The accepted execution is the caller's replay, not inference.
-        inference_cycles -= best.meter.native_cycles
-        if mode != "full":
-            # Materialize the accepted interleaving once with full tracing.
-            best = self._run_once(program, log, io_spec, seed)
-        return self._result_from_machine(
-            self.model, best, attempts=attempts,
-            inference_cycles=inference_cycles)
+        # The recorded inputs under each inner seed.  The first candidate
+        # keeps full tracing; retries run trace-free (branch paths are
+        # still collected - the acceptor needs them) and die at the first
+        # output that diverges from the recorded log.  A candidate whose
+        # race interleaving breaks the recorded sync order is rejected.
+        search = ExecutionSearch(
+            program, InputSpace.fixed(log.inputs),
+            schedule_seeds=self.inner_seeds,
+            build=partial(self._machine, program, log, io_spec))
+        outcome = search.search(
+            lambda m: (outputs_match(m, log.outputs)
+                       and self._paths_match(m, log)),
+            budget=self.budget,
+            early_abort=divergent_output_abort(log.outputs))
+        return self._result_from_outcome(self.model, outcome)
 
-    def _run_once(self, program: Program, log: RecordingLog,
-                  io_spec: Optional[IOSpec], seed: int,
-                  trace_mode: str = "full",
-                  max_native_cycles: Optional[int] = None,
-                  early_abort=None) -> Machine:
-        env = Environment(inputs=log.inputs, seed=0)
+    @staticmethod
+    def _machine(program: Program, log: RecordingLog,
+                 io_spec: Optional[IOSpec], inputs: Dict[str, List[Any]],
+                 seed: int, trace_mode: str) -> Machine:
+        """One candidate: the recorded sync order around inner ``seed``,
+        with each thread's recorded inputs and syscall results forced."""
+        env = Environment(inputs=inputs, seed=0)
         scheduler = SyncOrderScheduler(
             log.sync_order, inner=RandomScheduler(seed=seed,
                                                   switch_prob=0.3))
         machine = Machine(program, env=env, scheduler=scheduler,
                           io_spec=io_spec,
                           max_steps=max(log.total_steps * 4, 1000),
-                          trace_mode=trace_mode,
-                          max_native_cycles=max_native_cycles)
-        machine.early_abort = early_abort
+                          trace_mode=trace_mode)
         mapper = TidMapper(log.thread_spawns)
         machine.add_observer(mapper.observe)
-        inputs = PerThreadFeed(log.thread_inputs)
-        syscalls = PerThreadFeed(log.thread_syscalls)
+        feeds = {"input": PerThreadFeed(log.thread_inputs),
+                 "syscall": PerThreadFeed(log.thread_syscalls)}
 
         def force_io(tid: int, kind: str, name: str, actual):
-            feed = {"input": inputs, "syscall": syscalls}.get(kind)
+            feed = feeds.get(kind)
             if feed is None:
                 return INTERCEPT_MISS
             entry = feed.next_value(mapper.to_original(tid))
@@ -151,12 +125,6 @@ class OdrReplayer(Replayer):
             return entry[1]
 
         machine.io_interceptor = force_io
-        try:
-            machine.run()
-        except ReplayDivergenceError:
-            # This race interleaving is inconsistent with the recorded
-            # sync order; the attempt is rejected (outputs won't match).
-            pass
         return machine
 
     @staticmethod
@@ -167,21 +135,3 @@ class OdrReplayer(Replayer):
         recorded = sorted(map(tuple, log.thread_paths.values()))
         actual = sorted(map(tuple, replayed.values()))
         return recorded == actual
-
-
-def _result_from_outcome(model: str, outcome: SearchOutcome) -> ReplayResult:
-    if not outcome.found or outcome.machine is None:
-        return ReplayResult(model=model, trace=None, failure=None,
-                            inference_cycles=outcome.inference_cycles,
-                            attempts=outcome.attempts, found=False)
-    machine = outcome.machine
-    # outcome.inference_cycles already excludes the accepted execution.
-    return ReplayResult(
-        model=model,
-        trace=machine.trace,
-        failure=machine.failure,
-        replay_cycles=machine.meter.native_cycles,
-        inference_cycles=outcome.inference_cycles,
-        attempts=outcome.attempts,
-        found=True,
-    )

@@ -18,16 +18,18 @@ Checkpointed, trace-free candidate search
 Three optimizations make the search budget go further without changing
 which candidate is accepted (enumeration order is preserved):
 
-* **Trace-free candidates.**  Candidate runs execute in the machine's
-  ``counting`` trace mode: no per-step :class:`StepRecord` is allocated;
-  only step/cycle counts, the failure signature, the output log, and
-  branch paths survive.  The single *accepted* candidate is re-run once
-  with full tracing ("record less, infer more", applied to the inference
-  engine itself).  A search that dedupes on a diagnosis (root-cause
-  enumeration) runs its candidates in the sparse ``events`` mode
-  instead: a diagnosis reads only the steps with shared-memory, sync or
-  I/O effects, so each candidate keeps exactly those and is diagnosed
-  as it ran, with no re-run.
+* **Trace-free candidates.**  After the first, candidate runs execute
+  in the machine's ``counting`` trace mode: no per-step
+  :class:`StepRecord` is allocated; only step/cycle counts, the failure
+  signature, the output log, and branch paths survive.  An accepted
+  trace-free candidate is re-run once with full tracing ("record less,
+  infer more", applied to the inference engine itself).  The first
+  candidate runs with full tracing, so a replay accepted on its first
+  try is the run itself, with no re-run.  A search that dedupes on a
+  diagnosis (root-cause enumeration) runs its candidates in the sparse
+  ``events`` mode instead: a diagnosis reads only the steps with
+  shared-memory, sync or I/O effects, so each candidate keeps exactly
+  those and is diagnosed as it ran, with no re-run.
 * **Prefix sharing.**  Candidates with the same schedule seed are a tree
   over input assignments: two candidates behave identically until the
   first differing input value is consumed.  The search checkpoints the
@@ -44,6 +46,11 @@ The budget's cycle ceiling is enforced *inside* each candidate run (the
 remaining allowance is passed to the machine as ``max_native_cycles``),
 so a single candidate can no longer overshoot ``max_cycles`` by an
 entire ``max_steps`` execution.
+
+ODR and RCSE replays search through this same loop: a ``build`` hook
+makes their candidate machines (see :class:`ExecutionSearch`), and a
+candidate whose scheduler raises
+:class:`~repro.errors.ReplayDivergenceError` is rejected and charged.
 """
 
 from __future__ import annotations
@@ -53,27 +60,31 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from repro.errors import ReplayDivergenceError
 from repro.util.intervals import Interval
 from repro.vm.environment import Environment
 from repro.vm.failures import IOSpec
 from repro.vm.machine import EarlyAbort, Machine
 from repro.vm.program import Program
-from repro.vm.scheduler import RandomScheduler, Scheduler
+from repro.vm.scheduler import RandomScheduler
 from repro.vm.thread import ThreadStatus
 from repro.vm.trace import StepRecord
 
 
 @dataclass
 class SearchBudget:
-    """Bounds on the inference search."""
+    """Bounds on the inference search (``max_cycles=None``: no ceiling)."""
 
     max_attempts: int = 2000
-    max_cycles: int = 50_000_000
+    max_cycles: Optional[int] = 50_000_000
 
     def allows(self, attempts: int, cycles: int) -> bool:
-        return attempts < self.max_attempts and cycles < self.max_cycles
+        return attempts < self.max_attempts and (
+            self.max_cycles is None or cycles < self.max_cycles)
 
-    def remaining_cycles(self, cycles: int) -> int:
+    def remaining_cycles(self, cycles: int) -> Optional[int]:
+        if self.max_cycles is None:
+            return None
         return max(self.max_cycles - cycles, 0)
 
 
@@ -189,6 +200,7 @@ class SearchOutcome:
     # Diagnostics for the checkpoint/prune machinery.
     aborted_candidates: int = 0       # killed by the early-abort hook
     capped_candidates: int = 0        # truncated by the cycle ceiling
+    diverged_candidates: int = 0      # scheduler raised ReplayDivergenceError
     forked_candidates: int = 0        # resumed from a prefix checkpoint
     saved_cycles: int = 0             # prefix cycles not re-executed
     materialized_runs: int = 0        # full-trace re-runs of accepted runs
@@ -343,8 +355,24 @@ class _SeedCheckpoints:
         self.checkpoints = self.checkpoints[:prefix_len] + checkpoints
 
 
+# Makes one unrun candidate machine from ``(inputs, seed, trace_mode)``.
+CandidateBuilder = Callable[[Dict[str, List[Any]], int, str], Machine]
+
+
 class ExecutionSearch:
-    """Searches (inputs x schedules) for an execution accepted by a predicate."""
+    """Searches (inputs x schedules) for an execution accepted by a predicate.
+
+    A candidate defaults to the program under an :class:`Environment`
+    seeded ``env_seed_base + seed`` and a :class:`RandomScheduler`
+    seeded ``seed``.  ``build(inputs, seed, trace_mode)`` replaces that
+    default: it returns the unrun machine with its own environment,
+    scheduler, limits, feeds and interceptor (the search still sets the
+    cycle ceiling and the early-abort hook).  A fork drops a machine's
+    observers and shares its interceptor; that is safe because the
+    search forks only across input assignments, so over the one fixed
+    assignment the ODR and RCSE replayers search, every candidate is
+    built and run from scratch.
+    """
 
     def __init__(self,
                  program: Program,
@@ -355,9 +383,7 @@ class ExecutionSearch:
                  env_seed_base: int = 10_000,
                  switch_prob: float = 0.25,
                  max_steps: int = 500_000,
-                 scheduler_factory: Optional[Callable[[int], Scheduler]] = None,
-                 env_factory: Optional[Callable[[Dict[str, List[Any]], int],
-                                                Environment]] = None,
+                 build: Optional[CandidateBuilder] = None,
                  prefix_sharing: bool = True,
                  max_checkpoints: int = 32,
                  candidate_trace_mode: str = "counting"):
@@ -372,43 +398,28 @@ class ExecutionSearch:
         self.prefix_sharing = prefix_sharing
         self.max_checkpoints = max_checkpoints
         self.candidate_trace_mode = candidate_trace_mode
-        # None means the default, built in ``_spawn_candidate``: a
-        # default stored here as a bound method or a lambda over ``self``
-        # would hold the search in a reference cycle.
-        self._scheduler_factory = scheduler_factory
-        self._env_factory = env_factory
+        # None means the default machine, built in ``_spawn_candidate``:
+        # a default stored here as a bound method or a lambda over
+        # ``self`` would hold the search in a reference cycle.
+        self._build = build
 
     def _spawn_candidate(self, inputs: Dict[str, List[Any]], seed: int,
-                         trace_mode: str,
-                         max_native_cycles: Optional[int]) -> Machine:
-        env_seed = self.env_seed_base + seed
-        if self._env_factory is None:
-            env = Environment(inputs=inputs, seed=env_seed,
-                              net_drop_rate=self.net_drop_rate)
-        else:
-            env = self._env_factory(inputs, env_seed)
-        if self._scheduler_factory is None:
-            scheduler = RandomScheduler(seed=seed,
-                                        switch_prob=self.switch_prob)
-        else:
-            scheduler = self._scheduler_factory(seed)
+                         trace_mode: str) -> Machine:
+        if self._build is not None:
+            return self._build(inputs, seed, trace_mode)
+        env = Environment(inputs=inputs, seed=self.env_seed_base + seed,
+                          net_drop_rate=self.net_drop_rate)
+        scheduler = RandomScheduler(seed=seed, switch_prob=self.switch_prob)
         return Machine(self.program, env=env, scheduler=scheduler,
                        io_spec=self.io_spec, max_steps=self.max_steps,
-                       trace_mode=trace_mode,
-                       max_native_cycles=max_native_cycles)
+                       trace_mode=trace_mode)
 
     def run_candidate(self, inputs: Dict[str, List[Any]], seed: int,
-                      trace_mode: str = "full",
-                      max_native_cycles: Optional[int] = None,
-                      early_abort: Optional[EarlyAbort] = None) -> Machine:
+                      trace_mode: str = "full") -> Machine:
         """Execute one candidate from scratch (also the materialization
         path: re-running an accepted trace-free candidate with full
         tracing reproduces it exactly)."""
-        machine = self._spawn_candidate(inputs, seed, trace_mode,
-                                        max_native_cycles)
-        machine.early_abort = early_abort
-        machine.run()
-        return machine
+        return self._spawn_candidate(inputs, seed, trace_mode).run()
 
     def _run_pooled(self, inputs: Dict[str, List[Any]], seed: int,
                     pools: Dict[int, _SeedCheckpoints],
@@ -416,7 +427,8 @@ class ExecutionSearch:
                     early_abort: Optional[EarlyAbort],
                     trace_mode: str,
                     take_checkpoints: bool,
-                    outcome: SearchOutcome) -> Tuple[Machine, int]:
+                    outcome: SearchOutcome
+                    ) -> Tuple[Optional[Machine], int]:
         """Run one candidate, forking the deepest shared checkpoint.
 
         ``take_checkpoints`` gates snapshot collection: a pool is only
@@ -426,6 +438,9 @@ class ExecutionSearch:
 
         Returns ``(machine, executed_cycles)`` where ``executed_cycles``
         excludes the checkpointed prefix the candidate did not re-run.
+        ``machine`` is None when the candidate's scheduler raised
+        :class:`ReplayDivergenceError`: the recorded order admits no
+        runnable thread, so the run can never be accepted.
         """
         pool = pools.get(seed)
         if pool is None:
@@ -459,7 +474,7 @@ class ExecutionSearch:
             outcome.forked_candidates += 1
             outcome.saved_cycles += base_cycles
         else:
-            machine = self._spawn_candidate(inputs, seed, trace_mode, None)
+            machine = self._spawn_candidate(inputs, seed, trace_mode)
             base_cycles = 0
         if remaining_cycles is not None:
             machine.max_native_cycles = base_cycles + remaining_cycles
@@ -483,10 +498,15 @@ class ExecutionSearch:
                         instr.args[0].name))
 
             machine.add_observer(checkpoint_inputs)
-        machine.run()
+        try:
+            machine.run()
+            diverged = False
+        except ReplayDivergenceError:
+            diverged = True
         if take_checkpoints:
             pool.rebase(fork_len, new_consumed, new_checkpoints)
-        return machine, machine.meter.native_cycles - base_cycles
+        executed = machine.meter.native_cycles - base_cycles
+        return (None if diverged else machine), executed
 
     def search(self,
                accept: Callable[[Machine], bool],
@@ -497,20 +517,24 @@ class ExecutionSearch:
                ) -> SearchOutcome:
         """Explore candidates until one is accepted or the budget dies.
 
-        Candidates run trace-free (``counting`` mode); the accepted
-        execution is re-run once with full tracing, so callers still
-        receive machines with complete traces.  ``early_abort`` may kill
-        a candidate at any executed I/O step - the hook must only fire on
-        runs ``accept`` would reject.  With ``collect_all`` the search
-        keeps going after acceptance and gathers every *behaviourally
-        distinct* accepted execution (see :func:`default_dedupe_key`)
-        until the budget is exhausted.
+        The first candidate runs with full tracing, the rest trace-free
+        (``counting`` mode); an accepted trace-free candidate is re-run
+        once with full tracing, so callers always receive machines with
+        complete traces.  ``early_abort`` may kill a candidate at any
+        executed I/O step - the hook must only fire on runs ``accept``
+        would reject.  A candidate whose scheduler raises
+        :class:`ReplayDivergenceError` is rejected unjudged, and charged
+        like any other.  With ``collect_all`` the search keeps going
+        after acceptance and gathers every *behaviourally distinct*
+        accepted execution (see :func:`default_dedupe_key`) until the
+        budget is exhausted.
 
         ``collect_all`` with a ``dedupe_key`` is root-cause enumeration:
-        the key is a diagnosis.  Its candidates run in the ``events``
-        trace mode, and the accepted machines it returns keep those
-        sparse traces - effect steps only, no schedule or branch paths
-        (:mod:`repro.vm.trace`) - which is all a diagnosis reads.
+        the key is a diagnosis.  Its candidates, the first included, run
+        in the ``events`` trace mode, and the accepted machines it
+        returns keep those sparse traces - effect steps only, no
+        schedule or branch paths (:mod:`repro.vm.trace`) - which is all
+        a diagnosis reads.
         """
         budget = budget or SearchBudget()
         outcome = SearchOutcome(machine=None)
@@ -530,7 +554,11 @@ class ExecutionSearch:
             trace_mode = "events"
         else:
             trace_mode = self.candidate_trace_mode
-        counting = trace_mode == "counting"
+        # A trace-free search runs its first candidate with full tracing:
+        # a replay accepted on its first try then needs no re-run.  The
+        # first candidate is never a checkpoint source (collection starts
+        # with the second input assignment), so its mode shapes no fork.
+        first_mode = "full" if trace_mode == "counting" else trace_mode
         for input_index, inputs in enumerate(self.input_space.candidates()):
             # Checkpoints pay off only across *different* input
             # assignments, so collection starts with the second one;
@@ -542,9 +570,14 @@ class ExecutionSearch:
                 machine, executed = self._run_pooled(
                     inputs, seed, pools,
                     budget.remaining_cycles(outcome.inference_cycles),
-                    early_abort, trace_mode, take_checkpoints, outcome)
+                    early_abort,
+                    trace_mode if outcome.attempts else first_mode,
+                    take_checkpoints, outcome)
                 outcome.attempts += 1
                 outcome.inference_cycles += executed
+                if machine is None:
+                    outcome.diverged_candidates += 1
+                    continue
                 if machine.aborted:
                     outcome.aborted_candidates += 1
                     continue
@@ -563,7 +596,7 @@ class ExecutionSearch:
                         continue
                     seen_keys.add(key)
                 accepted = machine
-                if counting:
+                if machine.trace_mode == "counting":
                     # The materialization re-run reproduces the accepted
                     # execution for the caller; it is replay, not
                     # inference, and is not charged to the budget.

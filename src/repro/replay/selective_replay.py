@@ -22,10 +22,12 @@ best-effort replayer.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.record.log import RecordingLog
 from repro.replay.base import Replayer, ReplayResult, TidMapper
+from repro.replay.search import ExecutionSearch, InputSpace, SearchBudget
 from repro.vm.environment import Environment
 from repro.vm.failures import FailureReport, IOSpec
 from repro.vm.machine import INTERCEPT_MISS, Machine
@@ -202,38 +204,6 @@ class SelectiveReplayer(Replayer):
     def replay(self, program: Program, log: RecordingLog,
                io_spec: Optional[IOSpec] = None) -> ReplayResult:
         target = self.target_failure or log.failure
-        attempts = 0
-        inference_cycles = 0
-        last: Optional[Tuple[Machine, int, str, int]] = None
-        for index, seed in enumerate(self.replay_seeds):
-            # The first attempt keeps full tracing (a replay that lands
-            # the target failure immediately needs no second run); retry
-            # runs are trace-free - only the failure signature is judged.
-            mode = "full" if index == 0 else "counting"
-            machine, divergences = self._run_once(program, log, io_spec,
-                                                  seed, trace_mode=mode)
-            attempts += 1
-            inference_cycles += machine.meter.native_cycles
-            last = (machine, divergences, mode, seed)
-            if target is None or (machine.failure is not None
-                                  and target.same_failure(machine.failure)):
-                break
-        machine, divergences, mode, seed = last
-        # The reported replay is not inference work; refund its charge,
-        # and materialize it with full tracing if it ran trace-free.
-        inference_cycles -= machine.meter.native_cycles
-        if mode != "full":
-            machine, divergences = self._run_once(program, log, io_spec,
-                                                  seed)
-        return self._result_from_machine(
-            self.model, machine, attempts=attempts,
-            inference_cycles=inference_cycles,
-            divergences=divergences)
-
-    def _run_once(self, program: Program, log: RecordingLog,
-                  io_spec: Optional[IOSpec],
-                  seed: int,
-                  trace_mode: str = "full") -> Tuple[Machine, int]:
         # The replay environment re-supplies the workload's inputs; the
         # partially recorded inputs (control-plane consumption and
         # dial-up windows) only fill channels the workload cannot
@@ -243,6 +213,36 @@ class SelectiveReplayer(Replayer):
         for channel, values in log.selective_inputs.items():
             if channel not in inputs:
                 inputs[channel] = list(values)
+        search = ExecutionSearch(
+            program, InputSpace.fixed(inputs),
+            schedule_seeds=self.replay_seeds,
+            build=partial(self._machine, program, log, io_spec))
+        # The seed list is the only bound.  The first seed runs with full
+        # tracing (a replay that lands the target failure at once needs
+        # no second run); retries are trace-free - only the failure
+        # signature is judged.
+        outcome = search.search(
+            lambda m: target is None or (m.failure is not None
+                                         and target.same_failure(m.failure)),
+            budget=SearchBudget(max_attempts=len(self.replay_seeds),
+                                max_cycles=None))
+        machine = outcome.machine
+        inference_cycles = outcome.inference_cycles
+        if machine is None:
+            # No seed landed the failure: the last run is the replay.  It
+            # is re-run with full tracing, and its charge refunded.
+            machine = search.run_candidate(inputs, self.replay_seeds[-1])
+            inference_cycles -= machine.meter.native_cycles
+        return self._result_from_machine(
+            self.model, machine, attempts=outcome.attempts,
+            inference_cycles=inference_cycles,
+            divergences=machine.scheduler.divergences)
+
+    def _machine(self, program: Program, log: RecordingLog,
+                 io_spec: Optional[IOSpec], inputs: Dict[str, List[Any]],
+                 seed: int, trace_mode: str) -> Machine:
+        """One candidate: the recorded orders around inner ``seed``, with
+        recorded-class syscall results forced and a fresh data plane."""
         env = Environment(inputs=inputs, seed=90_000 + seed,
                           net_drop_rate=self.net_drop_rate)
         mapper = TidMapper(log.thread_spawns)
@@ -280,5 +280,4 @@ class SelectiveReplayer(Replayer):
             return queue[cursor][1]
 
         machine.io_interceptor = force_control_syscalls
-        machine.run()
-        return machine, scheduler.divergences
+        return machine

@@ -74,20 +74,13 @@ class ExecutionSynthesizer(Replayer):
 
         outcome = search.search(accept, budget=self.budget,
                                 early_abort=self.early_abort)
-        if not outcome.found:
-            return ReplayResult(
-                model=self.model, trace=None, failure=None,
-                inference_cycles=outcome.inference_cycles,
-                attempts=outcome.attempts, found=False)
-
-        best = outcome.machine
-        attempts = outcome.attempts
-        # Already excludes the accepted execution (the caller's replay).
-        inference_cycles = outcome.inference_cycles
-        if self.minimize:
-            best, attempts, inference_cycles = self._minimize(
-                search, accept, best, attempts, inference_cycles,
-                outcome.refunded_cycles)
+        if not (outcome.found and self.minimize):
+            return self._result_from_outcome(self.model, outcome)
+        # outcome.inference_cycles already excludes the accepted
+        # execution (the caller's replay).
+        best, attempts, inference_cycles = self._minimize(
+            search, accept, outcome.machine, outcome.attempts,
+            outcome.inference_cycles, outcome.refunded_cycles)
         return self._result_from_machine(
             self.model, best, attempts=attempts,
             inference_cycles=inference_cycles)

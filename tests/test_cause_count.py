@@ -13,12 +13,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.rootcause import Diagnoser, enumerate_root_causes
 from repro.apps import ALL_APPS, msg_server
 from repro.apps.base import find_failing_seed
 from repro.corpus.generator import generate_case
 from repro.models import DebugSession, model_order, session
 from repro.models.session import (_CAUSE_COUNTS_BY_CASE,
-                                  _CAUSE_COUNTS_BY_CONTENT,
+                                  _CAUSE_COUNTS_BY_CONTENT, cause_search,
                                   clear_cause_counts, count_root_causes,
                                   resolve_case)
 
@@ -155,3 +156,16 @@ def test_received_variant_counts_n_on_its_shipped_knobs(enumerations):
     # shipped knobs: the registry app's own 0.05 sessions keep theirs.
     assert any(key[-2:] == (0.0, variant.switch_prob)
                for key in _CAUSE_COUNTS_BY_CONTENT)
+
+
+def test_msg_server_enumeration_surfaces_race_and_congestion():
+    """§5's question on msg_server: record just the failure, and the
+    enumeration over its execution space finds both root causes that
+    end in it, the buffer race and network congestion."""
+    case = ALL_APPS["msg_server"]()
+    failure = case.run(find_failing_seed(case)).failure
+    causes = enumerate_root_causes(
+        cause_search(case), failure,
+        Diagnoser(extra_rules=case.diagnoser_rules))
+    assert {cause.kind for cause in causes} == {"data-race",
+                                                "network-congestion"}

@@ -1,74 +1,7 @@
-"""The §5 cause explorer and the command-line interface."""
+"""The command-line interface."""
 
-import pytest
-
-from repro.analysis.rootcause import Diagnoser
-from repro.apps import msg_server
-from repro.apps.base import find_failing_seed
-from repro.harness.explorer import CauseExplorer
-from repro.record import FailureRecorder, record_run
-from repro.replay.search import ExecutionSearch, SearchBudget
 from repro.__main__ import main as cli_main
 
-
-@pytest.fixture(scope="module")
-def exploration():
-    case = msg_server.make_case()
-    seed = find_failing_seed(case)
-    log = record_run(case.program, FailureRecorder(), inputs=case.inputs,
-                     seed=seed, scheduler=case.production_scheduler(seed),
-                     io_spec=case.io_spec,
-                     net_drop_rate=case.net_drop_rate)
-    search = ExecutionSearch(case.program, case.input_space,
-                             schedule_seeds=range(40),
-                             io_spec=case.io_spec,
-                             net_drop_rate=case.net_drop_rate,
-                             switch_prob=case.switch_prob)
-    explorer = CauseExplorer(
-        search, diagnoser=Diagnoser(extra_rules=case.diagnoser_rules),
-        budget=SearchBudget(max_attempts=40))
-    return explorer.explore(case.program, log)
-
-
-def test_explorer_finds_multiple_causes(exploration):
-    kinds = {c.kind for c in exploration.causes()}
-    assert "data-race" in kinds
-    assert len(kinds) >= 2, "race and congestion must both surface"
-
-
-def test_explorer_keeps_representatives(exploration):
-    for bucket in exploration.buckets:
-        assert bucket.representative.failure is not None
-        assert bucket.occurrences >= 1
-        assert bucket.replay_cycles > 0
-
-
-def test_explorer_meters_its_own_cost(exploration):
-    assert exploration.attempts > 0
-    assert exploration.inference_cycles > 0
-    assert exploration.matching_executions >= len(exploration.buckets)
-
-
-def test_explorer_report_table(exploration):
-    rendered = exploration.table().render()
-    assert "data-race" in rendered
-
-
-def test_explorer_without_core_dump_is_empty():
-    case = msg_server.make_case()
-    ok_seed = next(s for s in range(200)
-                   if case.run(s).failure is None)
-    log = record_run(case.program, FailureRecorder(), inputs=case.inputs,
-                     seed=ok_seed,
-                     scheduler=case.production_scheduler(ok_seed),
-                     io_spec=case.io_spec,
-                     net_drop_rate=case.net_drop_rate)
-    search = ExecutionSearch(case.program, case.input_space)
-    report = CauseExplorer(search).explore(case.program, log)
-    assert report.buckets == [] and report.attempts == 0
-
-
-# -- CLI ------------------------------------------------------------------
 
 def test_cli_lists_experiments(capsys):
     assert cli_main(["experiments"]) == 0

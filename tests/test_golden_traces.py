@@ -211,9 +211,17 @@ GOLDEN_REPLAY_DIGESTS = {
 # (case reference, model) -> the replay's (attempts, inference_cycles):
 # msg_server's output replay searches 26 inner-scheduler seeds under its
 # recorded sync order, so these pin every sync-order pick of the
-# rejected candidates too, not only of the accepted one.
+# rejected candidates too, not only of the accepted one.  The others pin
+# each way a replay search ends: bank's output replay exhausts its 48
+# inner seeds, corpus:9's is accepted after 16 rejected seeds, no seed of
+# corpus:1's rcse replay lands the failure (its last run is the replay),
+# and corpus:10's failure synthesis is accepted on its 193rd candidate.
 GOLDEN_REPLAY_SEARCH = {
     ("app:msg_server", "output"): (26, 744_472),
+    ("app:bank", "output"): (48, 30_423),
+    ("corpus:9", "output"): (17, 1_241),
+    ("corpus:1", "rcse"): (12, 4_972),
+    ("corpus:10", "failure"): (193, 6_144),
 }
 
 

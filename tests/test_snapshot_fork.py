@@ -11,6 +11,7 @@ checked against the pinned golden digest itself.
 
 import pytest
 
+from repro.errors import ReplayDivergenceError
 from repro.harness.bench import COUNTER_SRC
 from repro.replay.search import (ExecutionSearch, InputSpace, SearchBudget,
                                  default_dedupe_key, divergent_output_abort)
@@ -274,8 +275,8 @@ def test_prefix_sharing_preserves_search_results():
 
 
 def test_prefix_sharing_keeps_env_factory_channels():
-    """Forked candidates must not lose pending inputs a custom
-    environment factory supplies outside the candidate assignment."""
+    """Forked candidates must not lose pending inputs a custom candidate
+    builder's environment supplies outside the candidate assignment."""
     program = assemble("""
     fn main():
         input %a, "in"
@@ -288,8 +289,12 @@ def test_prefix_sharing_keeps_env_factory_channels():
     """)
     space = InputSpace.grid({"in": (2, Interval(0, 3))})
 
-    def factory(inputs, seed):
-        return Environment(inputs={**inputs, "ctl": [10]}, seed=seed)
+    def build(inputs, seed, trace_mode):
+        return Machine(program,
+                       env=Environment(inputs={**inputs, "ctl": [10]},
+                                       seed=seed),
+                       scheduler=RandomScheduler(seed=seed),
+                       trace_mode=trace_mode)
 
     def accept(m):
         return m.env.outputs == {"o": [15]}  # 2 + 10 + 3
@@ -297,8 +302,7 @@ def test_prefix_sharing_keeps_env_factory_channels():
     results = {}
     for sharing in (False, True):
         search = ExecutionSearch(program, space, schedule_seeds=range(2),
-                                 env_factory=factory,
-                                 prefix_sharing=sharing)
+                                 build=build, prefix_sharing=sharing)
         outcome = search.search(accept)
         assert outcome.found, f"prefix_sharing={sharing} lost the target"
         results[sharing] = outcome
@@ -346,12 +350,15 @@ def test_prefix_sharing_respects_input_blocking():
         # worker acc = 1*10 + 5; main output = acc + 2
         return m.failure is None and m.env.outputs == {"o": [17]}
 
+    def build(inputs, seed, trace_mode):
+        return Machine(program, env=Environment(inputs=inputs, seed=seed),
+                       scheduler=RoundRobinScheduler(),
+                       trace_mode=trace_mode)
+
     results = {}
     for sharing in (False, True):
-        search = ExecutionSearch(
-            program, space, schedule_seeds=range(1),
-            scheduler_factory=lambda seed: RoundRobinScheduler(),
-            prefix_sharing=sharing)
+        search = ExecutionSearch(program, space, schedule_seeds=range(1),
+                                 build=build, prefix_sharing=sharing)
         outcome = search.search(accept)
         assert outcome.found, \
             f"prefix_sharing={sharing} wrongly rejected the full candidate"
@@ -371,6 +378,55 @@ def test_accepted_machine_is_fully_traced():
     assert outcome.machine.trace_mode == "full"
     assert len(outcome.machine.trace.steps) == outcome.machine.steps
     assert outcome.materialized_runs == 1
+
+
+def test_first_candidate_accept_is_not_rerun():
+    """The first candidate runs with full tracing, so a first-try accept
+    is the caller's replay as it ran: nothing is materialized, and
+    nothing is charged to inference."""
+    program = assemble(ECHO_SRC)
+    recorded = run_program(program, inputs={"in": [0, 0]})
+    __, search = grid_search()
+    outcome = search.search(
+        lambda m: m.env.outputs == recorded.env.outputs)
+    assert outcome.found and outcome.attempts == 1
+    assert outcome.machine.trace_mode == "full"
+    assert len(outcome.machine.trace.steps) == outcome.machine.steps
+    assert outcome.materialized_runs == 0
+    assert outcome.inference_cycles == 0
+
+
+class _StuckScheduler(RandomScheduler):
+    """Raises ReplayDivergenceError at its fourth pick, as a sync-order
+    scheduler does when the recorded order admits no runnable thread."""
+
+    def pick(self, machine, runnable):
+        if machine.steps == 3:
+            raise ReplayDivergenceError("stuck")
+        return super().pick(machine, runnable)
+
+
+def test_diverging_candidate_is_rejected_and_charged():
+    program = assemble(ECHO_SRC)
+    recorded = run_program(program, inputs={"in": [1, 2]})
+
+    def build(inputs, seed, trace_mode):
+        scheduler = (RandomScheduler if seed else _StuckScheduler)(seed)
+        return Machine(program, env=Environment(inputs=inputs),
+                       scheduler=scheduler, trace_mode=trace_mode)
+
+    search = ExecutionSearch(program, InputSpace.fixed({"in": [1, 2]}),
+                             schedule_seeds=range(2), build=build)
+    outcome = search.search(
+        lambda m: m.env.outputs == recorded.env.outputs)
+    stuck = build({"in": [1, 2]}, 0, "full")
+    with pytest.raises(ReplayDivergenceError):
+        stuck.run()
+    assert stuck.meter.native_cycles > 0
+    assert outcome.found and outcome.attempts == 2
+    assert outcome.diverged_candidates == 1
+    assert outcome.inference_cycles == stuck.meter.native_cycles
+    assert outcome.machine.env.outputs == recorded.env.outputs
 
 
 def test_enumeration_search_runs_candidates_in_events_mode():
