@@ -46,7 +46,8 @@ class AppCase:
         same one so the recorded run *is* the run being studied."""
         return RandomScheduler(seed=seed, switch_prob=self.switch_prob)
 
-    def run(self, seed: int, max_steps: int = 500_000) -> Machine:
+    def run(self, seed: int, max_steps: int = 500_000,
+            trace_mode: str = "full") -> Machine:
         """One production run under a seeded preemptive scheduler."""
         return run_program(
             self.program,
@@ -56,6 +57,7 @@ class AppCase:
             io_spec=self.io_spec,
             net_drop_rate=self.net_drop_rate,
             max_steps=max_steps,
+            trace_mode=trace_mode,
         )
 
     def run_digest(self, seed: int) -> str:
@@ -71,9 +73,14 @@ def find_failing_seed(case: AppCase, seeds=range(200),
                       accept: Optional[Callable[[Machine], bool]] = None
                       ) -> Optional[int]:
     """First scheduler seed whose production run fails (optionally
-    matching ``accept``)."""
+    matching ``accept``).
+
+    Without ``accept`` only the failure is read, so the runs keep no
+    trace (``counting`` mode); ``accept`` gets a full trace.
+    """
+    trace_mode = "counting" if accept is None else "full"
     for seed in seeds:
-        machine = case.run(seed)
+        machine = case.run(seed, trace_mode=trace_mode)
         if machine.failure is None:
             continue
         if accept is None or accept(machine):

@@ -86,7 +86,8 @@ class TidMapper:
     between runs when multiple threads spawn concurrently.  Recorders log
     per-parent spawn sequences (``thread_spawns``); this mapper walks the
     same sequences during replay so per-thread logs are read by the right
-    thread.  Install :meth:`observe` as a machine observer.
+    thread.  Install :meth:`observe` as a machine observer; it reads only
+    spawn steps, so it can subscribe with ``sync_or_io=True``.
     """
 
     def __init__(self, thread_spawns: Dict[int, List[Tuple[str, int]]]):

@@ -111,7 +111,7 @@ class OdrReplayer(Replayer):
                           max_steps=max(log.total_steps * 4, 1000),
                           trace_mode=trace_mode)
         mapper = TidMapper(log.thread_spawns)
-        machine.add_observer(mapper.observe)
+        machine.add_observer(mapper.observe, sync_or_io=True)
         feeds = {"input": PerThreadFeed(log.thread_inputs),
                  "syscall": PerThreadFeed(log.thread_syscalls)}
 

@@ -497,7 +497,7 @@ class ExecutionSearch:
                         m.snapshot(), record.tid, io[1],
                         instr.args[0].name))
 
-            machine.add_observer(checkpoint_inputs)
+            machine.add_observer(checkpoint_inputs, sync_or_io=True)
         try:
             machine.run()
             diverged = False

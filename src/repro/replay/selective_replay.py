@@ -257,7 +257,7 @@ class SelectiveReplayer(Replayer):
                           io_spec=io_spec,
                           max_steps=max(log.total_steps * 8, 20_000),
                           trace_mode=trace_mode)
-        machine.add_observer(mapper.observe)
+        machine.add_observer(mapper.observe, sync_or_io=True)
 
         syscall_feed: Dict[int, List[Tuple[str, Any]]] = {}
         for tid, name, result in log.selective_syscalls:

@@ -45,7 +45,7 @@ class ValueReplayer(Replayer):
             max_steps=max(log.total_steps * 4, 1000))
 
         mapper = TidMapper(log.thread_spawns)
-        machine.add_observer(mapper.observe)
+        machine.add_observer(mapper.observe, sync_or_io=True)
         reads = PerThreadFeed(log.thread_reads)
         inputs = PerThreadFeed(log.thread_inputs)
         syscalls = PerThreadFeed(log.thread_syscalls)

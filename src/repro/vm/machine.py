@@ -7,9 +7,11 @@ scheduler decisions) - the property every recorder and replayer builds on.
 
 Observers (recorders, race detectors, invariant monitors, data-rate
 profilers) subscribe via :meth:`Machine.add_observer` and receive each
-:class:`~repro.vm.trace.StepRecord` as it is produced.  Replayers can
-additionally install *interceptors* that override the values returned by
-shared-memory loads or I/O operations - the mechanism behind
+:class:`~repro.vm.trace.StepRecord` as it is produced; an observer that
+reads only synchronization or I/O steps (a replay's thread-id mapper, a
+search's input checkpoints) subscribes to those steps alone.  Replayers
+can additionally install *interceptors* that override the values
+returned by shared-memory loads or I/O operations - the mechanism behind
 value-deterministic replay.
 
 Decode-once dispatch
@@ -30,28 +32,31 @@ cost lookup, no end-of-body test, no opcode string comparisons.
 
 Run loop
 --------
-:meth:`Machine.run` and :meth:`Machine.advance` share one loop.  Per
-step it checks the stop conditions, asks the scheduler once -
-``pick(machine, runnable)`` with the machine's runnable list (see
-:mod:`repro.vm.scheduler`) - and runs the picked thread's next
-instruction.  A scheduler that holds threads back at out-of-order sync
-ops reads each one's next op from its function's ``sync_ops`` table,
-built with the function, not by decoding the instruction; around a
-:class:`~repro.vm.scheduler.RandomScheduler` it settles a pick that
-keeps the current thread from that thread alone.
+:meth:`Machine.run` and :meth:`Machine.advance` share one loop, which
+holds the one step body of every trace mode.  Per step it checks the
+stop conditions, settles which thread runs, runs that thread's next
+instruction, keeps what the mode keeps, and notifies.  While the thread
+that ran the last step may run again, the scheduler's keep rule
+(fetched once per entry; see :mod:`repro.vm.scheduler`) lets the loop
+draw the keep itself and call the rule's switch only when the draw says
+switch.  Every other decision - the first after entry, the one after a
+blocked or finished thread, and the one at a sync op under a gated rule
+- calls ``pick(machine, runnable)`` with the machine's runnable list.
+Both make the same draws, so no decision moves.
 
 Lifetime
 --------
 No reference cycle runs through a machine or its program, so a dropped
 machine and its trace are freed at once by reference counting, not by
 the cyclic collector - a replay search drops thousands.  The machine
-keeps its mode's plain step function (``_run_loop`` calls
-``step(self, thread)``), never a bound method of itself; its environment
-holds it weakly; and what is installed on it - observers, interceptors,
-the early-abort hook - must not hold it either (``record_run`` detaches
-its recorder once the log is finalized).  The code table holds no
-reference back to its program, and the ``call`` handler reads the
-callee's code off the machine rather than capturing it.
+stores no bound method of itself; what the run loop needs (the scratch
+record, the keep rule) lives in its locals for one entry; its
+environment holds it weakly; and what is installed on it - observers,
+interceptors, the early-abort hook - must not hold it either
+(``record_run`` detaches its recorder once the log is finalized).  The
+code table holds no reference back to its program, and the ``call``
+handler reads the callee's code off the machine rather than capturing
+it.
 
 Checkpoint / fork
 -----------------
@@ -66,23 +71,24 @@ of re-executing the common prefix.
 
 Trace modes
 -----------
-Every mode runs the identical execution; they differ only in what the
+Every mode runs the identical execution through the same step body,
+which reads the mode as two flags; the modes differ only in what the
 :class:`~repro.vm.trace.Trace` keeps.
 
-``full``      a :class:`~repro.vm.trace.StepRecord` for every step, and
-              the schedule.  Recorders, replays and every trace query
-              need this.
+``full``      a fresh :class:`~repro.vm.trace.StepRecord` for every
+              step, and the schedule.  Recorders, replays and every
+              trace query need this.
 ``counting``  no step records: one scratch record is reused for
               dispatch/observers, and only counts, the failure
               signature, the output log and per-thread branch paths
               survive.  Inference-search candidates run this way; the
               one accepted execution is re-run once with full tracing.
 ``events``    counting's execution, plus a real record (with its global
-              ``index``) for each step that reads or writes shared
-              memory, synchronizes, or does I/O - the steps a
-              root-cause diagnosis reads.  No schedule and no branch
-              paths.  The trace is marked ``sparse``; root-cause
-              enumeration runs its candidates this way.
+              ``index``) copied out of the scratch one for each step
+              that reads or writes shared memory, synchronizes, or does
+              I/O - the steps a root-cause diagnosis reads.  No schedule
+              and no branch paths.  The trace is marked ``sparse``;
+              root-cause enumeration runs its candidates this way.
 
 ``max_native_cycles`` bounds a run by metered cycles (search budgets
 enforce their ceiling *inside* the candidate run) and the
@@ -116,6 +122,8 @@ IoInterceptor = Callable[[int, str, str, Callable[[], Any]], Any]
 # Early-abort hook: called after every executed I/O step; returning True
 # stops the run (the caller promises it would reject the run anyway).
 EarlyAbort = Callable[["Machine", StepRecord], bool]
+# A step-stream subscriber, called after an executed step.
+Observer = Callable[["Machine", StepRecord], None]
 # One decoded instruction: its opcode, its handler
 # ``(machine, thread, frame, record) -> bool`` and its cost in cycles.
 CodeEntry = Tuple[str, Callable[..., bool], int]
@@ -134,9 +142,8 @@ _NO_STEP_TARGET = 1 << 62
 
 _RUNNABLE = ThreadStatus.RUNNABLE
 
-# trace_mode -> the name of the step function that keeps its trace.
-_STEP_FUNCTIONS = {"full": "_step_full", "counting": "_step_counting",
-                   "events": "_step_events"}
+# The trace modes (see "Trace modes" above).
+_TRACE_MODES = frozenset(("full", "counting", "events"))
 
 
 class _UndefinedRegister(Exception):
@@ -663,7 +670,7 @@ class Machine:
                  entry_args: Sequence[Any] = (),
                  trace_mode: str = "full",
                  max_native_cycles: Optional[int] = None):
-        if trace_mode not in _STEP_FUNCTIONS:
+        if trace_mode not in _TRACE_MODES:
             raise MachineError(f"unknown trace_mode {trace_mode!r}")
         self.program = program
         self.env = env or Environment()
@@ -687,18 +694,13 @@ class Machine:
         self.aborted = False
         self.steps = 0
 
-        # The counting and events modes reuse one scratch record per
-        # step instead of allocating; the record is valid only for the
-        # duration of the dispatch/observer calls it is passed to.  The
-        # per-mode step function is picked once so the full-trace path
-        # pays nothing for the mode check.
         self.trace_mode = trace_mode
         self.trace.sparse = trace_mode == "events"
-        self._bind_step()
         # Absolute ceiling on metered native cycles (None = unlimited).
         self.max_native_cycles = max_native_cycles
 
-        self._observers: List[Callable[["Machine", StepRecord], None]] = []
+        self._observers: List[Observer] = []
+        self._sync_io_observers: List[Observer] = []
         self.load_interceptor: Optional[LoadInterceptor] = None
         self.io_interceptor: Optional[IoInterceptor] = None
         self.early_abort: Optional[EarlyAbort] = None
@@ -716,18 +718,6 @@ class Machine:
         self._next_tid = 0
         self._spawn_thread(program.entry, list(entry_args))
 
-    def _bind_step(self) -> None:
-        """Pick this mode's step function and its scratch record.
-
-        The plain function is kept, not a bound method: a bound method
-        stored on the machine would point back at it, and every machine
-        and its trace would then wait for the cyclic collector instead
-        of being freed as soon as they are dropped.
-        """
-        self._scratch = (None if self.trace_mode == "full"
-                         else StepRecord(0, 0, "", 0, "", 0))
-        self._step = getattr(type(self), _STEP_FUNCTIONS[self.trace_mode])
-
     # -- cycle ceiling ----------------------------------------------------
     #
     # Stored internally as an always-int sentinel so the per-iteration
@@ -744,10 +734,17 @@ class Machine:
 
     # -- public surface ---------------------------------------------------
 
-    def add_observer(self,
-                     observer: Callable[["Machine", StepRecord], None]) -> None:
-        """Subscribe to the step stream (called after each executed step)."""
-        self._observers.append(observer)
+    def add_observer(self, observer: Observer,
+                     sync_or_io: bool = False) -> None:
+        """Subscribe to the step stream: ``observer`` is called after
+        each executed step or, with ``sync_or_io``, only after the steps
+        that synchronize or do I/O (``sync`` or ``io`` set).  On such a
+        step the every-step observers run first, each kind in the order
+        it subscribed."""
+        if sync_or_io:
+            self._sync_io_observers.append(observer)
+        else:
+            self._observers.append(observer)
 
     def live_tids(self) -> List[int]:
         return sorted(t.tid for t in self.threads.values() if t.is_live)
@@ -818,9 +815,9 @@ class Machine:
         twin.aborted = self.aborted
         twin.steps = self.steps
         twin.trace_mode = self.trace_mode
-        twin._bind_step()
         twin._cycle_ceiling = self._cycle_ceiling
         twin._observers = []
+        twin._sync_io_observers = []
         twin.load_interceptor = self.load_interceptor
         twin.io_interceptor = self.io_interceptor
         twin.early_abort = self.early_abort
@@ -863,23 +860,41 @@ class Machine:
     def _run_loop(self, target: int) -> None:
         """Step until ``target`` steps, completion, failure, deadlock, a
         limit, or an abort - the one loop behind :meth:`run` and
-        :meth:`advance`.
+        :meth:`advance`, and the one step body of every trace mode.
 
-        Per step: the stop checks, one ``scheduler.pick(self, runnable)``
-        and its validity check, the mode's step function, then the
-        bookkeeping both modes share.  The objects and limits bound to
-        locals here stay fixed for the whole run.
+        Per step: the stop checks; the decision - settled here with the
+        scheduler's keep rule while the thread that ran the last step
+        may run again, else one ``scheduler.pick(self, runnable)`` - and
+        the validity check of any thread the scheduler names; the
+        instruction; the mode's trace; then notification.  The objects,
+        limits and mode flags bound to locals here stay fixed for the
+        whole entry.
         """
         threads = self.threads
         runnable = self._runnable
-        pick = self.scheduler.pick
-        notify = notifier(self.scheduler)
+        scheduler = self.scheduler
+        pick = scheduler.pick
+        rule = scheduler.keep_rule(self)
+        draw, switch_prob, sync_gated, switch = rule or (None,) * 4
+        notify = notifier(scheduler)
+        notify_sync = notifier(scheduler, "notify_sync")
         observers = self._observers
-        step = self._step
+        sync_io_observers = self._sync_io_observers
+        trace = self.trace
+        full = self.trace_mode == "full"
+        events = self.trace_mode == "events"
+        kept = trace.steps
+        schedule = trace.schedule
+        # Counting and events reuse one scratch record for every step of
+        # the entry; it is valid only during the calls it is passed to.
+        scratch = None if full else StepRecord(0, 0, "", 0, "", 0)
         meter = self.meter
         max_steps = self.max_steps
         ceiling = self._cycle_ceiling
         stop_on_failure = self.stop_on_failure
+        # The thread that ran the last step, while the keep rule may
+        # settle the next decision; None sends it to ``pick``.
+        last = None
         while True:
             steps = self.steps
             if steps >= target or self.halted:
@@ -904,22 +919,91 @@ class Machine:
                 # *finishes* exactly at the ceiling is not marked truncated.
                 self.hit_cycle_limit = True
                 return
-            tid = pick(self, runnable)
-            thread = threads.get(tid)
-            if thread is None or thread.status is not _RUNNABLE:
+            thread = None
+            if last is not None and last.status is _RUNNABLE:
+                frame = last.frames[-1]
+                if not sync_gated \
+                        or frame.function.sync_ops[frame.pc] is None:
+                    if draw() >= switch_prob:
+                        thread = last
+                        tid = thread.tid
+                    else:
+                        tid = switch(runnable)
+                else:
+                    tid = pick(self, runnable)
+            else:
+                tid = pick(self, runnable)
+            if thread is None:
+                thread = threads.get(tid)
+                if thread is None or thread.status is not _RUNNABLE:
+                    raise MachineError(
+                        f"scheduler picked non-runnable thread {tid}")
+                frame = thread.frames[-1]
+            pc = frame.pc
+            op, handler, cost = frame.code[pc]
+            if full:
+                record = StepRecord(steps, tid, frame.function.name, pc, op,
+                                    cost)
+            else:
+                record = scratch
+                record.index = steps
+                record.tid = tid
+                record.function = frame.function.name
+                record.pc = pc
+                record.op = op
+                record.cost = cost
+                record.reads = _NO_EFFECTS
+                record.writes = _NO_EFFECTS
+                record.sync = None
+                record.io = None
+                record.branch_taken = None
+            try:
+                executed = handler(self, thread, frame, record)
+            except OutOfBoundsAccess as oob:
+                self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS,
+                                    str(oob))
+                executed = False
+            except _UndefinedRegister as undef:
                 raise MachineError(
-                    f"scheduler picked non-runnable thread {tid}")
-            record = step(self, thread)
-            if record is None:
-                continue  # the thread blocked or failed; no step happened
+                    f"thread {tid}: read of undefined register "
+                    f"%{undef.name} in {frame.function.name}") from None
+            if not executed:
+                # The thread blocked or failed; no step happened.
+                last = None
+                continue
+            sync = record.sync
+            io = record.io
+            if full:
+                kept.append(record)
+                schedule.append(tid)
+                trace.total_steps += 1
+            elif events:
+                # Keep a real record, with its global index, of each step
+                # a diagnosis reads; handlers assign fresh effect lists,
+                # so it can share them with the scratch one.
+                if (record.reads or record.writes or sync is not None
+                        or io is not None):
+                    record = StepRecord(steps, tid, record.function, pc, op,
+                                        cost, record.reads, record.writes,
+                                        sync, io)
+                    kept.append(record)
+            elif record.branch_taken is not None:
+                trace.record_branch(tid, record.branch_taken)
             self.steps = steps + 1
-            meter.native_cycles += record.cost
+            meter.native_cycles += cost
             if notify is not None:
                 notify(record)
+            if sync is not None and notify_sync is not None:
+                notify_sync(record)
             for observer in observers:
                 observer(self, record)
-            if record.io is not None:
-                self._check_abort(record)
+            if sync is not None or io is not None:
+                for observer in sync_io_observers:
+                    observer(self, record)
+                if io is not None:
+                    self._check_abort(record)
+            if draw is not None:
+                last = thread
 
     def _finalize(self) -> None:
         if (self.failure is None and self.io_spec is not None
@@ -997,124 +1081,6 @@ class Machine:
 
     # -- instruction execution ----------------------------------------------
 
-    # ``self._step`` is one of the three variants below, picked at
-    # construction time, so the full-trace hot path carries no mode
-    # branches.  Each executes one instruction of ``thread`` and keeps
-    # its mode's trace; the run loop does the rest.  Keep the bodies in
-    # lockstep: they must execute the identical guest semantics (the
-    # counting- and events-equivalence tests pin this).  None means the
-    # thread blocked or failed and no step happened.
-
-    def _step_full(self, thread: ThreadState) -> Optional[StepRecord]:
-        frame = thread.frames[-1]
-        pc = frame.pc
-        op, handler, cost = frame.code[pc]
-        tid = thread.tid
-        record = StepRecord(self.steps, tid, frame.function.name, pc, op,
-                            cost)
-        try:
-            executed = handler(self, thread, frame, record)
-        except OutOfBoundsAccess as oob:
-            self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS, str(oob))
-            return None
-        except _UndefinedRegister as undef:
-            raise MachineError(
-                f"thread {tid}: read of undefined register "
-                f"%{undef.name} in {frame.function.name}") from None
-        if not executed:
-            return None
-        trace = self.trace
-        trace.steps.append(record)
-        trace.schedule.append(tid)
-        trace.total_steps += 1
-        return record
-
-    def _step_counting(self, thread: ThreadState) -> Optional[StepRecord]:
-        """Trace-free variant: identical semantics, no StepRecord kept.
-
-        One scratch record is reset and reused for dispatch, scheduler
-        notification, and observers; only counts, branch paths, outputs
-        (on the environment), and the failure signature survive the step.
-        """
-        frame = thread.frames[-1]
-        pc = frame.pc
-        op, handler, cost = frame.code[pc]
-        tid = thread.tid
-        record = self._scratch
-        record.index = self.steps
-        record.tid = tid
-        record.function = frame.function.name
-        record.pc = pc
-        record.op = op
-        record.cost = cost
-        record.reads = _NO_EFFECTS
-        record.writes = _NO_EFFECTS
-        record.sync = None
-        record.io = None
-        record.branch_taken = None
-        try:
-            executed = handler(self, thread, frame, record)
-        except OutOfBoundsAccess as oob:
-            self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS, str(oob))
-            return None
-        except _UndefinedRegister as undef:
-            raise MachineError(
-                f"thread {tid}: read of undefined register "
-                f"%{undef.name} in {frame.function.name}") from None
-        if not executed:
-            return None
-        if record.branch_taken is not None:
-            self.trace.record_branch(tid, record.branch_taken)
-        return record
-
-    def _step_events(self, thread: ThreadState) -> Optional[StepRecord]:
-        """Sparse variant: counting's execution, effect steps kept.
-
-        Runs exactly what :meth:`_step_counting` runs on the scratch
-        record, then keeps a real record - same global ``index`` - of
-        each step that read or wrote shared memory, synchronized, or did
-        I/O, and hands that record to the run loop.  No schedule and no
-        branch paths are kept: no diagnosis reads them.
-        """
-        frame = thread.frames[-1]
-        pc = frame.pc
-        op, handler, cost = frame.code[pc]
-        tid = thread.tid
-        record = self._scratch
-        record.index = self.steps
-        record.tid = tid
-        record.function = frame.function.name
-        record.pc = pc
-        record.op = op
-        record.cost = cost
-        record.reads = _NO_EFFECTS
-        record.writes = _NO_EFFECTS
-        record.sync = None
-        record.io = None
-        record.branch_taken = None
-        try:
-            executed = handler(self, thread, frame, record)
-        except OutOfBoundsAccess as oob:
-            self._guest_failure(thread, FailureKind.OUT_OF_BOUNDS, str(oob))
-            return None
-        except _UndefinedRegister as undef:
-            raise MachineError(
-                f"thread {tid}: read of undefined register "
-                f"%{undef.name} in {frame.function.name}") from None
-        if not executed:
-            return None
-        reads = record.reads
-        writes = record.writes
-        sync = record.sync
-        io = record.io
-        if reads or writes or sync is not None or io is not None:
-            # Handlers assign fresh effect lists, so the kept record can
-            # share them with the scratch one.
-            record = StepRecord(record.index, tid, record.function, pc, op,
-                                cost, reads, writes, sync, io)
-            self.trace.steps.append(record)
-        return record
-
     def _check_abort(self, record: StepRecord) -> None:
         early_abort = self.early_abort
         if early_abort is not None and early_abort(self, record):
@@ -1161,11 +1127,13 @@ def run_program(program: Program,
                 io_spec: Optional[IOSpec] = None,
                 net_drop_rate: float = 0.0,
                 max_steps: int = 2_000_000,
-                observers: Sequence[Callable] = ()) -> Machine:
+                observers: Sequence[Callable] = (),
+                trace_mode: str = "full") -> Machine:
     """Convenience wrapper: build an environment + machine and run it."""
     env = Environment(inputs=inputs, seed=seed, net_drop_rate=net_drop_rate)
     machine = Machine(program, env=env, scheduler=scheduler,
-                      io_spec=io_spec, max_steps=max_steps)
+                      io_spec=io_spec, max_steps=max_steps,
+                      trace_mode=trace_mode)
     for observer in observers:
         machine.add_observer(observer)
     return machine.run()

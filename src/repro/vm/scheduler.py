@@ -6,31 +6,30 @@ modelling an OS scheduler with quantum jitter.  Replay runs use
 :class:`SyncOrderScheduler` (recorded synchronization order only - the
 ODR-style relaxation that leaves racing instructions unordered).
 
-The contract is one call per step: the machine calls
-``pick(machine, runnable)`` with its runnable tid list - non-empty,
-ascending, and read-only to the scheduler - and runs the tid returned,
-which must be one of them.  All policy lives in the schedulers; the
-machine only passes its list.  A scheduler that constrains another
-(:class:`SyncOrderScheduler`, ``GuidedOrderScheduler`` in
-:mod:`repro.replay.selective_replay`) reads each runnable thread's next
-sync op off its top frame from a per-function table
+The machine calls ``pick(machine, runnable)`` with its runnable tid list -
+non-empty, ascending, and read-only to the scheduler - and runs the tid
+returned, which must be one of them.  All policy lives in the
+schedulers; the machine only passes its list.  A scheduler that
+constrains another (:class:`SyncOrderScheduler`, ``GuidedOrderScheduler``
+in :mod:`repro.replay.selective_replay`) reads each runnable thread's
+next sync op off its top frame from a per-function table
 (``frame.function.sync_ops[frame.pc]``), filters the list, and calls
 ``inner.pick(machine, allowed)`` - with the runnable list itself when it
 excludes no thread.
 
-Sticky picks: around a :class:`RandomScheduler` whose ``pick`` is its
-own (:func:`sticky_inner`), a constraining scheduler first checks the
-inner's current thread alone.  If that thread is runnable and admitted
-it draws :meth:`RandomScheduler.keeps`, and builds the allowed list
-only when the draw says switch, for :meth:`RandomScheduler.switch`.
-Those are the draws ``inner.pick(machine, allowed)`` would make -
-``random()`` only when the current thread is allowed, ``randrange`` over
-the same list on a switch - so no decision moves; a held or
-non-runnable current thread takes the filter-then-pick path as before.
+Keep rules: between two steps of one thread the run loop may skip
+``pick``.  A scheduler's :meth:`~Scheduler.keep_rule` hands it the keep
+draw and the switch that ``pick`` would make there -
+:class:`RandomScheduler`'s own, and :class:`SyncOrderScheduler`'s
+between sync ops - so no decision moves.  A class that overrides
+``pick`` offers no rule and is asked on every step.
+``GuidedOrderScheduler`` offers none either; around a
+:class:`RandomScheduler` whose pick is its own (:func:`sticky_inner`)
+its pick settles a stay from the current thread alone.
 
-After every executed step the machine calls ``notify(step)``, but only
-on schedulers whose class overrides :meth:`Scheduler.notify`; the
-stateless default is never called (see :func:`notifier`).
+After every executed step the machine calls ``notify(step)``, and after
+each one with ``step.sync`` set ``notify_sync(step)``; each only on
+schedulers whose class overrides it (see :func:`notifier`).
 """
 
 from __future__ import annotations
@@ -42,6 +41,10 @@ from repro.errors import ReplayDivergenceError, SchedulerError
 from repro.util.rng import DeterministicRng, copy_stream
 from repro.vm.trace import StepRecord
 
+# ``(draw, switch_prob, sync_gated, switch)``: see :meth:`Scheduler.keep_rule`.
+KeepRule = Tuple[Callable[[], float], float, bool,
+                 Callable[[List[int]], int]]
+
 
 class Scheduler:
     """Base scheduler interface."""
@@ -50,8 +53,25 @@ class Scheduler:
         """Return the tid to execute next, one of ``runnable``."""
         raise NotImplementedError
 
+    def keep_rule(self, machine) -> Optional[KeepRule]:
+        """How ``machine``'s run loop may settle a decision without
+        :meth:`pick`, or None (the default): pick decides every step.
+
+        A rule ``(draw, switch_prob, sync_gated, switch)`` promises that
+        while the thread that ran the last step is still runnable - and,
+        with ``sync_gated``, its next op is not a sync op - ``pick`` would
+        run it again exactly when ``draw() >= switch_prob``, and would
+        otherwise return ``switch(runnable)``, with the same draws.  It is
+        asked once per run-loop entry and held for that entry only.
+        """
+        return None
+
     def notify(self, step: StepRecord) -> None:
         """Called after each executed step; default is stateless."""
+
+    def notify_sync(self, step: StepRecord) -> None:
+        """Called after each executed step with ``step.sync`` set;
+        default is stateless."""
 
     def fork(self) -> "Scheduler":
         """Return a fresh scheduler with identical initial behaviour."""
@@ -69,12 +89,13 @@ class Scheduler:
         return copy.deepcopy(self)
 
 
-def notifier(scheduler: Scheduler
+def notifier(scheduler: Scheduler, hook: str = "notify"
              ) -> Optional[Callable[[StepRecord], None]]:
-    """``scheduler.notify``, or None when its class keeps the no-op."""
-    if type(scheduler).notify is Scheduler.notify:
+    """``scheduler``'s ``hook`` (``notify`` or ``notify_sync``), or None
+    when its class keeps the base no-op."""
+    if getattr(type(scheduler), hook) is getattr(Scheduler, hook):
         return None
-    return scheduler.notify
+    return getattr(scheduler, hook)
 
 
 class RoundRobinScheduler(Scheduler):
@@ -122,9 +143,8 @@ class RandomScheduler(Scheduler):
     strategy for schedule non-determinism in this substrate.
 
     A pick is two public halves, :meth:`keeps` and :meth:`switch`, which
-    a constraining scheduler may call itself (see
-    :class:`SyncOrderScheduler`) to make the same draws as ``pick`` on
-    its allowed list.
+    the run loop (through :meth:`keep_rule`) and a constraining scheduler
+    may call themselves to make the same draws as ``pick``.
     """
 
     def __init__(self, seed: int = 0, switch_prob: float = 0.25):
@@ -141,6 +161,12 @@ class RandomScheduler(Scheduler):
         if self.current in runnable and self.keeps():
             return self.current
         return self.switch(runnable)
+
+    def keep_rule(self, machine) -> Optional[KeepRule]:
+        """``keeps``'s draw and :meth:`switch`, while pick is its own."""
+        if sticky_inner(self) is None:
+            return None
+        return self._stream.random, self.switch_prob, False, self.switch
 
     def keeps(self) -> bool:
         """Draw whether the current thread runs again: a pick's first
@@ -209,17 +235,19 @@ class FixedScheduler(Scheduler):
 
 
 def sticky_inner(inner: Scheduler) -> Optional[RandomScheduler]:
-    """``inner`` when its pick is :class:`RandomScheduler`'s own - a
-    :meth:`~RandomScheduler.keeps` draw for a runnable current thread,
-    then a :meth:`~RandomScheduler.switch` draw - else None.
+    """``inner`` when its pick and keep draw are :class:`RandomScheduler`'s
+    own - a :meth:`~RandomScheduler.keeps` draw for a runnable current
+    thread, then a :meth:`~RandomScheduler.switch` draw - else None.
 
-    A constraining scheduler around such an inner settles a pick that
-    keeps the current thread from that thread alone and builds its
-    allowed list only on a switch; the draws are the ones
-    ``inner.pick(machine, allowed)`` would make.
+    Only such an inner offers a keep rule, and a constraining scheduler
+    around one may settle a pick that keeps the current thread from that
+    thread alone, building its allowed list only on a switch; the draws
+    are the ones ``inner.pick(machine, allowed)`` would make.
     """
+    cls = type(inner)
     if isinstance(inner, RandomScheduler) \
-            and type(inner).pick is RandomScheduler.pick:
+            and cls.pick is RandomScheduler.pick \
+            and cls.keeps is RandomScheduler.keeps:
         return inner
     return None
 
@@ -233,6 +261,9 @@ class SyncOrderScheduler(Scheduler):
     inner scheduler.  Replay under this scheduler reproduces sync order
     while leaving race outcomes unconstrained, which is exactly the
     residual non-determinism output-deterministic systems must infer.
+
+    The inner scheduler only picks: it is never notified, so an inner
+    that needs its ``notify`` is refused.
     """
 
     def __init__(self, sync_order: Sequence[Tuple[int, str, object]],
@@ -240,8 +271,10 @@ class SyncOrderScheduler(Scheduler):
         self.sync_order = list(sync_order)
         self._index = 0
         self._inner = inner or RoundRobinScheduler()
-        self._inner_notify = notifier(self._inner)
-        self._sticky = sticky_inner(self._inner)
+        if notifier(self._inner) is not None \
+                or notifier(self._inner, "notify_sync") is not None:
+            raise SchedulerError(
+                "a sync-order scheduler does not notify its inner scheduler")
 
     def pick(self, machine, runnable: List[int]) -> int:
         index = self._index
@@ -249,29 +282,37 @@ class SyncOrderScheduler(Scheduler):
             # Past the recorded window: sync ops run freely.
             return self._inner.pick(machine, runnable)
         expected_tid, expected_op, __ = self.sync_order[index]
-        threads = machine.threads
-        sticky = self._sticky
-        if sticky is not None:
-            current = sticky.current
-            if current in runnable:
-                frame = threads[current].frames[-1]
-                op = frame.function.sync_ops[frame.pc]
-                # ``_allowed``'s test for one thread: if the current
-                # thread may run, the allowed list holds it and is not
-                # empty, so the stay is settled from that thread alone.
-                if op is None or (current == expected_tid
-                                  and op == expected_op):
-                    if sticky.keeps():
-                        return current
-                    return sticky.switch(self._allowed(
-                        threads, runnable, expected_tid, expected_op))
-        allowed = self._allowed(threads, runnable, expected_tid,
+        allowed = self._allowed(machine.threads, runnable, expected_tid,
                                 expected_op)
         if not allowed:
             raise ReplayDivergenceError(
                 f"sync-order replay stuck at event {index}: every "
                 f"runnable thread is at an out-of-order sync operation")
         return self._inner.pick(machine, allowed)
+
+    def keep_rule(self, machine) -> Optional[KeepRule]:
+        """The inner's rule, gated at sync ops, while pick is this
+        class's own.  Its switch draws among the threads the next
+        recorded sync event admits - a list that holds the current
+        thread, since a thread at no sync op is always admitted."""
+        if type(self).pick is not SyncOrderScheduler.pick:
+            return None
+        rule = self._inner.keep_rule(machine)
+        if rule is None:
+            return None
+        draw, switch_prob, __, inner_switch = rule
+        threads = machine.threads
+        sync_order = self.sync_order
+        allowed = self._allowed
+
+        def switch(runnable: List[int]) -> int:
+            index = self._index
+            if index < len(sync_order):
+                expected_tid, expected_op, __ = sync_order[index]
+                runnable = allowed(threads, runnable, expected_tid,
+                                   expected_op)
+            return inner_switch(runnable)
+        return draw, switch_prob, True, switch
 
     @staticmethod
     def _allowed(threads, runnable: List[int], expected_tid: int,
@@ -293,13 +334,12 @@ class SyncOrderScheduler(Scheduler):
                 allowed.append(tid)
         return allowed
 
-    def notify(self, step: StepRecord) -> None:
-        if self._inner_notify is not None:
-            self._inner_notify(step)
-        if (step.sync is not None and self._index < len(self.sync_order)):
-            expected_tid, expected_op, _ = self.sync_order[self._index]
+    def notify_sync(self, step: StepRecord) -> None:
+        index = self._index
+        if index < len(self.sync_order):
+            expected_tid, expected_op, __ = self.sync_order[index]
             if step.tid == expected_tid and step.op == expected_op:
-                self._index += 1
+                self._index = index + 1
 
     def fork(self) -> "SyncOrderScheduler":
         return SyncOrderScheduler(self.sync_order, self._inner.fork())

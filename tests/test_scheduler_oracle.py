@@ -1,11 +1,21 @@
-"""Oracle: sticky picks make the decisions filter-then-pick made.
+"""Oracle: the run loop's keep rule and the sticky picks make the
+decisions pick-every-step made.
 
-Around a :class:`~repro.vm.scheduler.RandomScheduler`, the constraining
-schedulers - :class:`~repro.vm.scheduler.SyncOrderScheduler` (the
-output model's ODR replay) and
-:class:`~repro.replay.selective_replay.GuidedOrderScheduler` (rcse) -
-settle a pick that keeps the current thread from that thread alone, and
-build the allowed list only on a switch.  This oracle keeps the
+Plain runs: a :class:`~repro.vm.scheduler.RandomScheduler` hands the
+run loop a keep rule, so between two steps of one thread the loop draws
+the keep itself and calls the scheduler only on a switch.  The reference
+is a subclass whose ``pick`` is overridden (it calls the base pick), so
+it offers no keep rule and is asked on every step.  Each case runs at
+its failing seed under both, in every trace mode, and the runs must
+agree: the fingerprint in ``full``; steps, cycles, outputs, failure and
+branch paths in ``counting``; the effect steps in ``events``.
+
+Replays: around a RandomScheduler, the constraining schedulers -
+:class:`~repro.vm.scheduler.SyncOrderScheduler` (the output model's ODR
+replay), whose keep rule the loop uses between sync ops, and
+:class:`~repro.replay.selective_replay.GuidedOrderScheduler` (rcse),
+whose pick settles a stay from the current thread alone - build the
+allowed list only when a pick needs it.  This oracle keeps the
 schedulers they replaced as references: they scan every runnable thread
 on every step and hand the allowed list to ``inner.pick``.  Each case is
 recorded and shipped once, then the workstation replays it under both,
@@ -13,8 +23,8 @@ and the two replays must agree on ``attempts``, ``inference_cycles``,
 ``found`` and the replay trace's fingerprint.
 
 Tier-1 covers the seven apps and corpus seeds 0-23;
-``benchmarks/bench_schedulers.py`` runs the same oracle over corpus seeds
-0-119.
+``benchmarks/bench_schedulers.py`` runs the same oracles over corpus
+seeds 0-119.
 """
 
 from collections import Counter
@@ -25,13 +35,25 @@ from unittest import mock
 import pytest
 
 from repro.apps import ALL_APPS
+from repro.apps.base import find_failing_seed
 from repro.errors import ReplayDivergenceError
 from repro.models import DebugSession
 from repro.models.session import resolve_case
 from repro.replay import output_replay, selective_replay
+from repro.replay.base import TidMapper
+from repro.vm import Machine, RandomScheduler, run_program
 from repro.vm.scheduler import SyncOrderScheduler
 
 MODELS = ("output", "rcse")
+TRACE_MODES = ("full", "counting", "events")
+
+
+class PickEveryStepRandom(RandomScheduler):
+    """The production scheduler with its pick overridden: it offers no
+    keep rule, so the run loop asks it on every step."""
+
+    def pick(self, machine, runnable):
+        return super().pick(machine, runnable)
 
 
 class FilterThenPickSyncOrder(SyncOrderScheduler):
@@ -147,10 +169,51 @@ def check_replays(ref: str, model: str) -> Tuple[int, int, bool,
     return sticky
 
 
+def failing_seed(case) -> int:
+    """A corpus case's pinned failing seed, or an app's first one."""
+    seed = getattr(case, "failing_seed", None)
+    return find_failing_seed(case) if seed is None else seed
+
+
+def _plain_run(case, seed: int, trace_mode: str, scheduler_class) -> Machine:
+    """``case``'s production run at ``seed`` (as ``AppCase.run``), under
+    ``scheduler_class``."""
+    return run_program(
+        case.program, inputs={k: list(v) for k, v in case.inputs.items()},
+        seed=seed, scheduler=scheduler_class(seed, case.switch_prob),
+        io_spec=case.io_spec, net_drop_rate=case.net_drop_rate,
+        max_steps=500_000, trace_mode=trace_mode)
+
+
+def _plain_summary(machine: Machine, trace_mode: str):
+    trace = machine.trace
+    if trace_mode == "full":
+        return trace.fingerprint()
+    if trace_mode == "counting":
+        return (machine.steps, machine.meter.native_cycles, trace.outputs,
+                trace.failure, trace.thread_branch_paths())
+    return list(trace.steps)
+
+
+def check_plain_runs(ref: str) -> None:
+    """Run ``ref`` at its failing seed in every trace mode under the
+    production scheduler and under the pick-every-step reference; the
+    runs must agree."""
+    case = resolve_case(ref)
+    seed = failing_seed(case)
+    for trace_mode in TRACE_MODES:
+        ruled = _plain_run(case, seed, trace_mode, RandomScheduler)
+        reference = _plain_run(case, seed, trace_mode, PickEveryStepRandom)
+        assert _plain_summary(ruled, trace_mode) == \
+            _plain_summary(reference, trace_mode), f"{ref} in {trace_mode}"
+
+
 def test_reference_schedulers_are_patched_in():
-    """The reference replays run the reference picks (else the oracle
-    would compare the sticky path with itself)."""
+    """The references run their own picks, on every step (else the
+    oracles would compare the keep rule or the sticky path with
+    itself)."""
     picks = Counter()
+    steps = Counter()
 
     def counted(cls):
         pick = cls.pick
@@ -160,14 +223,31 @@ def test_reference_schedulers_are_patched_in():
             return pick(self, machine, runnable)
         return counted_pick
 
-    with mock.patch.object(FilterThenPickSyncOrder, "pick",
-                           counted(FilterThenPickSyncOrder)), \
+    run = Machine.run
+
+    def counted_run(machine):
+        try:
+            return run(machine)
+        finally:
+            steps[type(machine.scheduler).__name__] += machine.steps
+
+    references = (FilterThenPickSyncOrder, FilterThenPickGuidedOrder,
+                  PickEveryStepRandom)
+    with mock.patch.object(Machine, "run", counted_run), \
+            mock.patch.object(FilterThenPickSyncOrder, "pick",
+                              counted(FilterThenPickSyncOrder)), \
             mock.patch.object(FilterThenPickGuidedOrder, "pick",
-                              counted(FilterThenPickGuidedOrder)):
+                              counted(FilterThenPickGuidedOrder)), \
+            mock.patch.object(PickEveryStepRandom, "pick",
+                              counted(PickEveryStepRandom)):
         for model in MODELS:
             check_replays("app:racy_counter", model)
-    assert picks["FilterThenPickSyncOrder"] > 0
-    assert picks["FilterThenPickGuidedOrder"] > 0
+        check_plain_runs("app:racy_counter")
+    for cls in references:
+        # One pick per decision: at least one per step.
+        name = cls.__name__
+        assert steps[name] > 0, name
+        assert picks[name] >= steps[name], name
     assert output_replay.SyncOrderScheduler is SyncOrderScheduler
 
 
@@ -181,3 +261,56 @@ def test_app_replays_match_filter_then_pick(name, model):
 @pytest.mark.parametrize("seed", range(24))
 def test_corpus_replays_match_filter_then_pick(seed, model):
     check_replays(f"corpus:{seed}", model)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_APPS))
+def test_app_plain_runs_match_pick_every_step(name):
+    check_plain_runs(f"app:{name}")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_corpus_plain_runs_match_pick_every_step(seed):
+    check_plain_runs(f"corpus:{seed}")
+
+
+def test_odr_replay_asks_the_scheduler_only_at_sync_ops_and_switches():
+    """On msg_server's output replay the sync-order scheduler's pick runs
+    on few steps - the loop settles every kept step between sync ops -
+    and its sync hook runs once per sync step; the thread-id mapper runs
+    once per sync or I/O step."""
+    case = resolve_case("app:msg_server")
+    session = DebugSession(case, "output")
+    session.record()
+    payload = session.ship()
+    calls = Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def counted_method(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return mock.patch.object(cls, name, counted_method)
+
+    def count_steps(machine, record):
+        calls["steps"] += 1
+        calls["sync steps"] += record.sync is not None
+        calls["sync or io steps"] += (record.sync is not None
+                                      or record.io is not None)
+
+    run = Machine.run
+
+    def counted_run(machine):
+        machine.add_observer(count_steps)
+        return run(machine)
+
+    with mock.patch.object(Machine, "run", counted_run), \
+            counted(SyncOrderScheduler, "pick"), \
+            counted(SyncOrderScheduler, "notify_sync"), \
+            counted(TidMapper, "observe"):
+        replay = DebugSession.receive(payload).replay()
+    assert replay.found
+    assert calls["steps"] > 100_000
+    assert calls["pick"] < 0.1 * calls["steps"]
+    assert calls["notify_sync"] == calls["sync steps"] > 0
+    assert calls["observe"] == calls["sync or io steps"]

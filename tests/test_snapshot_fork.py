@@ -11,16 +11,21 @@ checked against the pinned golden digest itself.
 
 import pytest
 
+from repro.apps import ALL_APPS
 from repro.errors import ReplayDivergenceError
 from repro.harness.bench import COUNTER_SRC
+from repro.models.session import resolve_case
 from repro.replay.search import (ExecutionSearch, InputSpace, SearchBudget,
                                  default_dedupe_key, divergent_output_abort)
 from repro.util.intervals import Interval
-from repro.vm import RandomScheduler, assemble, run_program
+from repro.util.rng import DeterministicRng
+from repro.vm import (RandomScheduler, SyncOrderScheduler, assemble,
+                      run_program)
 from repro.vm.environment import Environment
 from repro.vm.machine import Machine
 
 from test_golden_traces import GOLDEN_COUNTER_DIGEST
+from test_scheduler_oracle import failing_seed
 
 # Exercises inputs, syscalls (seeded RNG), locks, spawn/join, and shared
 # memory - every state category a snapshot must capture.
@@ -110,6 +115,67 @@ def test_fork_isolates_shared_state():
     # Forked runs mutated their own memory/env, not each other's.
     assert machine.memory.snapshot() == fork.memory.snapshot()
     assert machine.env.outputs == fork.env.outputs
+
+
+# -- pause and fork under the keep rule ------------------------------------
+#
+# A run loop entry's first decision goes to ``pick``; later ones between
+# two steps of one thread are settled by the scheduler's keep rule.  So a
+# run paused at any step, then resumed or forked, must still make every
+# decision a run from scratch makes.
+
+def _pause_cases():
+    return ([f"app:{name}" for name in sorted(ALL_APPS)]
+            + [f"corpus:{seed}" for seed in range(24)])
+
+
+def _outcome(build, pause_at=None, fork=False):
+    """How a run ends: its step count and fingerprint, or its step count
+    and ``"stuck"`` where its sync order admitted no thread.  With
+    ``pause_at`` the run is paused there and then resumed - or, with
+    ``fork``, continued by a fork."""
+    machine = build()
+    try:
+        if pause_at is not None:
+            machine.advance(pause_at)
+            if fork:
+                machine = machine.fork()
+        machine.run()
+    except ReplayDivergenceError:
+        return machine.steps, "stuck"
+    return machine.steps, machine.trace.fingerprint()
+
+
+@pytest.mark.parametrize("ref", _pause_cases())
+def test_paused_and_forked_runs_match_a_scratch_run(ref):
+    """Under the production scheduler and a bare sync-order scheduler
+    over the recorded sync order (no feeds, no mapper: a fork drops
+    observers), ``advance(k)`` then ``run()`` and ``advance(k)`` then
+    ``fork().run()`` both match the run from scratch."""
+    case = resolve_case(ref)
+    seed = failing_seed(case)
+    sync_order = [(s.tid, s.op, s.sync[1])
+                  for s in case.run(seed).trace.sync_events()]
+
+    def machine(scheduler):
+        env = Environment(inputs={k: list(v) for k, v in case.inputs.items()},
+                          seed=seed, net_drop_rate=case.net_drop_rate)
+        return Machine(case.program, env=env, scheduler=scheduler,
+                       io_spec=case.io_spec, max_steps=500_000)
+
+    builds = {
+        "random": lambda: machine(case.production_scheduler(seed)),
+        "sync-order": lambda: machine(SyncOrderScheduler(
+            sync_order, inner=RandomScheduler(seed=1234))),
+    }
+    rng = DeterministicRng(0, f"pause:{ref}")
+    for name, build in builds.items():
+        scratch = _outcome(build)
+        pauses = {rng.randint(1, max(1, scratch[0] - 1)) for __ in range(3)}
+        for pause_at in sorted(pauses):
+            for fork in (False, True):
+                assert _outcome(build, pause_at, fork) == scratch, \
+                    (ref, name, pause_at, fork)
 
 
 # -- counting mode ----------------------------------------------------------

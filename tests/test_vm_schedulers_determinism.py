@@ -123,6 +123,18 @@ def test_fixed_scheduler_exhausted_falls_back_to_round_robin():
     assert m.env.outputs["o"][0] <= 50
 
 
+def test_sync_order_scheduler_refuses_an_inner_that_needs_notify():
+    """The sync-order scheduler never notifies its inner scheduler, so
+    an inner whose class overrides ``notify`` or ``notify_sync`` is
+    refused rather than left silently unnotified."""
+    from repro.errors import SchedulerError
+    with pytest.raises(SchedulerError, match="does not notify"):
+        SyncOrderScheduler([], inner=FixedScheduler([0]))
+    with pytest.raises(SchedulerError, match="does not notify"):
+        SyncOrderScheduler([], inner=SyncOrderScheduler([]))
+    SyncOrderScheduler([], inner=RandomScheduler())
+
+
 def test_sync_order_scheduler_enforces_lock_order():
     original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
     sync_order = [(s.tid, s.op, s.sync[1])
@@ -151,15 +163,26 @@ class _WatchingRandom(RandomScheduler):
         return super().pick(machine, runnable)
 
 
+class _OwnKeeps(RandomScheduler):
+    """A RandomScheduler whose keep draw is its own: it offers no keep
+    rule, since the run loop would draw around it."""
+
+    def keeps(self):
+        return super().keeps()
+
+
 def test_sync_order_sticky_pick_matches_filter_then_pick():
-    """Around a RandomScheduler the current thread's stay is settled from
-    that thread alone; around any other pick the allowed list is built on
-    every step.  Both make the same draws, so the same run."""
+    """Around a RandomScheduler the run loop settles the current thread's
+    stay with the keep rule, and builds the allowed list only on a
+    switch; around any other pick the list is built on every step.  Both
+    make the same draws, so the same run."""
     original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
     sync_order = [(s.tid, s.op, s.sync[1])
                   for s in original.trace.sync_events()]
     assert sticky_inner(RandomScheduler()) is not None
     assert sticky_inner(_WatchingRandom(0, 0.3)) is None
+    assert sticky_inner(_OwnKeeps()) is None
+    assert _OwnKeeps().keep_rule(None) is None
     assert sticky_inner(RoundRobinScheduler()) is None
     held_back = 0
     for seed in range(8):
