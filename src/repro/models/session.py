@@ -157,12 +157,34 @@ _CAUSE_COUNTS_BY_CONTENT: Dict[Tuple, int] = {}
 _CAUSE_COUNTS_BY_CASE: ("weakref.WeakKeyDictionary"
                         "[Any, Dict[Tuple, int]]") = (
     weakref.WeakKeyDictionary())
+# A session that pins no seed searches for the case's first failing one.
+# The search reads the case's program, inputs and knobs, so it is
+# memoized by the case object, held weakly, and by the seeds searched
+# plus the knobs: the sessions of one case under every model share one
+# search, and a ``dataclasses.replace`` variant searches again.
+_FAILING_SEEDS_BY_CASE: ("weakref.WeakKeyDictionary"
+                         "[Any, Dict[Tuple, Optional[int]]]") = (
+    weakref.WeakKeyDictionary())
 
 
 def clear_cause_counts() -> None:
-    """Forget every memoized ``n``, on both keys."""
+    """Forget every memoized ``n``, on both keys, and every memoized
+    failing seed."""
     _CAUSE_COUNTS_BY_CONTENT.clear()
     _CAUSE_COUNTS_BY_CASE.clear()
+    _FAILING_SEEDS_BY_CASE.clear()
+
+
+def _failing_seed(case, seeds: Iterable[int]) -> Optional[int]:
+    """``find_failing_seed(case, seeds)``, memoized (see above); an
+    iterator passed as ``seeds`` is consumed once."""
+    from repro.apps.base import find_failing_seed
+    seeds = tuple(seeds)
+    key = (seeds, case.net_drop_rate, case.switch_prob)
+    found = _FAILING_SEEDS_BY_CASE.setdefault(case, {})
+    if key not in found:
+        found[key] = find_failing_seed(case, seeds)
+    return found[key]
 
 
 def cause_search(case, config: Optional[ModelConfig] = None
@@ -227,12 +249,13 @@ class DebugSession:
         """Record the failing production run under the session's model.
 
         Finds a failing scheduler seed when none was pinned at
-        construction, and stamps the log with its self-describing
-        identity (model, scheduler, case reference, replay config).
+        construction - once per case, seeds and knobs in a process (see
+        :func:`clear_cause_counts`) - and stamps the log with its
+        self-describing identity (model, scheduler, case reference,
+        replay config).
         """
-        from repro.apps.base import find_failing_seed
         if self.seed is None:
-            self.seed = find_failing_seed(self.case, seeds)
+            self.seed = _failing_seed(self.case, seeds)
             if self.seed is None:
                 raise RecordingFailedError(
                     f"{self.case.name}: no failing seed found")

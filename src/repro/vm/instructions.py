@@ -13,6 +13,7 @@ consult it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Tuple, Union
 
@@ -52,9 +53,9 @@ BINARY_OPS = {
 # dispatcher resolves each instruction's function from this table at
 # program-load time, so the per-step path never looks an opcode up again.
 BINARY_FUNCS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "eq": lambda a, b: int(a == b),
     "ne": lambda a, b: int(a != b),
     "lt": lambda a, b: int(a < b),

@@ -28,7 +28,11 @@ their evaluation functions.  Each function becomes a list of
 replay search spawns share one decode, and every frame carries its
 function's list.  A step is then ``frame.code[frame.pc]`` and one
 ``handler(machine, thread, frame, record)`` call - no cache check, no
-cost lookup, no end-of-body test, no opcode string comparisons.
+cost lookup, no end-of-body test, no opcode string comparisons.  The
+commonest operand shapes - a binary op on (register, constant) or
+(register, register), ``mov`` from a register, ``jz``/``jnz`` on a
+register - read ``frame.registers`` directly rather than through
+operand getters.
 
 Run loop
 --------
@@ -43,6 +47,24 @@ switch.  Every other decision - the first after entry, the one after a
 blocked or finished thread, and the one at a sync op under a gated rule
 - calls ``pick(machine, runnable)`` with the machine's runnable list.
 Both make the same draws, so no decision moves.
+
+Pure runs
+---------
+Register-only ops (:data:`_PURE_OPS`: the binary ops but ``div`` and
+``mod``, ``const``, ``mov``, ``not``, ``neg``, ``jmp``, ``jz``, ``jnz``,
+``nop``, ``yield``) touch only their frame's registers, its pc and
+``record.branch_taken``: none blocks, fails, halts, synchronizes, does
+I/O or touches shared memory, and none reads ``machine.steps`` or the
+meter.  When nothing reads every step - the mode is ``counting`` or
+``events``, the scheduler offers a keep rule and no per-step
+``notify``, and no every-step observer is subscribed - the loop runs a
+decided pure op and the thread's following pure ops back to back.
+Between two of them it checks the limits, then the next op, then draws
+the keep rule; a drawn switch ends the run and is made by the next
+decision, with no second draw.  The limits come before the draw, so a
+paused machine never holds a drawn switch, and the counters are written
+back when the run ends.  No step, cycle, draw or decision moves; every
+other op, and every run in ``full`` mode, takes the per-step body.
 
 Lifetime
 --------
@@ -71,8 +93,9 @@ of re-executing the common prefix.
 
 Trace modes
 -----------
-Every mode runs the identical execution through the same step body,
-which reads the mode as two flags; the modes differ only in what the
+Every mode runs the identical execution through the same step body
+(and, in ``counting`` and ``events``, the same pure runs), which reads
+the mode as two flags; the modes differ only in what the
 :class:`~repro.vm.trace.Trace` keeps.
 
 ``full``      a fresh :class:`~repro.vm.trace.StepRecord` for every
@@ -145,6 +168,12 @@ _RUNNABLE = ThreadStatus.RUNNABLE
 # The trace modes (see "Trace modes" above).
 _TRACE_MODES = frozenset(("full", "counting", "events"))
 
+# Register-only opcodes (see "Pure runs" above): each touches only its
+# frame's registers, its pc and ``record.branch_taken``.
+_PURE_OPS = frozenset((BINARY_OPS - {"div", "mod"})
+                      | {"const", "mov", "not", "neg", "jmp", "jz", "jnz",
+                         "nop", "yield"})
+
 
 class _UndefinedRegister(Exception):
     """Internal: a register was read before being written (host error)."""
@@ -152,6 +181,13 @@ class _UndefinedRegister(Exception):
     def __init__(self, name: str):
         super().__init__(name)
         self.name = name
+
+
+def _undefined_register(tid: int, frame: Frame,
+                        undef: _UndefinedRegister) -> MachineError:
+    """The host error for an undefined register read by ``tid``."""
+    return MachineError(f"thread {tid}: read of undefined register "
+                        f"%{undef.name} in {frame.function.name}")
 
 
 def _name(arg) -> str:
@@ -191,8 +227,9 @@ def _getter(operand):
 def _compile_binary(fn: Function, instr: Instr, program: Program):
     op = instr.op
     dst = instr.args[0].name
-    get_a = _getter(instr.args[1])
-    get_b = _getter(instr.args[2])
+    source_a, source_b = instr.args[1], instr.args[2]
+    get_a = _getter(source_a)
+    get_b = _getter(source_b)
     if op == "div" or op == "mod":
         modulo = op == "mod"
 
@@ -208,6 +245,38 @@ def _compile_binary(fn: Function, instr: Instr, program: Program):
             return True
         return run_divmod
     func = BINARY_FUNCS[op]
+    # The commonest shapes read their registers directly, ``a`` before
+    # ``b`` as the getters do, with ``func`` outside the ``try``.
+    if isinstance(source_a, Reg) and isinstance(source_b, Const):
+        name_a = source_a.name
+        value_b = source_b.value
+
+        def run_binary_reg_const(machine, thread, frame, record):
+            registers = frame.registers
+            try:
+                a = registers[name_a]
+            except KeyError:
+                raise _UndefinedRegister(name_a) from None
+            registers[dst] = func(a, value_b)
+            frame.pc += 1
+            return True
+        return run_binary_reg_const
+    if isinstance(source_a, Reg) and isinstance(source_b, Reg):
+        name_a = source_a.name
+        name_b = source_b.name
+
+        def run_binary_reg_reg(machine, thread, frame, record):
+            registers = frame.registers
+            try:
+                a = registers[name_a]
+                b = registers[name_b]
+            except KeyError:
+                raise _UndefinedRegister(
+                    name_b if name_a in registers else name_a) from None
+            registers[dst] = func(a, b)
+            frame.pc += 1
+            return True
+        return run_binary_reg_reg
 
     def run_binary(machine, thread, frame, record):
         frame.registers[dst] = func(get_a(frame), get_b(frame))
@@ -227,6 +296,18 @@ def _compile_mov(fn, instr, program):
             frame.pc += 1
             return True
         return run_const
+    if isinstance(source, Reg):
+        name = source.name
+
+        def run_mov_reg(machine, thread, frame, record):
+            registers = frame.registers
+            try:
+                registers[dst] = registers[name]
+            except KeyError:
+                raise _UndefinedRegister(name) from None
+            frame.pc += 1
+            return True
+        return run_mov_reg
     get = _getter(source)
 
     def run_mov(machine, thread, frame, record):
@@ -268,8 +349,25 @@ def _compile_jmp(fn, instr, program):
 
 
 def _compile_jz(fn, instr, program):
-    get = _getter(instr.args[0])
+    source = instr.args[0]
     target = fn.target(instr.args[1])
+    if isinstance(source, Reg):
+        name = source.name
+
+        def run_jz_reg(machine, thread, frame, record):
+            try:
+                value = frame.registers[name]
+            except KeyError:
+                raise _UndefinedRegister(name) from None
+            take = value == 0
+            record.branch_taken = take
+            if take:
+                frame.pc = target
+            else:
+                frame.pc += 1
+            return True
+        return run_jz_reg
+    get = _getter(source)
 
     def run_jz(machine, thread, frame, record):
         take = get(frame) == 0
@@ -283,8 +381,25 @@ def _compile_jz(fn, instr, program):
 
 
 def _compile_jnz(fn, instr, program):
-    get = _getter(instr.args[0])
+    source = instr.args[0]
     target = fn.target(instr.args[1])
+    if isinstance(source, Reg):
+        name = source.name
+
+        def run_jnz_reg(machine, thread, frame, record):
+            try:
+                value = frame.registers[name]
+            except KeyError:
+                raise _UndefinedRegister(name) from None
+            take = value != 0
+            record.branch_taken = take
+            if take:
+                frame.pc = target
+            else:
+                frame.pc += 1
+            return True
+        return run_jnz_reg
+    get = _getter(source)
 
     def run_jnz(machine, thread, frame, record):
         take = get(frame) != 0
@@ -866,9 +981,10 @@ class Machine:
         scheduler's keep rule while the thread that ran the last step
         may run again, else one ``scheduler.pick(self, runnable)`` - and
         the validity check of any thread the scheduler names; the
-        instruction; the mode's trace; then notification.  The objects,
-        limits and mode flags bound to locals here stay fixed for the
-        whole entry.
+        instruction; the mode's trace; then notification.  A decided
+        pure op starts a pure run instead (see "Pure runs" above).  The
+        objects, limits and mode flags bound to locals here stay fixed
+        for the whole entry.
         """
         threads = self.threads
         runnable = self._runnable
@@ -883,8 +999,10 @@ class Machine:
         trace = self.trace
         full = self.trace_mode == "full"
         events = self.trace_mode == "events"
+        counting = not (full or events)
         kept = trace.steps
         schedule = trace.schedule
+        record_branch = trace.record_branch
         # Counting and events reuse one scratch record for every step of
         # the entry; it is valid only during the calls it is passed to.
         scratch = None if full else StepRecord(0, 0, "", 0, "", 0)
@@ -892,9 +1010,18 @@ class Machine:
         max_steps = self.max_steps
         ceiling = self._cycle_ceiling
         stop_on_failure = self.stop_on_failure
+        # Pure runs need a mode that keeps no pure step, a keep rule to
+        # draw, and nothing that reads every step.
+        pure_runs = (not full and draw is not None and notify is None
+                     and not observers)
+        pure_ops = _PURE_OPS
+        run_steps = min(target, max_steps)
         # The thread that ran the last step, while the keep rule may
         # settle the next decision; None sends it to ``pick``.
         last = None
+        # Set when a pure run drew a switch: the next decision is
+        # ``switch(runnable)``, with no second draw.
+        switching = False
         while True:
             steps = self.steps
             if steps >= target or self.halted:
@@ -922,7 +1049,11 @@ class Machine:
             thread = None
             if last is not None and last.status is _RUNNABLE:
                 frame = last.frames[-1]
-                if not sync_gated \
+                if switching:
+                    # A pure run drew this switch after its last step.
+                    switching = False
+                    tid = switch(runnable)
+                elif not sync_gated \
                         or frame.function.sync_ops[frame.pc] is None:
                     if draw() >= switch_prob:
                         thread = last
@@ -941,6 +1072,37 @@ class Machine:
                 frame = thread.frames[-1]
             pc = frame.pc
             op, handler, cost = frame.code[pc]
+            if pure_runs and op in pure_ops:
+                # A pure run (see "Pure runs" above).  No pure op can
+                # halt, fail, block or change the runnable list, so only
+                # the limits, the next op and the draw end it - the
+                # limits first, so no pause follows a drawn switch.
+                code = frame.code
+                cycles = meter.native_cycles
+                record = scratch
+                try:
+                    while True:
+                        record.branch_taken = None
+                        handler(self, thread, frame, record)
+                        steps += 1
+                        cycles += cost
+                        if counting and record.branch_taken is not None:
+                            record_branch(tid, record.branch_taken)
+                        if steps >= run_steps or cycles >= ceiling:
+                            break
+                        op, handler, cost = code[frame.pc]
+                        if op not in pure_ops:
+                            break
+                        if draw() < switch_prob:
+                            switching = True
+                            break
+                except _UndefinedRegister as undef:
+                    raise _undefined_register(tid, frame, undef) from None
+                finally:
+                    self.steps = steps
+                    meter.native_cycles = cycles
+                last = thread
+                continue
             if full:
                 record = StepRecord(steps, tid, frame.function.name, pc, op,
                                     cost)
@@ -964,9 +1126,7 @@ class Machine:
                                     str(oob))
                 executed = False
             except _UndefinedRegister as undef:
-                raise MachineError(
-                    f"thread {tid}: read of undefined register "
-                    f"%{undef.name} in {frame.function.name}") from None
+                raise _undefined_register(tid, frame, undef) from None
             if not executed:
                 # The thread blocked or failed; no step happened.
                 last = None
@@ -988,7 +1148,7 @@ class Machine:
                                         sync, io)
                     kept.append(record)
             elif record.branch_taken is not None:
-                trace.record_branch(tid, record.branch_taken)
+                record_branch(tid, record.branch_taken)
             self.steps = steps + 1
             meter.native_cycles += cost
             if notify is not None:

@@ -152,7 +152,7 @@ class RandomScheduler(Scheduler):
         self.switch_prob = switch_prob
         # Draws come straight off the ``random.Random`` stream, in a fixed
         # order per pick: random() while the current thread is runnable,
-        # then randrange() on a switch.
+        # then a switch's index (see :meth:`switch`).
         self._stream = DeterministicRng(seed, "sched").stream
         # The thread picked last (None before the first pick).
         self.current: Optional[int] = None
@@ -175,9 +175,19 @@ class RandomScheduler(Scheduler):
 
     def switch(self, allowed: Sequence[int]) -> int:
         """Draw the next thread uniformly from ``allowed`` (non-empty)
-        and make it current."""
-        current = self.current = allowed[
-            self._stream.randrange(len(allowed))]
+        and make it current.
+
+        The index is ``randrange(len(allowed))`` drawn inline: CPython's
+        ``randrange(n)`` takes ``getrandbits(n.bit_length())`` until the
+        result is below ``n``, so the stream moves exactly as it would.
+        """
+        count = len(allowed)
+        bits = count.bit_length()
+        getrandbits = self._stream.getrandbits
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        current = self.current = allowed[index]
         return current
 
     def fork(self) -> "RandomScheduler":

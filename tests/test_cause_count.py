@@ -169,3 +169,44 @@ def test_msg_server_enumeration_surfaces_race_and_congestion():
         Diagnoser(extra_rules=case.diagnoser_rules))
     assert {cause.kind for cause in causes} == {"data-race",
                                                 "network-congestion"}
+
+
+# -- the failing-seed memo ----------------------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that grows by one per ``find_failing_seed`` call, starting
+    from an empty memo."""
+    from repro.apps import base
+    calls = []
+
+    def counted(case, seeds=range(200), accept=None):
+        calls.append(case)
+        return find_failing_seed(case, seeds, accept)
+
+    monkeypatch.setattr(base, "find_failing_seed", counted)
+    clear_cause_counts()
+    yield calls
+    clear_cause_counts()
+
+
+def test_sessions_of_one_case_search_for_its_failing_seed_once(searches):
+    case = ALL_APPS["racy_counter"]()
+    payloads = [_shipped(case, model) for model in model_order()]
+    assert len(searches) == 1
+    # Each session ships the log a session at the searched seed ships.
+    seed = find_failing_seed(case)
+    assert payloads == [_shipped(case, model, seed=seed)
+                        for model in model_order()]
+    # The seeds are searched as a tuple: an iterator over the same seeds
+    # is the same search.
+    DebugSession(case, "full").record(seeds=iter(range(200)))
+    assert len(searches) == 1
+    # A variant is a new case object, with its own search.
+    variant = replace(case)
+    DebugSession(variant, "full").record()
+    assert searches == [case, variant]
+    clear_cause_counts()
+    DebugSession(case, "full").record()
+    assert searches == [case, variant, case]

@@ -3,12 +3,17 @@ decisions pick-every-step made.
 
 Plain runs: a :class:`~repro.vm.scheduler.RandomScheduler` hands the
 run loop a keep rule, so between two steps of one thread the loop draws
-the keep itself and calls the scheduler only on a switch.  The reference
-is a subclass whose ``pick`` is overridden (it calls the base pick), so
-it offers no keep rule and is asked on every step.  Each case runs at
-its failing seed under both, in every trace mode, and the runs must
-agree: the fingerprint in ``full``; steps, cycles, outputs, failure and
-branch paths in ``counting``; the effect steps in ``events``.
+the keep itself and calls the scheduler only on a switch; in
+``counting`` and ``events`` mode a pure run draws it between a thread's
+register-only steps.  The reference is a subclass whose ``pick`` is
+overridden (it calls the base pick), so it offers no keep rule and is
+asked on every step.  Each case runs at its failing seed under both, in
+every trace mode, and the runs must agree: the fingerprint in ``full``;
+steps, cycles, outputs, failure and branch paths in ``counting``; the
+effect steps in ``events``.  The limits oracle cuts the ``counting`` and
+``events`` runs at seeded step limits and cycle ceilings: both must stop
+at the same step and cycle, with the same flags, and with the
+scheduler's stream at the same state.
 
 Replays: around a RandomScheduler, the constraining schedulers -
 :class:`~repro.vm.scheduler.SyncOrderScheduler` (the output model's ODR
@@ -24,7 +29,8 @@ and the two replays must agree on ``attempts``, ``inference_cycles``,
 
 Tier-1 covers the seven apps and corpus seeds 0-23;
 ``benchmarks/bench_schedulers.py`` runs the same oracles over corpus
-seeds 0-119.
+seeds 0-119.  Pure runs also keep the undefined-register error and every
+every-step observer call of a run that asks for one.
 """
 
 from collections import Counter
@@ -36,16 +42,22 @@ import pytest
 
 from repro.apps import ALL_APPS
 from repro.apps.base import find_failing_seed
-from repro.errors import ReplayDivergenceError
+from repro.errors import MachineError, ReplayDivergenceError
 from repro.models import DebugSession
 from repro.models.session import resolve_case
 from repro.replay import output_replay, selective_replay
 from repro.replay.base import TidMapper
-from repro.vm import Machine, RandomScheduler, run_program
+from repro.util.rng import DeterministicRng
+from repro.vm import Machine, RandomScheduler, assemble
+from repro.vm.cost import CostModel
+from repro.vm.environment import Environment
+from repro.vm.machine import code_table
 from repro.vm.scheduler import SyncOrderScheduler
 
 MODELS = ("output", "rcse")
 TRACE_MODES = ("full", "counting", "events")
+# The modes a pure run serves.
+SPARSE_MODES = ("counting", "events")
 
 
 class PickEveryStepRandom(RandomScheduler):
@@ -175,24 +187,31 @@ def failing_seed(case) -> int:
     return find_failing_seed(case) if seed is None else seed
 
 
-def _plain_run(case, seed: int, trace_mode: str, scheduler_class) -> Machine:
+def _plain_run(case, seed: int, trace_mode: str, scheduler_class,
+               max_steps: int = 500_000,
+               max_native_cycles: Optional[int] = None) -> Machine:
     """``case``'s production run at ``seed`` (as ``AppCase.run``), under
-    ``scheduler_class``."""
-    return run_program(
-        case.program, inputs={k: list(v) for k, v in case.inputs.items()},
-        seed=seed, scheduler=scheduler_class(seed, case.switch_prob),
-        io_spec=case.io_spec, net_drop_rate=case.net_drop_rate,
-        max_steps=500_000, trace_mode=trace_mode)
+    ``scheduler_class`` and the given limits."""
+    env = Environment(inputs={k: list(v) for k, v in case.inputs.items()},
+                      seed=seed, net_drop_rate=case.net_drop_rate)
+    return Machine(case.program, env=env,
+                   scheduler=scheduler_class(seed, case.switch_prob),
+                   io_spec=case.io_spec, max_steps=max_steps,
+                   trace_mode=trace_mode,
+                   max_native_cycles=max_native_cycles).run()
 
 
-def _plain_summary(machine: Machine, trace_mode: str):
+def run_summary(machine: Machine):
+    """What a run's trace mode keeps: the fingerprint in ``full``; else
+    steps, cycles, outputs, failure, and the branch paths (``counting``)
+    or the effect steps (``events``)."""
     trace = machine.trace
-    if trace_mode == "full":
+    if machine.trace_mode == "full":
         return trace.fingerprint()
-    if trace_mode == "counting":
-        return (machine.steps, machine.meter.native_cycles, trace.outputs,
-                trace.failure, trace.thread_branch_paths())
-    return list(trace.steps)
+    kept = (trace.thread_branch_paths() if machine.trace_mode == "counting"
+            else list(trace.steps))
+    return (machine.steps, machine.meter.native_cycles, trace.outputs,
+            trace.failure, kept)
 
 
 def check_plain_runs(ref: str) -> None:
@@ -204,8 +223,43 @@ def check_plain_runs(ref: str) -> None:
     for trace_mode in TRACE_MODES:
         ruled = _plain_run(case, seed, trace_mode, RandomScheduler)
         reference = _plain_run(case, seed, trace_mode, PickEveryStepRandom)
-        assert _plain_summary(ruled, trace_mode) == \
-            _plain_summary(reference, trace_mode), f"{ref} in {trace_mode}"
+        assert run_summary(ruled) == run_summary(reference), \
+            f"{ref} in {trace_mode}"
+
+
+def _limited_summary(machine: Machine):
+    return (run_summary(machine), machine.hit_step_limit,
+            machine.hit_cycle_limit, machine.scheduler._stream.getstate())
+
+
+def check_limits(ref: str) -> None:
+    """Cut ``ref``'s run at its failing seed at three seeded step limits
+    and three seeded cycle ceilings below the whole run's totals, in
+    ``counting`` and ``events``, under the production scheduler and the
+    pick-every-step reference: the runs must stop at the same step and
+    cycle, with the same limit flags, outputs, failure and kept branch
+    paths or effect steps, and leave the scheduler's stream at the same
+    state (no draw past a limit)."""
+    case = resolve_case(ref)
+    seed = failing_seed(case)
+    whole = _plain_run(case, seed, "counting", RandomScheduler)
+    rng = DeterministicRng(0, f"limits:{ref}")
+    limits = (
+        [{"max_steps": rng.randint(1, max(1, whole.steps - 1))}
+         for __ in range(3)]
+        + [{"max_native_cycles":
+            rng.randint(1, max(1, whole.meter.native_cycles - 1))}
+           for __ in range(3)])
+    for trace_mode in SPARSE_MODES:
+        for limit in limits:
+            ruled = _plain_run(case, seed, trace_mode, RandomScheduler,
+                               **limit)
+            reference = _plain_run(case, seed, trace_mode,
+                                   PickEveryStepRandom, **limit)
+            assert _limited_summary(ruled) == _limited_summary(reference), \
+                (ref, trace_mode, limit)
+            if "max_steps" in limit:
+                assert ruled.hit_step_limit, (ref, trace_mode, limit)
 
 
 def test_reference_schedulers_are_patched_in():
@@ -271,6 +325,93 @@ def test_app_plain_runs_match_pick_every_step(name):
 @pytest.mark.parametrize("seed", range(24))
 def test_corpus_plain_runs_match_pick_every_step(seed):
     check_plain_runs(f"corpus:{seed}")
+
+
+@pytest.mark.parametrize("name", sorted(ALL_APPS))
+def test_app_limited_runs_match_pick_every_step(name):
+    check_limits(f"app:{name}")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_corpus_limited_runs_match_pick_every_step(seed):
+    check_limits(f"corpus:{seed}")
+
+
+# Each read of an undefined register, with the handler its shape
+# compiles to: the register-direct ones, then two getter ones.
+UNDEFINED_READS = {
+    "add %x, %missing, 1": ("run_binary_reg_const", "missing"),
+    "add %x, %missing, %i": ("run_binary_reg_reg", "missing"),
+    "sub %x, %i, %missing": ("run_binary_reg_reg", "missing"),
+    "gt %x, %missing, %gone": ("run_binary_reg_reg", "missing"),
+    "mov %x, %missing": ("run_mov_reg", "missing"),
+    "jz %missing, loop": ("run_jz_reg", "missing"),
+    "jnz %missing, loop": ("run_jnz_reg", "missing"),
+    "add %x, 1, %missing": ("run_binary", "missing"),
+    "not %x, %missing": ("run_not", "missing"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(UNDEFINED_READS))
+def test_undefined_register_reads_fail_alike_in_a_pure_run(line):
+    """A worker's loop of register-only steps ends in ``line``, which
+    reads an undefined register.  In ``counting`` and ``events`` under
+    the production scheduler (inside a pure run: with ``switch_prob``
+    0 the loop is one run), under the pick-every-step reference, and in
+    ``full`` mode the run raises the same error at the same step and
+    cycle."""
+    handler, register = UNDEFINED_READS[line]
+    program = assemble(f"""
+    fn main():
+        spawn %t, worker, 5
+        join %t
+        halt
+    fn worker(n):
+        mov %i, %n
+    loop:
+        sub %i, %i, 1
+        gt %c, %i, 0
+        jnz %c, loop
+        {line}
+        ret
+    """)
+    code = code_table(program, CostModel())["worker"]
+    assert code[4][1].__name__ == handler
+
+    def failed(scheduler, trace_mode):
+        machine = Machine(program, scheduler=scheduler,
+                          trace_mode=trace_mode)
+        with pytest.raises(MachineError) as error:
+            machine.run()
+        return (str(error.value), machine.steps,
+                machine.meter.native_cycles)
+
+    for seed, switch_prob in ((0, 0.0), (1, 0.25), (2, 0.5)):
+        runs = [failed(RandomScheduler(seed, switch_prob), trace_mode)
+                for trace_mode in TRACE_MODES]
+        runs += [failed(PickEveryStepRandom(seed, switch_prob), trace_mode)
+                 for trace_mode in SPARSE_MODES]
+        assert runs[0][0] == (f"thread 1: read of undefined register "
+                              f"%{register} in worker")
+        assert runs == [runs[0]] * len(runs), (line, seed)
+
+
+@pytest.mark.parametrize("trace_mode", SPARSE_MODES)
+def test_every_step_observers_see_every_step(trace_mode):
+    """An every-step observer turns pure runs off: it is called once per
+    step, in step order."""
+    case = resolve_case("app:racy_counter")
+    seed = failing_seed(case)
+    env = Environment(inputs={k: list(v) for k, v in case.inputs.items()},
+                      seed=seed, net_drop_rate=case.net_drop_rate)
+    machine = Machine(case.program, env=env,
+                      scheduler=case.production_scheduler(seed),
+                      io_spec=case.io_spec, trace_mode=trace_mode)
+    seen = []
+    machine.add_observer(lambda __, record: seen.append(record.index))
+    machine.run()
+    assert machine.steps > 100
+    assert seen == list(range(machine.steps))
 
 
 def test_odr_replay_asks_the_scheduler_only_at_sync_ops_and_switches():

@@ -9,6 +9,8 @@ Fingerprints reuse the golden-trace hashing
 checked against the pinned golden digest itself.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.apps import ALL_APPS
@@ -25,7 +27,7 @@ from repro.vm.environment import Environment
 from repro.vm.machine import Machine
 
 from test_golden_traces import GOLDEN_COUNTER_DIGEST
-from test_scheduler_oracle import failing_seed
+from test_scheduler_oracle import TRACE_MODES, failing_seed, run_summary
 
 # Exercises inputs, syscalls (seeded RNG), locks, spawn/join, and shared
 # memory - every state category a snapshot must capture.
@@ -120,9 +122,11 @@ def test_fork_isolates_shared_state():
 # -- pause and fork under the keep rule ------------------------------------
 #
 # A run loop entry's first decision goes to ``pick``; later ones between
-# two steps of one thread are settled by the scheduler's keep rule.  So a
-# run paused at any step, then resumed or forked, must still make every
-# decision a run from scratch makes.
+# two steps of one thread are settled by the scheduler's keep rule, and
+# in counting and events mode a pure run draws the rule between its
+# register-only steps.  So a run paused at any step, then resumed or
+# forked, must still make every decision a run from scratch makes, in
+# every trace mode.
 
 def _pause_cases():
     return ([f"app:{name}" for name in sorted(ALL_APPS)]
@@ -130,10 +134,10 @@ def _pause_cases():
 
 
 def _outcome(build, pause_at=None, fork=False):
-    """How a run ends: its step count and fingerprint, or its step count
-    and ``"stuck"`` where its sync order admitted no thread.  With
-    ``pause_at`` the run is paused there and then resumed - or, with
-    ``fork``, continued by a fork."""
+    """How a run ends: its step count and what its trace mode keeps
+    (``run_summary``), or its step count and ``"stuck"`` where its sync
+    order admitted no thread.  With ``pause_at`` the run is paused there
+    and then resumed - or, with ``fork``, continued by a fork."""
     machine = build()
     try:
         if pause_at is not None:
@@ -143,39 +147,52 @@ def _outcome(build, pause_at=None, fork=False):
         machine.run()
     except ReplayDivergenceError:
         return machine.steps, "stuck"
-    return machine.steps, machine.trace.fingerprint()
+    return machine.steps, run_summary(machine)
 
 
-@pytest.mark.parametrize("ref", _pause_cases())
-def test_paused_and_forked_runs_match_a_scratch_run(ref):
+def check_pauses(ref: str) -> None:
     """Under the production scheduler and a bare sync-order scheduler
     over the recorded sync order (no feeds, no mapper: a fork drops
     observers), ``advance(k)`` then ``run()`` and ``advance(k)`` then
-    ``fork().run()`` both match the run from scratch."""
+    ``fork().run()`` both match the run from scratch, at three seeded
+    ``k`` in every trace mode."""
     case = resolve_case(ref)
     seed = failing_seed(case)
     sync_order = [(s.tid, s.op, s.sync[1])
                   for s in case.run(seed).trace.sync_events()]
 
-    def machine(scheduler):
+    def machine(scheduler, trace_mode):
         env = Environment(inputs={k: list(v) for k, v in case.inputs.items()},
                           seed=seed, net_drop_rate=case.net_drop_rate)
         return Machine(case.program, env=env, scheduler=scheduler,
-                       io_spec=case.io_spec, max_steps=500_000)
+                       io_spec=case.io_spec, max_steps=500_000,
+                       trace_mode=trace_mode)
 
     builds = {
-        "random": lambda: machine(case.production_scheduler(seed)),
-        "sync-order": lambda: machine(SyncOrderScheduler(
-            sync_order, inner=RandomScheduler(seed=1234))),
+        "random": lambda mode: machine(case.production_scheduler(seed),
+                                       mode),
+        "sync-order": lambda mode: machine(SyncOrderScheduler(
+            sync_order, inner=RandomScheduler(seed=1234)), mode),
     }
     rng = DeterministicRng(0, f"pause:{ref}")
     for name, build in builds.items():
-        scratch = _outcome(build)
-        pauses = {rng.randint(1, max(1, scratch[0] - 1)) for __ in range(3)}
-        for pause_at in sorted(pauses):
-            for fork in (False, True):
-                assert _outcome(build, pause_at, fork) == scratch, \
-                    (ref, name, pause_at, fork)
+        pauses = None
+        for trace_mode in TRACE_MODES:
+            build_in_mode = partial(build, trace_mode)
+            scratch = _outcome(build_in_mode)
+            if pauses is None:
+                # Every mode runs the same steps: one set of pauses.
+                pauses = sorted({rng.randint(1, max(1, scratch[0] - 1))
+                                 for __ in range(3)})
+            for pause_at in pauses:
+                for fork in (False, True):
+                    assert _outcome(build_in_mode, pause_at, fork) \
+                        == scratch, (ref, name, trace_mode, pause_at, fork)
+
+
+@pytest.mark.parametrize("ref", _pause_cases())
+def test_paused_and_forked_runs_match_a_scratch_run(ref):
+    check_pauses(ref)
 
 
 # -- counting mode ----------------------------------------------------------

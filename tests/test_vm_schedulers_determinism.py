@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MachineError, ReplayDivergenceError
+from repro.util.rng import copy_stream
 from repro.vm import (FixedScheduler, Machine, RandomScheduler,
                       RoundRobinScheduler, SyncOrderScheduler, assemble,
                       run_program)
@@ -224,6 +225,23 @@ class _BadPick(Scheduler):
             return self.inner.pick(machine, runnable)
         self.bad_picks += 1
         return bad
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_switch_draws_what_randrange_draws(seed):
+    """``RandomScheduler.switch`` draws its index inline; for every list
+    length it returns what ``randrange`` on a copy of its stream returns
+    and leaves the stream in the same state."""
+    scheduler = RandomScheduler(seed)
+    stream = scheduler._stream
+    for count in range(1, 65):
+        allowed = list(range(100, 100 + count))
+        twin = copy_stream(stream)
+        for __ in range(4):
+            expected = allowed[twin.randrange(count)]
+            assert scheduler.switch(allowed) == expected
+            assert scheduler.current == expected
+        assert stream.getstate() == twin.getstate(), count
 
 
 @pytest.mark.parametrize("kind", ["blocked", "finished", "unknown"])
