@@ -1,9 +1,9 @@
 """Full corpus-matrix sweep: the 20-seed acceptance run, behind ``perf``.
 
-Statistical counterpart of ``python -m repro bench --section corpus`` and
-of ``python -m repro corpus run --seeds 20 --jobs 4``: the tier-1 suite
-keeps only the 6-seed smoke (``tests/test_corpus_matrix.py``); the full
-sweep and its determinism acceptance live here.
+The counterpart of ``python -m repro corpus run --seeds 20 --jobs 4``:
+the tier-1 suite keeps only the 6-seed smoke
+(``tests/test_corpus_matrix.py``); the full sweep and its determinism
+acceptance live here, with the model-registry dispatch cost floor.
 
 Run with::
 
@@ -11,13 +11,21 @@ Run with::
 """
 
 import copy
+import time
 
 import pytest
 
+from repro.analysis.triggers import RaceTrigger
 from repro.corpus import BUG_CLASSES, run_matrix
-from repro.harness.bench import (CORPUS_BENCH_CONFIGS, bench_corpus,
-                                 bench_model_dispatch)
+from repro.corpus.generator import generate_case
 from repro.harness.experiments import MODEL_ORDER
+from repro.models import (DebugSession, ModelConfig, get_model,
+                          model_order)
+from repro.record import (FailureRecorder, FullRecorder, OutputMode,
+                          OutputRecorder, SelectiveRecorder, ValueRecorder)
+from repro.replay import (DeterministicReplayer, ExecutionSynthesizer,
+                          OdrReplayer, SelectiveReplayer, ValueReplayer)
+from repro.replay.search import SearchBudget
 
 pytestmark = pytest.mark.perf
 
@@ -65,11 +73,62 @@ def test_relaxation_trend_holds_on_generated_corpus(sweep):
     assert mean_overhead["failure"] == 1.0
 
 
-def test_bench_corpus_table_shape():
-    table = bench_corpus(repeats=1)
-    assert [(row["jobs"], row["seeds"])
-            for row in table] == list(CORPUS_BENCH_CONFIGS)
-    assert all(row["cells_per_sec"] > 0 for row in table)
+def _dispatch_direct(config, log):
+    """Baseline: the five (recorder, replayer) pairs from concrete classes.
+
+    Mirrors the pre-registry string-keyed factories, inlined.
+    """
+    return (
+        (FullRecorder(), DeterministicReplayer()),
+        (ValueRecorder(), ValueReplayer()),
+        (OutputRecorder(OutputMode.IO_PATH_SCHED),
+         OdrReplayer(inner_seeds=range(48))),
+        (FailureRecorder(),
+         ExecutionSynthesizer(config.input_space,
+                              schedule_seeds=range(48),
+                              net_drop_rate=config.net_drop_rate,
+                              budget=SearchBudget(max_attempts=600))),
+        (SelectiveRecorder(control_plane=config.control_plane,
+                           triggers=[RaceTrigger()],
+                           dialdown_quiet_steps=400),
+         SelectiveReplayer(base_inputs=config.inputs,
+                           net_drop_rate=config.net_drop_rate,
+                           target_failure=log.failure)),
+    )
+
+
+def _dispatch_registry(config, log):
+    """The same five pairs, constructed through the model registry."""
+    return tuple(
+        (get_model(name).make_recorder(config),
+         get_model(name).make_replayer(config, log))
+        for name in model_order())
+
+
+DISPATCH_ROUNDS = 300
+
+
+def bench_model_dispatch(repeats: int):
+    """Best constructions/sec per variant, after a warmup.
+
+    One "construction" is all five core models' recorder+replayer pairs
+    for one cell; a timed repeat makes ``DISPATCH_ROUNDS`` of them.
+    """
+    case = generate_case(0)
+    config = ModelConfig.from_case(case)
+    log = DebugSession(case, "failure", seed=case.failing_seed).record()
+    rates = {}
+    for variant, build in (("direct_classes", _dispatch_direct),
+                           ("registry", _dispatch_registry)):
+        build(config, log)  # warmup (first-touch imports)
+        best = float("inf")
+        for __ in range(repeats):
+            start = time.perf_counter()
+            for __r in range(DISPATCH_ROUNDS):
+                build(config, log)
+            best = min(best, time.perf_counter() - start)
+        rates[variant] = DISPATCH_ROUNDS / best
+    return rates
 
 
 def test_registry_dispatch_adds_no_measurable_cell_overhead():
@@ -81,9 +140,7 @@ def test_registry_dispatch_adds_no_measurable_cell_overhead():
     constructions/sec (< 0.5ms per cell, i.e. under ~5% of a cell even
     on a badly loaded machine; in practice it is tens of microseconds).
     """
-    table = bench_model_dispatch(repeats=2)
-    rates = {row["variant"]: row["constructions_per_sec"] for row in table}
-    assert set(rates) == {"direct_classes", "registry"}
+    rates = bench_model_dispatch(repeats=2)
     assert rates["registry"] >= 2_000, rates
     # And the registry hop itself stays within the same order of
     # magnitude as constructing the concrete classes directly.

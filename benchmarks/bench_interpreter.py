@@ -1,42 +1,122 @@
 """Interpreter hot-path benchmarks (decode-once dispatch).
 
-Statistical (pytest-benchmark) counterpart of ``python -m repro bench``:
-each workload from :mod:`repro.harness.bench` runs under the benchmark
-fixture, and the module writes the ``BENCH_interpreter.json`` summary at
-teardown so the perf trajectory is tracked across PRs.
+Each workload runs under the pytest-benchmark fixture; the counter
+workload also has a wall-clock floor.  The workloads cover the
+interpreter's main cost regimes:
+
+``counter``    lock-protected shared counter, 3 threads (sync + shared
+               memory; its trace is pinned by
+               ``tests/test_golden_traces.py``).
+``tight_loop`` single thread, pure register arithmetic + branches - the
+               decode-dispatch floor.
+``calls``      call/return-heavy recursion - frame allocation cost.
+``array``      shared-array streaming - bounds-checked memory path.
+``odr_replay`` one replay run of msg_server's recorded output-model log
+               under its recorded sync order (``SyncOrderScheduler``
+               around ``RandomScheduler``, as ``OdrReplayer`` runs its
+               attempts) - the constrained-scheduler path every ODR
+               replay search pays per step.
 
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_interpreter.py
 """
 
+import os
+import sys
+import time
+from typing import Callable
+
 import pytest
 
-from repro.harness.bench import (BENCH_SUMMARY_PATH, WORKLOADS,
-                                 bench_search, bench_trace_queries,
-                                 odr_replay_runner, run_workload,
-                                 write_summary)
-from repro.util.tables import Table
+from repro.apps import ALL_APPS
+from repro.models import DebugSession
+from repro.vm import (Environment, Machine, RandomScheduler,
+                      SyncOrderScheduler, assemble, run_program)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from test_golden_traces import COUNTER_SRC  # noqa: E402
 
 pytestmark = pytest.mark.perf
 
-# workload -> {steps, steps_per_sec}, filled by the throughput tests and
-# flushed to BENCH_interpreter.json when the module finishes.
-_RESULTS = {}
+TIGHT_LOOP_SRC = """
+fn main():
+    const %n, 3000
+    const %acc, 0
+loop:
+    jz %n, done
+    add %acc, %acc, %n
+    mul %t, %n, 2
+    sub %n, %n, 1
+    jmp loop
+done:
+    output "o", %acc
+    halt
+"""
+
+CALLS_SRC = """
+fn fib(n):
+    lt %small, %n, 2
+    jnz %small, base
+    sub %a, %n, 1
+    call %x, fib, %a
+    sub %b, %n, 2
+    call %y, fib, %b
+    add %r, %x, %y
+    ret %r
+base:
+    ret %n
+fn main():
+    call %r, fib, 12
+    output "o", %r
+    halt
+"""
+
+ARRAY_SRC = """
+array buf 64
+fn main():
+    const %n, 1500
+    const %i, 0
+loop:
+    jz %n, done
+    mod %slot, %i, 64
+    aload %v, buf, %slot
+    add %v, %v, 1
+    astore buf, %slot, %v
+    add %i, %i, 1
+    sub %n, %n, 1
+    jmp loop
+done:
+    halt
+"""
+
+# name -> (source, scheduler seed)
+WORKLOADS = {
+    "counter": (COUNTER_SRC, 1),
+    "tight_loop": (TIGHT_LOOP_SRC, 0),
+    "calls": (CALLS_SRC, 0),
+    "array": (ARRAY_SRC, 0),
+}
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _emit_summary():
-    yield
-    if not _RESULTS:
-        return
-    table = Table(["workload", "steps", "seconds", "steps_per_sec"])
-    for name, row in _RESULTS.items():
-        table.add_row(workload=name, steps=row["steps"],
-                      seconds=row["seconds"],
-                      steps_per_sec=row["steps_per_sec"])
-    write_summary(table, bench_trace_queries(), path=BENCH_SUMMARY_PATH,
-                  search=bench_search())
+def run_workload(name: str) -> Machine:
+    """Execute one named workload; returns the finished machine."""
+    src, seed = WORKLOADS[name]
+    return run_program(assemble(src), scheduler=RandomScheduler(seed=seed))
+
+
+def odr_replay_runner() -> Callable[[], Machine]:
+    """The ``odr_replay`` workload, set up once (msg_server's output-model
+    log is recorded here); each call of the result is one replay run."""
+    case = ALL_APPS["msg_server"]()
+    log = DebugSession(case, "output").record()
+    return lambda: Machine(
+        case.program, env=Environment(inputs=log.inputs, seed=0),
+        scheduler=SyncOrderScheduler(
+            log.sync_order,
+            inner=RandomScheduler(seed=0, switch_prob=0.3)),
+        max_steps=max(log.total_steps * 4, 1000)).run()
 
 
 @pytest.mark.parametrize("workload", list(WORKLOADS) + ["odr_replay"])
@@ -49,14 +129,6 @@ def test_interpreter_throughput(benchmark, workload):
     machine = benchmark(run)
     assert machine.failure is None
     assert machine.steps > 100
-    fastest = benchmark.stats.stats.min
-    _RESULTS[workload] = {
-        "steps": machine.steps,
-        "seconds": fastest,
-        "steps_per_sec": round(machine.steps / fastest),
-    }
-    benchmark.extra_info["steps_per_sec"] = _RESULTS[workload][
-        "steps_per_sec"]
 
 
 def test_counter_meets_throughput_floor():
@@ -67,7 +139,6 @@ def test_counter_meets_throughput_floor():
     margin above double that.  Wall-clock floors are fragile across
     hardware, so the floor is deliberately conservative.
     """
-    import time
     run_workload("counter")  # warmup + decode
     best = 0.0
     for __ in range(3):

@@ -50,11 +50,6 @@ Commands
                            ``repro fleet worker --connect HOST:PORT``
                            connects, heartbeats its leases, and
                            reconnects after dropped links
-``bench``                  run the substrate benchmarks, print the
-                           steps/sec tables, write BENCH_interpreter.json
-                           (``--section interpreter|trace|search|corpus``
-                           picks a subset; unmeasured sections keep their
-                           last recorded values in the summary)
 """
 
 from __future__ import annotations
@@ -355,17 +350,6 @@ def _cmd_fleet(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.harness.bench import run_bench
-    tables = run_bench(path=args.output, repeats=args.repeats,
-                       sections=args.section or None)
-    for table in tables:
-        print(table.render())
-        print()
-    print(f"wrote {args.output}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -546,19 +530,6 @@ def main(argv=None) -> int:
                               help="seconds between reconnection "
                                    "attempts")
     fleet_parser.set_defaults(func=_cmd_fleet)
-
-    bench_parser = commands.add_parser(
-        "bench", help="run substrate benchmarks and print steps/sec tables")
-    bench_parser.add_argument("--output", default="BENCH_interpreter.json",
-                              help="where to write the JSON perf summary")
-    bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="timing repetitions per workload")
-    bench_parser.add_argument("--section", action="append",
-                              choices=["interpreter", "trace", "search",
-                                       "corpus"],
-                              help="run only the named section(s); "
-                                   "repeatable (default: all)")
-    bench_parser.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

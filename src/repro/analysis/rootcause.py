@@ -155,7 +155,7 @@ def enumerate_root_causes(search: ExecutionSearch,
                 and failure.same_failure(machine.failure))
 
     outcome = search.search(
-        accept, budget=budget, collect_all=True,
+        accept, budget=budget,
         dedupe_key=lambda m: _cause_key(diagnoser, m))
     causes: Set[RootCause] = set()
     for machine in outcome.all_accepted:

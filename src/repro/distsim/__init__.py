@@ -11,16 +11,15 @@ classifier (:func:`repro.analysis.planes.classify_rates`) works at
 channel granularity - precisely how the control-plane-selection study
 the paper builds on classifies datacenter traffic.
 
-Event-level recorders and replayers mirroring the five determinism
-models live in :mod:`repro.distsim.record` and
-:mod:`repro.distsim.replay`.
+Event-level recorders and replayers for the three determinism models
+the Figure 2 case study compares (value, failure and RCSE) live in
+:mod:`repro.distsim.record` and :mod:`repro.distsim.replay`.
 """
 
 from repro.distsim.sim import Simulator, SimConfig, FaultPlan
 from repro.distsim.node import Node
 from repro.distsim.trace import DistTrace, DeliveryRecord
-from repro.distsim.record import (DistRecorder, FullDistRecorder,
-                                  ValueDistRecorder, OutputDistRecorder,
+from repro.distsim.record import (DistRecorder, ValueDistRecorder,
                                   FailureDistRecorder, RcseDistRecorder)
 from repro.distsim.replay import (replay_forced_order, synthesize_failure,
                                   replay_rcse)
@@ -28,7 +27,7 @@ from repro.distsim.replay import (replay_forced_order, synthesize_failure,
 __all__ = [
     "Simulator", "SimConfig", "FaultPlan", "Node",
     "DistTrace", "DeliveryRecord",
-    "DistRecorder", "FullDistRecorder", "ValueDistRecorder",
-    "OutputDistRecorder", "FailureDistRecorder", "RcseDistRecorder",
+    "DistRecorder", "ValueDistRecorder", "FailureDistRecorder",
+    "RcseDistRecorder",
     "replay_forced_order", "synthesize_failure", "replay_rcse",
 ]

@@ -1,4 +1,4 @@
-"""Event-level recorders for DistSim, one per determinism model.
+"""Event-level recorders for DistSim: the value, failure and RCSE models.
 
 Cost accounting mirrors the MiniVM recorders: each logged artefact
 charges cycles against the run's native handler cost, and the overhead
@@ -25,7 +25,6 @@ class DistRecordingCosts:
     order_token: int = 1        # one schedule/order entry, payload-free
     payload_base: int = 6       # fixed cost of logging one payload
     payload_unit: int = 3       # per payload word
-    output_unit: int = 1        # per output word
 
 
 @dataclass
@@ -35,7 +34,7 @@ class DistRecordingLog:
     model: str
     # Dispatch order of processed messages, payload-free.
     order_tokens: List[Tuple[str, str, str]] = field(default_factory=list)
-    # Payloads aligned with order_tokens (value/full models only).
+    # Payloads aligned with order_tokens (value model only).
     payloads: List[Any] = field(default_factory=list)
     # (token, payload) for control-plane messages (RCSE).
     control_payloads: List[Tuple[Tuple[str, str, str], Any]] = field(
@@ -88,30 +87,14 @@ class DistRecorder:
         return self.log
 
 
-class FullDistRecorder(DistRecorder):
-    """Perfect determinism: dispatch order plus every message payload.
-
-    Timer dispatches contribute order tokens (a node's schedule
-    interleaves timers with message handlers) but no payload - timer
-    state is node-local and deterministic."""
-
-    model = "full"
-
-    def observe(self, sim: Simulator, record: DeliveryRecord) -> None:
-        self.log.order_tokens.append(record.order_token)
-        self.charge("order", self.costs.order_token)
-        if not record.is_timer:
-            self.log.payloads.append(record.payload)
-            self.charge("payload", self.costs.payload_base
-                        + self.costs.payload_unit * record.units)
-
-
 class ValueDistRecorder(DistRecorder):
     """Value determinism: every message payload each node observed.
 
     Order tokens are also kept (per-node logs imply per-node order); the
     dominating cost is payload logging on the data plane - the 3.5x of
-    the paper's Figure 2.
+    the paper's Figure 2.  Timer dispatches contribute order tokens (a
+    node's schedule interleaves timers with message handlers) but no
+    payload - timer state is node-local and deterministic.
     """
 
     model = "value"
@@ -123,24 +106,6 @@ class ValueDistRecorder(DistRecorder):
             self.log.payloads.append(record.payload)
             self.charge("payload", self.costs.payload_base
                         + self.costs.payload_unit * record.units)
-
-
-class OutputDistRecorder(DistRecorder):
-    """Output determinism: externally visible outputs only."""
-
-    model = "output"
-
-    def observe(self, sim: Simulator, record: DeliveryRecord) -> None:
-        return  # outputs are collected at finalize time
-
-    def finalize(self, trace: DistTrace) -> DistRecordingLog:
-        log = super().finalize(trace)
-        for values in log.outputs.values():
-            for value in values:
-                from repro.distsim.trace import payload_units
-                self.charge("output",
-                            self.costs.output_unit * payload_units(value))
-        return log
 
 
 class FailureDistRecorder(DistRecorder):

@@ -1,7 +1,7 @@
 """Replay engines for DistSim recordings.
 
 ``replay_forced_order`` rebuilds the scenario and dispatches messages in
-the recorded order (value / full / RCSE replay - they differ only in how
+the recorded order (value and RCSE replay - they differ only in how
 much of the log exists for verification).  ``synthesize_failure``
 implements ESD-style inference: search seeds x fault plans for any
 execution with a matching failure signature.
@@ -100,8 +100,8 @@ def replay_forced_order(builder: ScenarioBuilder,
                         faults: Optional[FaultPlan] = None) -> ReplayResult:
     """Re-run the scenario with the recorded dispatch order enforced.
 
-    Used for full, value, and RCSE logs - each provides order tokens.
-    Recorded payloads (full/value) or control payloads (RCSE) are checked
+    Used for value and RCSE logs - each provides order tokens.
+    Recorded payloads (value) or control payloads (RCSE) are checked
     against the replayed run; mismatches count as divergences rather than
     aborting, since relaxed replay is best-effort by design.
     """
@@ -194,29 +194,3 @@ def synthesize_failure(builder: ScenarioBuilder,
                         attempts=attempts, inference_cycles=inference_cost,
                         found=False)
 
-
-def search_output_match(builder: ScenarioBuilder,
-                        log: DistRecordingLog,
-                        spec: DistSpec,
-                        seeds: Iterable[int],
-                        max_attempts: int = 200) -> ReplayResult:
-    """Output-determinism inference: any run with identical outputs."""
-    attempts = 0
-    inference_cost = 0
-    for seed in seeds:
-        if attempts >= max_attempts:
-            break
-        sim = builder(seed, FaultPlan.none())
-        trace = sim.run()
-        trace.failure = spec(trace)
-        attempts += 1
-        inference_cost += trace.native_cost
-        if trace.outputs == log.outputs:
-            return ReplayResult(
-                model="output", trace=trace, failure=trace.failure,
-                replay_cycles=trace.native_cost,
-                inference_cycles=inference_cost - trace.native_cost,
-                attempts=attempts, found=True)
-    return ReplayResult(model="output", trace=None, failure=None,
-                        attempts=attempts, inference_cycles=inference_cost,
-                        found=False)

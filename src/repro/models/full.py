@@ -16,16 +16,6 @@ def _replayer(config: ModelConfig, log: RecordingLog) -> DeterministicReplayer:
     return DeterministicReplayer()
 
 
-def _dist_recorder(**kwargs):
-    from repro.distsim.record import FullDistRecorder
-    return FullDistRecorder()
-
-
-def _dist_replay(builder, log, spec, **kwargs):
-    from repro.distsim.replay import replay_forced_order
-    return replay_forced_order(builder, log, spec)
-
-
 FULL = register_model(DeterminismModel(
     name="full",
     display_order=0,
@@ -33,6 +23,4 @@ FULL = register_model(DeterminismModel(
                 "byte-exact (the pre-relaxation baseline)",
     recorder_factory=_recorder,
     replayer_factory=_replayer,
-    dist_recorder_factory=_dist_recorder,
-    dist_replay=_dist_replay,
 ))

@@ -27,16 +27,6 @@ def _replayer(config: ModelConfig, log: RecordingLog) -> OdrReplayer:
     return OdrReplayer(inner_seeds=range(config.schedule_seeds))
 
 
-def _dist_recorder(**kwargs):
-    from repro.distsim.record import OutputDistRecorder
-    return OutputDistRecorder()
-
-
-def _dist_replay(builder, log, spec, seeds=range(12), **kwargs):
-    from repro.distsim.replay import search_output_match
-    return search_output_match(builder, log, spec, seeds=seeds)
-
-
 OUTPUT = register_model(DeterminismModel(
     name="output",
     display_order=20,
@@ -44,8 +34,6 @@ OUTPUT = register_model(DeterminismModel(
                 "racing interleavings until outputs match (ODR)",
     recorder_factory=_recorder,
     replayer_factory=_replayer,
-    dist_recorder_factory=_dist_recorder,
-    dist_replay=_dist_replay,
 ))
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.record.log import RecordingLog
 from repro.vm.environment import Environment
@@ -59,8 +59,7 @@ def record_run(program: Program,
                scheduler: Optional[Scheduler] = None,
                io_spec: Optional[IOSpec] = None,
                net_drop_rate: float = 0.0,
-               max_steps: int = 2_000_000,
-               extra_observers: Sequence[Callable] = ()) -> RecordingLog:
+               max_steps: int = 2_000_000) -> RecordingLog:
     """Execute one production run under ``recorder`` and return its log.
 
     This is the 'in production' half of a replay-debugging system: the
@@ -74,8 +73,6 @@ def record_run(program: Program,
                       io_spec=io_spec, max_steps=max_steps)
     recorder.attach(machine)
     try:
-        for observer in extra_observers:
-            machine.add_observer(observer)
         machine.run()
         log = recorder.finalize(machine)
     finally:

@@ -179,19 +179,19 @@ class SearchOutcome:
     """Result of one inference search.
 
     ``inference_cycles`` counts the cycles *charged to exploration*: every
-    rejected/aborted/truncated candidate, plus - under ``collect_all`` -
-    the accepted candidates themselves.  The returned ``machine``'s own
-    execution (the replay the caller gets to keep) is excluded, and the
-    full-trace materialization of an accepted trace-free candidate is
-    never charged; the budget's cycle ceiling therefore genuinely bounds
-    ``inference_cycles``.
+    rejected/aborted/truncated candidate, plus - in a search with a
+    ``dedupe_key`` - the accepted candidates themselves.  The returned
+    ``machine``'s own execution (the replay the caller gets to keep) is
+    excluded, and the full-trace materialization of an accepted
+    trace-free candidate is never charged; the budget's cycle ceiling
+    therefore genuinely bounds ``inference_cycles``.
     """
 
     machine: Optional[Machine]
     attempts: int = 0
     inference_cycles: int = 0
     found: bool = False
-    # Every distinct accepted machine when collect_all is used.
+    # Every distinct accepted machine in a search with a dedupe_key.
     all_accepted: List[Machine] = field(default_factory=list)
     # Exploration charge refunded for the accepted execution; callers
     # that end up reporting a *different* execution as their replay
@@ -204,22 +204,6 @@ class SearchOutcome:
     forked_candidates: int = 0        # resumed from a prefix checkpoint
     saved_cycles: int = 0             # prefix cycles not re-executed
     materialized_runs: int = 0        # full-trace re-runs of accepted runs
-
-
-def default_dedupe_key(machine: Machine) -> Tuple:
-    """Behavioural identity of an accepted execution.
-
-    Two runs with the same failure signature and the same output log are
-    the same *observable* behaviour; ``collect_all`` deduplicates on this
-    by default (``id(machine)`` - the old default - never deduplicated
-    anything).  Computable from a trace-free candidate.
-    """
-    failure = machine.failure
-    signature = failure.signature() if failure is not None else None
-    outputs = tuple(sorted(
-        (channel, tuple(values))
-        for channel, values in machine.env.outputs.items()))
-    return (signature, outputs)
 
 
 class _Checkpoint:
@@ -358,12 +342,17 @@ class _SeedCheckpoints:
 # Makes one unrun candidate machine from ``(inputs, seed, trace_mode)``.
 CandidateBuilder = Callable[[Dict[str, List[Any]], int, str], Machine]
 
+# A default candidate's environment is seeded ``ENV_SEED_BASE + seed``.
+ENV_SEED_BASE = 10_000
+# Checkpoints one candidate's run may add to its seed's chain.
+MAX_CHECKPOINTS = 32
+
 
 class ExecutionSearch:
     """Searches (inputs x schedules) for an execution accepted by a predicate.
 
     A candidate defaults to the program under an :class:`Environment`
-    seeded ``env_seed_base + seed`` and a :class:`RandomScheduler`
+    seeded ``ENV_SEED_BASE + seed`` and a :class:`RandomScheduler`
     seeded ``seed``.  ``build(inputs, seed, trace_mode)`` replaces that
     default: it returns the unrun machine with its own environment,
     scheduler, limits, feeds and interceptor (the search still sets the
@@ -380,23 +369,19 @@ class ExecutionSearch:
                  schedule_seeds: Iterable[int] = range(16),
                  io_spec: Optional[IOSpec] = None,
                  net_drop_rate: float = 0.0,
-                 env_seed_base: int = 10_000,
                  switch_prob: float = 0.25,
                  max_steps: int = 500_000,
                  build: Optional[CandidateBuilder] = None,
                  prefix_sharing: bool = True,
-                 max_checkpoints: int = 32,
                  candidate_trace_mode: str = "counting"):
         self.program = program
         self.input_space = input_space
         self.schedule_seeds = list(schedule_seeds)
         self.io_spec = io_spec
         self.net_drop_rate = net_drop_rate
-        self.env_seed_base = env_seed_base
         self.switch_prob = switch_prob
         self.max_steps = max_steps
         self.prefix_sharing = prefix_sharing
-        self.max_checkpoints = max_checkpoints
         self.candidate_trace_mode = candidate_trace_mode
         # None means the default machine, built in ``_spawn_candidate``:
         # a default stored here as a bound method or a lambda over
@@ -407,7 +392,7 @@ class ExecutionSearch:
                          trace_mode: str) -> Machine:
         if self._build is not None:
             return self._build(inputs, seed, trace_mode)
-        env = Environment(inputs=inputs, seed=self.env_seed_base + seed,
+        env = Environment(inputs=inputs, seed=ENV_SEED_BASE + seed,
                           net_drop_rate=self.net_drop_rate)
         scheduler = RandomScheduler(seed=seed, switch_prob=self.switch_prob)
         return Machine(self.program, env=env, scheduler=scheduler,
@@ -483,7 +468,7 @@ class ExecutionSearch:
         new_consumed: List[Tuple[str, Any]] = []
         new_checkpoints: List[_Checkpoint] = []
         if take_checkpoints:
-            checkpoint_room = self.max_checkpoints - fork_len
+            checkpoint_room = MAX_CHECKPOINTS - fork_len
             program = self.program
 
             def checkpoint_inputs(m: Machine, record: StepRecord) -> None:
@@ -511,7 +496,6 @@ class ExecutionSearch:
     def search(self,
                accept: Callable[[Machine], bool],
                budget: Optional[SearchBudget] = None,
-               collect_all: bool = False,
                dedupe_key: Optional[Callable[[Machine], Any]] = None,
                early_abort: Optional[EarlyAbort] = None
                ) -> SearchOutcome:
@@ -524,17 +508,15 @@ class ExecutionSearch:
         executed I/O step - the hook must only fire on runs ``accept``
         would reject.  A candidate whose scheduler raises
         :class:`ReplayDivergenceError` is rejected unjudged, and charged
-        like any other.  With ``collect_all`` the search keeps going
-        after acceptance and gathers every *behaviourally distinct*
-        accepted execution (see :func:`default_dedupe_key`) until the
-        budget is exhausted.
+        like any other.
 
-        ``collect_all`` with a ``dedupe_key`` is root-cause enumeration:
-        the key is a diagnosis.  Its candidates, the first included, run
-        in the ``events`` trace mode, and the accepted machines it
-        returns keep those sparse traces - effect steps only, no
-        schedule or branch paths (:mod:`repro.vm.trace`) - which is all
-        a diagnosis reads.
+        With a ``dedupe_key`` the search keeps going after acceptance
+        and gathers one accepted execution per distinct key until the
+        budget is exhausted.  That is root-cause enumeration: the key is
+        a diagnosis.  Its candidates, the first included, run in the
+        ``events`` trace mode, and the accepted machines it returns keep
+        those sparse traces - effect steps only, no schedule or branch
+        paths (:mod:`repro.vm.trace`) - which is all a diagnosis reads.
         """
         budget = budget or SearchBudget()
         outcome = SearchOutcome(machine=None)
@@ -546,11 +528,11 @@ class ExecutionSearch:
         pools: Dict[int, _SeedCheckpoints] = {}
         schedule_seeds = self.schedule_seeds
         allows = budget.allows
-        # A custom dedupe key is a root-cause diagnosis, which reads only
-        # effect steps: an events trace is enough, and most candidates
-        # are accepted, so tracing those steps as the candidate runs
-        # beats a counting pass plus a full-trace re-run of each.
-        if collect_all and dedupe_key is not None:
+        # A dedupe key is a root-cause diagnosis, which reads only effect
+        # steps: an events trace is enough, and most candidates are
+        # accepted, so tracing those steps as the candidate runs beats a
+        # counting pass plus a full-trace re-run of each.
+        if dedupe_key is not None:
             trace_mode = "events"
         else:
             trace_mode = self.candidate_trace_mode
@@ -588,35 +570,27 @@ class ExecutionSearch:
                     continue
                 if not accept(machine):
                     continue
-                if collect_all and dedupe_key is None:
-                    # The default key needs no trace: dedupe *before*
-                    # paying for materialization.
-                    key = default_dedupe_key(machine)
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                accepted = machine
-                if machine.trace_mode == "counting":
-                    # The materialization re-run reproduces the accepted
-                    # execution for the caller; it is replay, not
-                    # inference, and is not charged to the budget.
-                    accepted = self.run_candidate(inputs, seed)
-                    outcome.materialized_runs += 1
-                if not collect_all:
+                if dedupe_key is None:
+                    if machine.trace_mode == "counting":
+                        # The materialization re-run reproduces the
+                        # accepted execution for the caller; it is
+                        # replay, not inference, and is not charged to
+                        # the budget.
+                        machine = self.run_candidate(inputs, seed)
+                        outcome.materialized_runs += 1
                     # The winning candidate's own execution is the
                     # caller's replay; refund its exploration charge.
                     outcome.inference_cycles -= executed
                     outcome.refunded_cycles = executed
-                    outcome.machine = accepted
+                    outcome.machine = machine
                     outcome.found = True
                     return outcome
-                if dedupe_key is not None:
-                    key = dedupe_key(accepted)
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                outcome.all_accepted.append(accepted)
+                key = dedupe_key(machine)
+                if key in seen_keys:
+                    continue
+                seen_keys.add(key)
+                outcome.all_accepted.append(machine)
                 if outcome.machine is None:
-                    outcome.machine = accepted
+                    outcome.machine = machine
                     outcome.found = True
         return outcome

@@ -781,7 +781,6 @@ class Machine:
                  cost_model: Optional[CostModel] = None,
                  io_spec: Optional[IOSpec] = None,
                  max_steps: int = 2_000_000,
-                 stop_on_failure: bool = True,
                  entry_args: Sequence[Any] = (),
                  trace_mode: str = "full",
                  max_native_cycles: Optional[int] = None):
@@ -794,7 +793,6 @@ class Machine:
         self.cost_model = cost_model or CostModel()
         self.io_spec = io_spec
         self.max_steps = max_steps
-        self.stop_on_failure = stop_on_failure
 
         self.memory = SharedMemory(program.globals, program.arrays)
         self.threads: Dict[int, ThreadState] = {}
@@ -916,7 +914,6 @@ class Machine:
         twin.cost_model = self.cost_model
         twin.io_spec = self.io_spec
         twin.max_steps = self.max_steps
-        twin.stop_on_failure = self.stop_on_failure
         twin.memory = self.memory.clone()
         twin.threads = {tid: thread.clone()
                         for tid, thread in self.threads.items()}
@@ -1009,7 +1006,6 @@ class Machine:
         meter = self.meter
         max_steps = self.max_steps
         ceiling = self._cycle_ceiling
-        stop_on_failure = self.stop_on_failure
         # Pure runs need a mode that keeps no pure step, a keep rule to
         # draw, and nothing that reads every step.
         pure_runs = (not full and draw is not None and notify is None
@@ -1024,11 +1020,10 @@ class Machine:
         switching = False
         while True:
             steps = self.steps
-            if steps >= target or self.halted:
+            if steps >= target or self.halted \
+                    or self.failure is not None:
                 # ``halted`` is also set by the early-abort hook: an
                 # aborted run stops immediately (``aborted`` tells which).
-                return
-            if self.failure is not None and stop_on_failure:
                 return
             if steps >= max_steps:
                 self.hit_step_limit = True

@@ -73,18 +73,14 @@ class Scheduler:
         """Called after each executed step with ``step.sync`` set;
         default is stateless."""
 
-    def fork(self) -> "Scheduler":
-        """Return a fresh scheduler with identical initial behaviour."""
-        raise NotImplementedError
-
     def clone(self) -> "Scheduler":
         """Return a copy that continues from the *current* state.
 
-        Unlike :meth:`fork` (which rewinds to the initial state), a clone
-        is a mid-run checkpoint: the copy makes exactly the decisions the
-        original would make from here on.  Machine snapshot/fork relies on
-        this.  The default is a deep copy; schedulers holding references
-        to external mutable state should override.
+        A clone is a mid-run checkpoint: the copy makes exactly the
+        decisions the original would make from here on.  Machine
+        snapshot/fork relies on this.  The default is a deep copy;
+        schedulers holding references to external mutable state should
+        override.
         """
         return copy.deepcopy(self)
 
@@ -122,9 +118,6 @@ class RoundRobinScheduler(Scheduler):
         self._current = chosen
         self._remaining = self.quantum - 1
         return chosen
-
-    def fork(self) -> "RoundRobinScheduler":
-        return RoundRobinScheduler(self.quantum)
 
     def clone(self) -> "RoundRobinScheduler":
         twin = RoundRobinScheduler(self.quantum)
@@ -190,9 +183,6 @@ class RandomScheduler(Scheduler):
         current = self.current = allowed[index]
         return current
 
-    def fork(self) -> "RandomScheduler":
-        return RandomScheduler(self.seed, self.switch_prob)
-
     def clone(self) -> "RandomScheduler":
         twin = RandomScheduler.__new__(RandomScheduler)
         twin.seed = self.seed
@@ -233,9 +223,6 @@ class FixedScheduler(Scheduler):
     def notify(self, step: StepRecord) -> None:
         if self._index < len(self.schedule):
             self._index += 1
-
-    def fork(self) -> "FixedScheduler":
-        return FixedScheduler(self.schedule, self.strict)
 
     def clone(self) -> "FixedScheduler":
         twin = FixedScheduler(self.schedule, self.strict)
@@ -350,9 +337,6 @@ class SyncOrderScheduler(Scheduler):
             expected_tid, expected_op, __ = self.sync_order[index]
             if step.tid == expected_tid and step.op == expected_op:
                 self._index = index + 1
-
-    def fork(self) -> "SyncOrderScheduler":
-        return SyncOrderScheduler(self.sync_order, self._inner.fork())
 
     def clone(self) -> "SyncOrderScheduler":
         twin = SyncOrderScheduler(self.sync_order, self._inner.clone())

@@ -91,23 +91,3 @@ def test_cli_replay_corrupt_log(capsys, tmp_path):
     assert cli_main(["replay", str(bad)]) == 1
     err = capsys.readouterr().err
     assert str(bad) in err
-
-
-def test_cli_bench_section_select(capsys, tmp_path):
-    """`bench --section` runs only the named section and keeps the rest
-    of an existing summary intact."""
-    import json
-    out_path = tmp_path / "bench.json"
-    out_path.write_text(json.dumps(
-        {"benchmark": "minivm-interpreter",
-         "workloads": {"counter": {"steps": 1, "steps_per_sec": 2}}}))
-    assert cli_main(["bench", "--section", "search", "--repeats", "1",
-                     "--output", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "checkpoint_prune" in out
-    assert "tight_loop" not in out, "interpreter section must not run"
-    summary = json.loads(out_path.read_text())
-    assert "search" in summary
-    assert summary["workloads"] == {
-        "counter": {"steps": 1, "steps_per_sec": 2}}, \
-        "unmeasured sections keep their recorded values"

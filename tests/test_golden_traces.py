@@ -24,7 +24,6 @@ and say why in the commit message.
 import pytest
 
 from repro.apps import ALL_APPS
-from repro.harness.bench import COUNTER_SRC
 from repro.models import DebugSession
 from repro.models.session import resolve_case
 from repro.replay.base import ReplayResult
@@ -47,8 +46,33 @@ GOLDEN_APP_DIGESTS = {
         "b8cb8ebc3a906aa7f4e031ff0ddcd1ab1a2d9407686c04b4ba333cfaf3210cb7"),
 }
 
-# The benchmark workload (imported from the bench harness, so the digest
+# The interpreter benchmarks' counter workload (lock-protected shared
+# counter, 3 threads; ``benchmarks/bench_interpreter.py`` and
+# ``benchmarks/bench_substrate.py`` import it from here, so the digest
 # pins the exact execution being optimised) is golden too.
+COUNTER_SRC = """
+global counter = 0
+mutex m
+fn main():
+    spawn %t1, worker, 300
+    spawn %t2, worker, 300
+    join %t1
+    join %t2
+    halt
+fn worker(n):
+loop:
+    jz %n, done
+    lock m
+    load %c, counter
+    add %c, %c, 1
+    store counter, %c
+    unlock m
+    sub %n, %n, 1
+    jmp loop
+done:
+    ret
+"""
+
 GOLDEN_COUNTER_DIGEST = (
     "6fa62483c435c4cd1515cf0c1b3548d55995a808778b00f2960f16f98f598326")
 

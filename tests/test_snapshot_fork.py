@@ -15,10 +15,9 @@ import pytest
 
 from repro.apps import ALL_APPS
 from repro.errors import ReplayDivergenceError
-from repro.harness.bench import COUNTER_SRC
 from repro.models.session import resolve_case
 from repro.replay.search import (ExecutionSearch, InputSpace, SearchBudget,
-                                 default_dedupe_key, divergent_output_abort)
+                                 divergent_output_abort)
 from repro.util.intervals import Interval
 from repro.util.rng import DeterministicRng
 from repro.vm import (RandomScheduler, SyncOrderScheduler, assemble,
@@ -26,7 +25,7 @@ from repro.vm import (RandomScheduler, SyncOrderScheduler, assemble,
 from repro.vm.environment import Environment
 from repro.vm.machine import Machine
 
-from test_golden_traces import GOLDEN_COUNTER_DIGEST
+from test_golden_traces import COUNTER_SRC, GOLDEN_COUNTER_DIGEST
 from test_scheduler_oracle import TRACE_MODES, failing_seed, run_summary
 
 # Exercises inputs, syscalls (seeded RNG), locks, spawn/join, and shared
@@ -513,12 +512,11 @@ def test_diverging_candidate_is_rejected_and_charged():
 
 
 def test_enumeration_search_runs_candidates_in_events_mode():
-    """collect_all with a dedupe key (root-cause enumeration) keeps each
+    """A search with a dedupe key (root-cause enumeration) keeps each
     accepted candidate's sparse events trace, forks included."""
     __, search = grid_search()
     outcome = search.search(lambda m: True,
                             budget=SearchBudget(max_attempts=100),
-                            collect_all=True,
                             dedupe_key=lambda m: tuple(m.env.outputs["echo"]))
     assert outcome.forked_candidates > 0
     assert outcome.materialized_runs == 0
@@ -528,25 +526,3 @@ def test_enumeration_search_runs_candidates_in_events_mode():
         full = search.run_candidate(machine.trace.inputs_consumed, 0)
         assert [s._key() for s in machine.trace.steps] == \
             _effect_keys(full.trace.steps)
-
-
-def test_collect_all_default_dedupe_key_is_behavioural():
-    """id(machine) never deduplicated; the default key must."""
-    program = assemble("""
-    fn main():
-        input %x, "in"
-        div %y, %x, %x
-        output "o", 1
-        halt
-    """)
-    space = InputSpace.grid({"in": (1, Interval(1, 4))})
-    search = ExecutionSearch(program, space, schedule_seeds=range(3))
-    outcome = search.search(lambda m: m.failure is None,
-                            budget=SearchBudget(max_attempts=100),
-                            collect_all=True)
-    # 4 inputs x 3 seeds all produce output [1] and no failure: one
-    # behaviour, one representative.
-    assert outcome.attempts == 12
-    assert len(outcome.all_accepted) == 1
-    keys = {default_dedupe_key(m) for m in outcome.all_accepted}
-    assert len(keys) == 1
