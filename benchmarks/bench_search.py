@@ -125,25 +125,15 @@ def _candidates_per_sec(mode, program, recorded, repeats=3):
     return best
 
 
-def test_counting_search_is_2x_full_trace_search(workload):
-    """The counting-mode pipeline must explore >=2x the candidates/sec.
+def test_checkpointed_search_is_3x_full_trace_search(workload):
+    """The full checkpoint + prune pipeline must clear 3x the scratch
+    baseline's candidates/sec.
 
     The measured gap on the reference container is ~10x (trace-free
     candidates + checkpoint forks + divergent-output aborts vs full-trace
     from-scratch candidates); the floor is deliberately conservative to
     survive hardware variance.
     """
-    program, recorded = workload
-    full = _candidates_per_sec("full_trace_scratch", program, recorded)
-    pruned = _candidates_per_sec("checkpoint_prune", program, recorded)
-    assert pruned >= 2 * full, (
-        f"counting-mode search regressed: {pruned:,.0f} vs "
-        f"{full:,.0f} candidates/sec (need >=2x)")
-
-
-def test_checkpointed_search_is_3x_full_trace_search(workload):
-    """The full checkpoint + prune pipeline must clear 3x the scratch
-    baseline's candidates/sec."""
     program, recorded = workload
     full = _candidates_per_sec("full_trace_scratch", program, recorded)
     pruned = _candidates_per_sec("checkpoint_prune", program, recorded)

@@ -1,4 +1,11 @@
-"""Recorder interface and the ``record_run`` entry point."""
+"""Recorder interface and the ``record_run`` entry point.
+
+A recorder reads the production run step by step, as a machine
+observer, and nothing reads the run's trace afterwards: ``record_run``
+returns the log alone.  So the production machine runs in the
+``counting`` trace mode, which keeps no step records, and the recorder
+sees each step through the run loop's one scratch record.
+"""
 
 from __future__ import annotations
 
@@ -33,7 +40,13 @@ class Recorder:
         machine.add_observer(self.observe)
 
     def observe(self, machine: Machine, step: StepRecord) -> None:
-        """Handle one executed step (override)."""
+        """Handle one executed step (override).
+
+        ``step`` is a scratch record, valid only during this call: the
+        run loop reuses it for the next step.  Copy out what the log
+        keeps (its fields, or the tuples and lists they hold); never
+        keep the record itself.
+        """
         raise NotImplementedError
 
     def charge(self, event_class: str, count: int = 1) -> None:
@@ -65,12 +78,14 @@ def record_run(program: Program,
     This is the 'in production' half of a replay-debugging system: the
     program runs under a seeded preemptive scheduler (real, uncontrolled
     non-determinism from the guest's point of view) while the recorder
-    logs whatever its determinism model pays for.
+    logs whatever its determinism model pays for.  The recorder is the
+    run's only reader, so the machine keeps no trace (``counting``).
     """
     env = Environment(inputs=inputs, seed=seed, net_drop_rate=net_drop_rate)
     scheduler = scheduler or RandomScheduler(seed=seed)
     machine = Machine(program, env=env, scheduler=scheduler,
-                      io_spec=io_spec, max_steps=max_steps)
+                      io_spec=io_spec, max_steps=max_steps,
+                      trace_mode="counting")
     recorder.attach(machine)
     try:
         machine.run()

@@ -33,9 +33,15 @@ which candidate is accepted (enumeration order is preserved):
 * **Prefix sharing.**  Candidates with the same schedule seed are a tree
   over input assignments: two candidates behave identically until the
   first differing input value is consumed.  The search checkpoints the
-  machine at each input-consumption point (:meth:`Machine.snapshot`) and
+  machine at input-consumption points (:meth:`Machine.snapshot`) and
   resumes the next candidate by *forking* the deepest shared checkpoint
-  instead of replaying from step 0.
+  instead of replaying from step 0.  A checkpoint is used only by the
+  next assignment under its seed, and only if that assignment agrees
+  with every value consumed before it (:class:`_Witness`), so a
+  candidate snapshots while the next assignment - if the attempt
+  budget reaches it: each runs under every seed, so the budget reaches
+  ``ceil(max_attempts / len(schedule_seeds))`` - agrees with all it has
+  consumed; no fork is lost.
 * **Early abort.**  An ``early_abort`` hook sees every executed I/O step
   and may kill the candidate immediately; :func:`divergent_output_abort`
   stops output-determinism candidates at the first output value that can
@@ -224,13 +230,74 @@ class _Checkpoint:
         self.dst = dst
 
 
+def _agrees(inputs: Dict[str, List[Any]], cursors: Dict[str, int],
+            channel: str, value: Any) -> bool:
+    """Whether ``value`` is the next value ``inputs`` holds on
+    ``channel`` past ``cursors``; if so, the cursor moves past it."""
+    cursor = cursors.get(channel, 0)
+    values = inputs.get(channel)
+    if values is None or cursor >= len(values) or values[cursor] != value:
+        return False
+    cursors[channel] = cursor + 1
+    return True
+
+
+def _agreement(consumed: Sequence[Tuple[str, Any]],
+               inputs: Dict[str, List[Any]],
+               limit: int) -> Tuple[int, Dict[str, int]]:
+    """How many leading values of ``consumed`` (at most ``limit``)
+    ``inputs`` reproduces, and its per-channel cursors past them."""
+    cursors: Dict[str, int] = {}
+    agreed = 0
+    for channel, value in consumed:
+        if agreed >= limit or not _agrees(inputs, cursors, channel, value):
+            break
+        agreed += 1
+    return agreed, cursors
+
+
+class _Witness:
+    """The input assignment after a running candidate's, while it agrees
+    with every value the candidate has consumed.
+
+    Only that assignment can use a checkpoint the candidate takes: it
+    runs next under the same seed, and its run keeps the seed's chain
+    only up to the checkpoint it forks, so every deeper one is dropped
+    before a later assignment plans.  It forks the checkpoint taken at a
+    consumption, or a deeper one, only if it agrees with every value
+    consumed before that consumption.  So the candidate snapshots while
+    :attr:`inputs` is set: it is None from the first value the
+    assignment does not reproduce on, and when no assignment runs next
+    (the space or the attempt budget ends first).
+    """
+
+    __slots__ = ("inputs", "_cursors")
+
+    def __init__(self, inputs: Optional[Dict[str, List[Any]]],
+                 consumed: Sequence[Tuple[str, Any]], count: int):
+        self.inputs = inputs
+        self._cursors: Dict[str, int] = {}
+        if inputs is not None:
+            agreed, self._cursors = _agreement(consumed, inputs, count)
+            if agreed < count:
+                self.inputs = None
+
+    def consumed(self, channel: str, value: Any) -> None:
+        """Follow the candidate past one more consumed value."""
+        if self.inputs is not None \
+                and not _agrees(self.inputs, self._cursors, channel, value):
+            self.inputs = None
+
+
 class _SeedCheckpoints:
     """Per-schedule-seed checkpoint chain from the previous candidate.
 
     ``consumed`` is the flattened ``(channel, value)`` consumption
     sequence of the run the checkpoints describe; ``checkpoints[k]`` was
     snapshotted right after the ``k+1``-th consumption (the list may be
-    shorter than ``consumed`` when the checkpoint cap was hit).
+    shorter than ``consumed`` when the checkpoint cap was hit, or from
+    the first consumption that the next assignment cannot fork: see
+    :class:`_Witness`).
 
     Two resumption flavours:
 
@@ -262,18 +329,8 @@ class _SeedCheckpoints:
         (0 = run from scratch); with ``retarget`` the forked state's last
         consumption is rewritten to the candidate's value.
         """
-        cursors: Dict[str, int] = {}
-        strict = 0
-        for channel, value in self.consumed:
-            if strict >= len(self.checkpoints):
-                break
-            cursor = cursors.get(channel, 0)
-            values = inputs.get(channel)
-            if values is None or cursor >= len(values) \
-                    or values[cursor] != value:
-                break
-            cursors[channel] = cursor + 1
-            strict += 1
+        strict, cursors = _agreement(self.consumed, inputs,
+                                     len(self.checkpoints))
         fork_len, retarget = strict, False
         if (allow_retarget and strict < len(self.consumed)
                 and strict < len(self.checkpoints)):
@@ -412,6 +469,7 @@ class ExecutionSearch:
                     early_abort: Optional[EarlyAbort],
                     trace_mode: str,
                     take_checkpoints: bool,
+                    following: Optional[Dict[str, List[Any]]],
                     outcome: SearchOutcome
                     ) -> Tuple[Optional[Machine], int]:
         """Run one candidate, forking the deepest shared checkpoint.
@@ -419,7 +477,11 @@ class ExecutionSearch:
         ``take_checkpoints`` gates snapshot collection: a pool is only
         ever read by a *later, different* input assignment under the same
         seed, so the search enables it once a second input candidate is
-        known to exist (single-assignment spaces pay nothing).
+        known to exist (single-assignment spaces pay nothing).  Even
+        then the candidate snapshots a consumption only while
+        ``following`` - the next assignment, None when the attempt
+        budget does not reach one - agrees with every value consumed
+        before it (see :class:`_Witness`).
 
         Returns ``(machine, executed_cycles)`` where ``executed_cycles``
         excludes the checkpointed prefix the candidate did not re-run.
@@ -470,17 +532,20 @@ class ExecutionSearch:
         if take_checkpoints:
             checkpoint_room = MAX_CHECKPOINTS - fork_len
             program = self.program
+            witness = _Witness(following, pool.consumed, fork_len)
 
             def checkpoint_inputs(m: Machine, record: StepRecord) -> None:
                 io = record.io
                 if io is None or io[0] != "input":
                     return
                 new_consumed.append((io[1], io[2]))
-                if len(new_checkpoints) < checkpoint_room:
-                    instr = program.function(record.function).body[record.pc]
-                    new_checkpoints.append(_Checkpoint(
-                        m.snapshot(), record.tid, io[1],
-                        instr.args[0].name))
+                if witness.inputs is None \
+                        or len(new_checkpoints) >= checkpoint_room:
+                    return
+                instr = program.function(record.function).body[record.pc]
+                new_checkpoints.append(_Checkpoint(
+                    m.snapshot(), record.tid, io[1], instr.args[0].name))
+                witness.consumed(io[1], io[2])
 
             machine.add_observer(checkpoint_inputs, sync_or_io=True)
         try:
@@ -528,6 +593,9 @@ class ExecutionSearch:
         pools: Dict[int, _SeedCheckpoints] = {}
         schedule_seeds = self.schedule_seeds
         allows = budget.allows
+        # Every assignment runs under every seed, so the attempt budget
+        # reaches the first ``reach`` of them.
+        reach = -(-budget.max_attempts // max(len(schedule_seeds), 1))
         # A dedupe key is a root-cause diagnosis, which reads only effect
         # steps: an events trace is enough, and most candidates are
         # accepted, so tracing those steps as the candidate runs beats a
@@ -541,11 +609,17 @@ class ExecutionSearch:
         # first candidate is never a checkpoint source (collection starts
         # with the second input assignment), so its mode shapes no fork.
         first_mode = "full" if trace_mode == "counting" else trace_mode
-        for input_index, inputs in enumerate(self.input_space.candidates()):
+        assignments = self.input_space.candidates()
+        upcoming = next(assignments, None)
+        for input_index in itertools.count():
+            inputs, upcoming = upcoming, next(assignments, None)
+            if inputs is None:
+                break
             # Checkpoints pay off only across *different* input
             # assignments, so collection starts with the second one;
             # single-assignment spaces never pay for snapshots.
             take_checkpoints = self.prefix_sharing and input_index > 0
+            following = upcoming if input_index + 1 < reach else None
             for seed in schedule_seeds:
                 if not allows(outcome.attempts, outcome.inference_cycles):
                     return outcome
@@ -554,7 +628,7 @@ class ExecutionSearch:
                     budget.remaining_cycles(outcome.inference_cycles),
                     early_abort,
                     trace_mode if outcome.attempts else first_mode,
-                    take_checkpoints, outcome)
+                    take_checkpoints, following, outcome)
                 outcome.attempts += 1
                 outcome.inference_cycles += executed
                 if machine is None:

@@ -119,8 +119,10 @@ class Environment:
         """A mid-run copy for machine snapshot/fork.
 
         Pending/consumed inputs and outputs are copied by value and the
-        RNG continues from the same stream position, so a forked machine
-        sees exactly the environment behaviour the original would have.
+        RNG continues from the same stream position (a stream nothing has
+        drawn from yet stays unseeded, and costs no copy), so a forked
+        machine sees exactly the environment behaviour the original
+        would have.
         Subclass identity and extra attributes are preserved (attributes
         beyond the base state are copied by reference - subclasses with
         mutable private state should override and extend this).  Syscall

@@ -32,7 +32,8 @@ cost lookup, no end-of-body test, no opcode string comparisons.  The
 commonest operand shapes - a binary op on (register, constant) or
 (register, register), ``mov`` from a register, ``jz``/``jnz`` on a
 register - read ``frame.registers`` directly rather than through
-operand getters.
+operand getters, and a comparison of those shapes is evaluated inline
+rather than by a call.
 
 Run loop
 --------
@@ -217,6 +218,60 @@ def _getter(operand):
     raise MachineError(f"bad operand {operand!r}")
 
 
+# -- comparison handlers -----------------------------------------------------
+#
+# The register-direct handlers of the six comparisons, one per operator
+# and shape, each evaluating its comparison inline to the int 0/1 that
+# ``BINARY_FUNCS`` returns rather than calling a function per step.  The
+# two shapes are written once, below, and compiled per operator at
+# import; each reads ``a`` before ``b`` like the other register-direct
+# handlers, so an undefined register is named the same way.
+
+_COMPARE_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
+                    "gt": ">", "ge": ">="}
+
+_COMPARE_SOURCE = """
+def reg_const(dst, name_a, b):
+    def run_compare_reg_const(machine, thread, frame, record):
+        registers = frame.registers
+        try:
+            a = registers[name_a]
+        except KeyError:
+            raise _UndefinedRegister(name_a) from None
+        registers[dst] = 1 if a {symbol} b else 0
+        frame.pc += 1
+        return True
+    return run_compare_reg_const
+
+
+def reg_reg(dst, name_a, name_b):
+    def run_compare_reg_reg(machine, thread, frame, record):
+        registers = frame.registers
+        try:
+            a = registers[name_a]
+            b = registers[name_b]
+        except KeyError:
+            raise _UndefinedRegister(
+                name_b if name_a in registers else name_a) from None
+        registers[dst] = 1 if a {symbol} b else 0
+        frame.pc += 1
+        return True
+    return run_compare_reg_reg
+"""
+
+
+def _compare_handlers(symbol: str) -> Tuple[Callable, Callable]:
+    """The (Reg, Const) and (Reg, Reg) handler makers for ``symbol``."""
+    namespace = {"_UndefinedRegister": _UndefinedRegister}
+    exec(compile(_COMPARE_SOURCE.format(symbol=symbol),
+                 f"<compare {symbol}>", "exec"), namespace)
+    return namespace["reg_const"], namespace["reg_reg"]
+
+
+_COMPARE_HANDLERS = {op: _compare_handlers(symbol)
+                     for op, symbol in _COMPARE_SYMBOLS.items()}
+
+
 # -- instruction compilers ---------------------------------------------------
 #
 # Each compiler runs once per instruction at decode time and returns a
@@ -246,10 +301,14 @@ def _compile_binary(fn: Function, instr: Instr, program: Program):
         return run_divmod
     func = BINARY_FUNCS[op]
     # The commonest shapes read their registers directly, ``a`` before
-    # ``b`` as the getters do, with ``func`` outside the ``try``.
+    # ``b`` as the getters do, with ``func`` outside the ``try``; a
+    # comparison is evaluated inline there (``_COMPARE_HANDLERS``).
+    compare = _COMPARE_HANDLERS.get(op)
     if isinstance(source_a, Reg) and isinstance(source_b, Const):
         name_a = source_a.name
         value_b = source_b.value
+        if compare is not None:
+            return compare[0](dst, name_a, value_b)
 
         def run_binary_reg_const(machine, thread, frame, record):
             registers = frame.registers
@@ -264,6 +323,8 @@ def _compile_binary(fn: Function, instr: Instr, program: Program):
     if isinstance(source_a, Reg) and isinstance(source_b, Reg):
         name_a = source_a.name
         name_b = source_b.name
+        if compare is not None:
+            return compare[1](dst, name_a, name_b)
 
         def run_binary_reg_reg(machine, thread, frame, record):
             registers = frame.registers
@@ -820,8 +881,11 @@ class Machine:
 
         # Incrementally maintained scheduling state: the sorted runnable
         # tid list (what ``scheduler.pick`` receives, read-only) and the
-        # live-thread count replace per-step scans.
+        # live-thread count replace per-step scans.  ``runnable_version``
+        # moves whenever the list is edited, so a scheduler can tell
+        # that the runnable set it last vetted is still the same.
         self._runnable: List[int] = []
+        self.runnable_version = 0
         self._live_count = 0
 
         # Each function's decoded code under this cost model, shared by
@@ -934,6 +998,7 @@ class Machine:
         twin.io_interceptor = self.io_interceptor
         twin.early_abort = self.early_abort
         twin._runnable = list(self._runnable)
+        twin.runnable_version = self.runnable_version
         twin._live_count = self._live_count
         twin._code = self._code
         twin._next_tid = self._next_tid
@@ -1199,6 +1264,7 @@ class Machine:
         # Tids are assigned in ascending order, so append keeps the
         # runnable list sorted.
         self._runnable.append(tid)
+        self.runnable_version += 1
         self._live_count += 1
         return tid
 
@@ -1209,16 +1275,19 @@ class Machine:
         # INTERCEPT_MISS, blocking the same thread twice).
         if thread.is_runnable:
             self._runnable.remove(thread.tid)
+            self.runnable_version += 1
         thread.block(status, on)
 
     def _unblock_thread(self, thread: ThreadState) -> None:
         thread.unblock()
         insort(self._runnable, thread.tid)
+        self.runnable_version += 1
 
     def _finish_thread(self, thread: ThreadState, value: Any) -> None:
         thread.return_value = value
         thread.status = ThreadStatus.DONE
         self._runnable.remove(thread.tid)
+        self.runnable_version += 1
         self._live_count -= 1
         for other in self.threads.values():
             if (other.status == ThreadStatus.BLOCKED_JOIN
@@ -1230,6 +1299,7 @@ class Machine:
         site = f"{thread.frame.function.name}@{thread.frame.pc}"
         thread.status = ThreadStatus.FAILED
         self._runnable.remove(thread.tid)
+        self.runnable_version += 1
         self._live_count -= 1
         self.failure = FailureReport(kind=kind, location=site, detail=detail,
                                      tid=thread.tid, step_index=self.steps)

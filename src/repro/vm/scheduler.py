@@ -15,7 +15,10 @@ in :mod:`repro.replay.selective_replay`) reads each runnable thread's
 next sync op off its top frame from a per-function table
 (``frame.function.sync_ops[frame.pc]``), filters the list, and calls
 ``inner.pick(machine, allowed)`` - with the runnable list itself when it
-excludes no thread.
+excludes no thread.  :class:`SyncOrderScheduler` keeps that list between
+decisions and re-vets only the thread that ran since, until the sync
+index moves or the machine's ``runnable_version`` says its runnable list
+was edited.
 
 Keep rules: between two steps of one thread the run loop may skip
 ``pick``.  A scheduler's :meth:`~Scheduler.keep_rule` hands it the keep
@@ -261,6 +264,15 @@ class SyncOrderScheduler(Scheduler):
 
     The inner scheduler only picks: it is never notified, so an inner
     that needs its ``notify`` is refused.
+
+    Vetting: the allowed list for the current expected event is kept
+    between decisions.  Between two of them only the thread the inner
+    picked last (its ``current``) has run, so while the sync index and
+    the machine's runnable set (``runnable_version``) are unchanged that
+    thread is the only one whose admission can change, and it alone is
+    re-vetted.  Any other decision - a moved index, a changed runnable
+    set, an inner without ``current`` - rescans every runnable thread
+    (:meth:`_allowed`).  A clone starts with nothing kept.
     """
 
     def __init__(self, sync_order: Sequence[Tuple[int, str, object]],
@@ -272,15 +284,16 @@ class SyncOrderScheduler(Scheduler):
                 or notifier(self._inner, "notify_sync") is not None:
             raise SchedulerError(
                 "a sync-order scheduler does not notify its inner scheduler")
+        # ``(index, runnable_version, allowed)`` of the last vetting
+        # (see :meth:`_vetted`), or None.
+        self._vet: Optional[Tuple[int, int, List[int]]] = None
 
     def pick(self, machine, runnable: List[int]) -> int:
         index = self._index
         if index >= len(self.sync_order):
             # Past the recorded window: sync ops run freely.
             return self._inner.pick(machine, runnable)
-        expected_tid, expected_op, __ = self.sync_order[index]
-        allowed = self._allowed(machine.threads, runnable, expected_tid,
-                                expected_op)
+        allowed = self._vetted(machine, runnable, index)
         if not allowed:
             raise ReplayDivergenceError(
                 f"sync-order replay stuck at event {index}: every "
@@ -291,25 +304,53 @@ class SyncOrderScheduler(Scheduler):
         """The inner's rule, gated at sync ops, while pick is this
         class's own.  Its switch draws among the threads the next
         recorded sync event admits - a list that holds the current
-        thread, since a thread at no sync op is always admitted."""
+        thread, since a thread at no sync op is always admitted.  The
+        switch reads ``machine``, so the rule, like every rule, must
+        live only in the run loop's locals."""
         if type(self).pick is not SyncOrderScheduler.pick:
             return None
         rule = self._inner.keep_rule(machine)
         if rule is None:
             return None
         draw, switch_prob, __, inner_switch = rule
-        threads = machine.threads
         sync_order = self.sync_order
-        allowed = self._allowed
+        vetted = self._vetted
 
         def switch(runnable: List[int]) -> int:
             index = self._index
             if index < len(sync_order):
-                expected_tid, expected_op, __ = sync_order[index]
-                runnable = allowed(threads, runnable, expected_tid,
-                                   expected_op)
+                runnable = vetted(machine, runnable, index)
             return inner_switch(runnable)
         return draw, switch_prob, True, switch
+
+    def _vetted(self, machine, runnable: List[int],
+                index: int) -> List[int]:
+        """The threads of ``runnable`` that sync event ``index`` admits:
+        the kept list with the inner's current thread re-vetted while
+        the index and the runnable set are the ones it was built for,
+        else a full :meth:`_allowed` scan."""
+        expected_tid, expected_op, __ = self.sync_order[index]
+        version = machine.runnable_version
+        current = getattr(self._inner, "current", None)
+        vet = self._vet
+        if current is not None and vet is not None and vet[0] == index \
+                and vet[1] == version:
+            allowed = vet[2]
+            frame = machine.threads[current].frames[-1]
+            op = frame.function.sync_ops[frame.pc]
+            admitted = op is None or (current == expected_tid
+                                      and op == expected_op)
+            if admitted == (allowed is runnable or current in allowed):
+                return allowed
+            if not admitted:
+                # The current thread reached an out-of-order sync op.
+                allowed = [tid for tid in allowed if tid != current]
+                self._vet = (index, version, allowed)
+                return allowed
+        allowed = self._allowed(machine.threads, runnable, expected_tid,
+                                expected_op)
+        self._vet = (index, version, allowed)
+        return allowed
 
     @staticmethod
     def _allowed(threads, runnable: List[int], expected_tid: int,

@@ -1,16 +1,22 @@
 """Record/replay round trips for every determinism model."""
 
+from unittest import mock
+
 import pytest
 
-from repro.apps import racy_counter
+from repro.apps import ALL_APPS, racy_counter
 from repro.apps.base import find_failing_seed
+from repro.models import DebugSession, model_order
+from repro.models.session import resolve_case
+from repro.record import base as record_base
+from repro.record.serialize import log_to_dict
 from repro.record import (FailureRecorder, FullRecorder, OutputMode,
                           OutputRecorder, SelectiveRecorder, ValueRecorder,
                           record_run)
 from repro.replay import (DeterministicReplayer, ExecutionSynthesizer,
                           InputSpace, OdrReplayer, OutputOnlyReplayer,
                           SelectiveReplayer, ValueReplayer)
-from repro.vm import RandomScheduler, assemble
+from repro.vm import Machine, RandomScheduler, assemble
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +184,43 @@ def test_output_only_replay_searches_inputs():
     result = replayer.replay(program, log)
     assert result.found
     assert result.trace.inputs_consumed["i"] == [7]
+
+
+# -- recordings keep no trace ------------------------------------------------
+#
+# ``record_run`` runs the production machine in ``counting`` mode: the
+# recorder, an every-step observer, is its only reader.  The reference
+# records the same runs in ``full`` mode.
+
+def _shipped_logs(ref, trace_mode=None):
+    """The shipped log of each of ``ref``'s five sessions, recorded at
+    its failing seed, with every recording machine in ``trace_mode``
+    (``record_run``'s own choice when None)."""
+    modes = []
+
+    def machine(*args, **kwargs):
+        if trace_mode is not None:
+            kwargs["trace_mode"] = trace_mode
+        modes.append(kwargs["trace_mode"])
+        return Machine(*args, **kwargs)
+
+    case = resolve_case(ref)
+    logs = []
+    with mock.patch.object(record_base, "Machine", machine):
+        for model in model_order():
+            session = DebugSession(case, model,
+                                   seed=getattr(case, "failing_seed", None))
+            session.record()
+            logs.append(log_to_dict(session.log))
+    assert modes == [trace_mode or "counting"] * len(logs)
+    return logs
+
+
+def check_recordings(ref):
+    assert _shipped_logs(ref) == _shipped_logs(ref, "full"), ref
+
+
+@pytest.mark.parametrize("ref", [f"app:{name}" for name in sorted(ALL_APPS)]
+                         + [f"corpus:{seed}" for seed in range(24)])
+def test_counting_recordings_ship_the_logs_full_ones_do(ref):
+    check_recordings(ref)

@@ -338,12 +338,15 @@ def test_corpus_limited_runs_match_pick_every_step(seed):
 
 
 # Each read of an undefined register, with the handler its shape
-# compiles to: the register-direct ones, then two getter ones.
+# compiles to: the register-direct ones (comparisons have their own),
+# then two getter ones.
 UNDEFINED_READS = {
     "add %x, %missing, 1": ("run_binary_reg_const", "missing"),
     "add %x, %missing, %i": ("run_binary_reg_reg", "missing"),
     "sub %x, %i, %missing": ("run_binary_reg_reg", "missing"),
-    "gt %x, %missing, %gone": ("run_binary_reg_reg", "missing"),
+    "gt %x, %missing, %gone": ("run_compare_reg_reg", "missing"),
+    "ge %x, %i, %missing": ("run_compare_reg_reg", "missing"),
+    "lt %x, %missing, 1": ("run_compare_reg_const", "missing"),
     "mov %x, %missing": ("run_mov_reg", "missing"),
     "jz %missing, loop": ("run_jz_reg", "missing"),
     "jnz %missing, loop": ("run_jnz_reg", "missing"),
@@ -418,7 +421,9 @@ def test_odr_replay_asks_the_scheduler_only_at_sync_ops_and_switches():
     """On msg_server's output replay the sync-order scheduler's pick runs
     on few steps - the loop settles every kept step between sync ops -
     and its sync hook runs once per sync step; the thread-id mapper runs
-    once per sync or I/O step."""
+    once per sync or I/O step.  The scheduler scans every runnable
+    thread (``_allowed``) on under a fifth of its picks and keep-rule
+    switches: otherwise it re-vets only the thread that moved."""
     case = resolve_case("app:msg_server")
     session = DebugSession(case, "output")
     session.record()
@@ -445,13 +450,35 @@ def test_odr_replay_asks_the_scheduler_only_at_sync_ops_and_switches():
         machine.add_observer(count_steps)
         return run(machine)
 
+    keep_rule = SyncOrderScheduler.keep_rule
+
+    def counted_keep_rule(self, machine):
+        draw, switch_prob, gated, switch = keep_rule(self, machine)
+
+        def counted_switch(runnable):
+            calls["switch"] += 1
+            return switch(runnable)
+        return draw, switch_prob, gated, counted_switch
+
+    allowed = SyncOrderScheduler._allowed
+
+    def counted_allowed(*args):
+        calls["_allowed"] += 1
+        return allowed(*args)
+
     with mock.patch.object(Machine, "run", counted_run), \
             counted(SyncOrderScheduler, "pick"), \
             counted(SyncOrderScheduler, "notify_sync"), \
-            counted(TidMapper, "observe"):
+            counted(TidMapper, "observe"), \
+            mock.patch.object(SyncOrderScheduler, "keep_rule",
+                              counted_keep_rule), \
+            mock.patch.object(SyncOrderScheduler, "_allowed",
+                              staticmethod(counted_allowed)):
         replay = DebugSession.receive(payload).replay()
     assert replay.found
     assert calls["steps"] > 100_000
     assert calls["pick"] < 0.1 * calls["steps"]
     assert calls["notify_sync"] == calls["sync steps"] > 0
     assert calls["observe"] == calls["sync or io steps"]
+    assert calls["switch"] > calls["pick"] > 0
+    assert 0 < calls["_allowed"] < 0.2 * (calls["switch"] + calls["pick"])

@@ -247,3 +247,44 @@ def test_cost_model_charged_per_instruction():
     machine = sample_machine()
     assert machine.meter.native_cycles > machine.steps, \
         "multi-cycle instructions must cost more than 1"
+
+
+# Counts down, then draws twice from the environment stream.
+DRAWS_LATE = """
+fn main():
+    const %i, 6
+loop:
+    sub %i, %i, 1
+    jnz %i, loop
+    syscall %r, "random", 1000
+    syscall %s, "random", 1000
+    output "o", %r
+    output "o", %s
+    halt
+"""
+
+
+def test_environment_stream_is_seeded_at_its_first_draw():
+    """A run that never draws leaves its environment stream unseeded;
+    forks taken at every step, before and after the first draw, run on
+    as the run from scratch does."""
+    quiet = run_program(assemble("""
+    fn main():
+        output "o", 1
+        halt
+    """), seed=4)
+    assert quiet.env.rng._random is None
+    program = assemble(DRAWS_LATE)
+    whole = run_program(program, seed=4)
+    machine = Machine(program, env=Environment(seed=4),
+                      scheduler=RandomScheduler())
+    forks = []
+    while machine.steps < whole.steps:
+        forks.append((machine.env.rng._random is None, machine.fork()))
+        machine.advance(1)
+    assert machine.env.rng._random is not None
+    assert {unseeded for unseeded, __ in forks} == {True, False}
+    for unseeded, fork in forks:
+        assert (fork.env.rng._random is None) == unseeded
+        assert fork.run().trace.fingerprint() == whole.trace.fingerprint()
+        assert fork.env.outputs == whole.env.outputs

@@ -1,5 +1,8 @@
 """Scheduler behaviour and the determinism property replay relies on."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -372,3 +375,215 @@ def test_sync_order_admits_a_thread_falling_off_its_end_while_holding():
             assert state[1][2] is None and state[0][2] == "join"
             admitted_at_end = True
     assert admitted_at_end
+
+
+# -- sync-order vetting -----------------------------------------------------
+#
+# The sync-order scheduler keeps the allowed list of its expected event
+# and, while the sync index and the machine's ``runnable_version`` stand
+# still, re-vets only its inner's current thread: every other thread has
+# not run since, so nothing else about the list can have changed.
+
+# LOCKED with a main that fails once it has joined both workers.
+FAILS_AT_END = assemble("""
+global counter = 0
+mutex m
+fn main():
+    spawn %t1, worker, 6
+    spawn %t2, worker, 6
+    join %t1
+    join %t2
+    const %ok, 0
+    assert %ok, "joined"
+    halt
+fn worker(n):
+loop:
+    jz %n, done
+    lock m
+    load %c, counter
+    add %c, %c, 1
+    store counter, %c
+    unlock m
+    sub %n, %n, 1
+    jmp loop
+done:
+    ret
+""")
+
+_EDITS = {(ThreadStatus.RUNNABLE, ThreadStatus.BLOCKED_LOCK): "block",
+          (ThreadStatus.RUNNABLE, ThreadStatus.BLOCKED_JOIN): "block",
+          (ThreadStatus.BLOCKED_LOCK, ThreadStatus.RUNNABLE): "unblock",
+          (ThreadStatus.BLOCKED_JOIN, ThreadStatus.RUNNABLE): "unblock",
+          (ThreadStatus.RUNNABLE, ThreadStatus.DONE): "finish",
+          (ThreadStatus.RUNNABLE, ThreadStatus.FAILED): "fail"}
+
+
+def test_runnable_version_moves_on_every_runnable_edit():
+    """Run one step at a time: whenever a step spawns, blocks, unblocks,
+    finishes or fails a thread, ``runnable_version`` moves, and the
+    runnable list is the runnable threads in tid order."""
+    seen = Counter()
+    for seed in range(6):
+        machine = Machine(FAILS_AT_END,
+                          scheduler=RandomScheduler(seed, 0.5))
+        while machine._runnable and machine.failure is None:
+            statuses = {tid: thread.status
+                        for tid, thread in machine.threads.items()}
+            version = machine.runnable_version
+            machine.advance(1)
+            edits = {"spawn" for tid in machine.threads
+                     if tid not in statuses}
+            edits.update(_EDITS.get((before, machine.threads[tid].status))
+                         for tid, before in statuses.items())
+            edits.discard(None)
+            if edits:
+                assert machine.runnable_version != version, edits
+            seen.update(edits)
+            assert machine._runnable == sorted(
+                tid for tid, thread in machine.threads.items()
+                if thread.status is ThreadStatus.RUNNABLE)
+        assert machine.failure is not None
+    assert set(seen) == {"spawn", "block", "unblock", "finish", "fail"}
+
+
+def _scan(threads, runnable, expected):
+    """Filter-then-pick's allowed list for the expected ``(tid, op)``."""
+    allowed = []
+    for tid in runnable:
+        frame = threads[tid].frames[-1]
+        op = frame.function.sync_ops[frame.pc]
+        if op is None or (tid, op) == expected:
+            allowed.append(tid)
+    return allowed
+
+
+def _locked_replays():
+    """Sync-order replays of LOCKED recorded at seeds 0-5, each around
+    RandomScheduler inners of four seeds and three switch rates."""
+    for recorded_seed in range(6):
+        original = run_program(LOCKED,
+                               scheduler=RandomScheduler(recorded_seed))
+        sync_order = [(s.tid, s.op, s.sync[1])
+                      for s in original.trace.sync_events()]
+        for inner_seed in range(4):
+            for switch_prob in (0.1, 0.3, 0.6):
+                yield Machine(LOCKED, scheduler=SyncOrderScheduler(
+                    sync_order, inner=RandomScheduler(inner_seed,
+                                                      switch_prob)))
+
+
+def test_sync_order_vetting_matches_a_full_scan():
+    """Every list the sync-order scheduler hands its inner, on a pick or
+    a keep-rule switch, is the one a full scan builds then.  The kept
+    list is rescanned once the sync index moved or the runnable set
+    changed (a block, an unblock, a spawn, a finish), is used as kept
+    when the current thread is still admitted, and loses the current
+    thread when that thread reached an out-of-order sync op - the
+    replays take each of these paths."""
+    vetted = SyncOrderScheduler._vetted
+    paths = Counter()
+
+    def checked(self, machine, runnable, index):
+        kept = self._vet
+        allowed = vetted(self, machine, runnable, index)
+        assert allowed == _scan(machine.threads, runnable,
+                                tuple(self.sync_order[index][:2]))
+        if kept is None:
+            paths["first"] += 1
+        elif kept[0] != index:
+            paths["index moved"] += 1
+        elif kept[1] != machine.runnable_version:
+            paths["runnable set changed"] += 1
+        elif self._vet is kept:
+            paths["kept"] += 1
+        else:
+            assert len(allowed) == len(kept[2]) - 1
+            paths["current dropped"] += 1
+        return allowed
+
+    with mock.patch.object(SyncOrderScheduler, "_vetted", checked):
+        for machine in _locked_replays():
+            try:
+                machine.run()
+            except ReplayDivergenceError:
+                pass
+    assert set(paths) == {"first", "index moved", "runnable set changed",
+                          "kept", "current dropped"}, paths
+
+
+@pytest.mark.parametrize("pause_at", [3, 20, 45, 90, 140, 200])
+def test_sync_order_clone_keeps_no_vetted_list(pause_at):
+    """A snapshot starts with nothing vetted: forked after its original
+    ran on to the end (emptying that machine's runnable list), it makes
+    every decision a run from scratch makes."""
+    original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
+    sync_order = [(s.tid, s.op, s.sync[1])
+                  for s in original.trace.sync_events()]
+
+    def replay_machine():
+        return Machine(LOCKED, scheduler=SyncOrderScheduler(
+            sync_order, inner=RandomScheduler(seed=1234)))
+
+    whole = replay_machine().run().trace.fingerprint()
+    machine = replay_machine()
+    machine.advance(pause_at)
+    assert machine.scheduler._vet is not None
+    snapshot = machine.snapshot()
+    assert snapshot.scheduler._vet is None
+    assert machine.run().trace.fingerprint() == whole
+    assert snapshot.fork().run().trace.fingerprint() == whole
+
+
+# Main runs plain steps up to a lock that the recorded order gives the
+# worker first: when main is current there, only the worker may run.
+LOCK_TAKEN_FIRST = assemble("""
+mutex m
+global shared = 0
+fn main():
+    spawn %t, worker
+    const %a, 1
+    add %a, %a, 1
+    add %a, %a, 1
+    lock m
+    store shared, %a
+    unlock m
+    join %t
+    halt
+fn worker():
+    const %b, 7
+    add %b, %b, 1
+    lock m
+    store shared, %b
+    unlock m
+    ret
+""")
+
+
+def test_sync_order_drops_a_current_thread_at_an_out_of_order_sync_op():
+    """Whoever the inner switches to, a current thread that ran up to an
+    out-of-order sync op is held back there, so every replay keeps the
+    recorded order and the worker's store lands first."""
+    sync_order = [(0, "spawn", 1), (1, "lock", "m"), (1, "unlock", "m"),
+                  (0, "lock", "m"), (0, "unlock", "m"), (0, "join", 1)]
+    dropped = 0
+    for seed in range(16):
+        for switch_prob in (0.2, 0.5, 0.8):
+            scheduler = SyncOrderScheduler(
+                sync_order, inner=RandomScheduler(seed, switch_prob))
+            vetted = scheduler._vetted
+
+            def watched(machine, runnable, index):
+                nonlocal dropped
+                kept = scheduler._vet
+                allowed = vetted(machine, runnable, index)
+                dropped += (kept is not None and scheduler._vet is not kept
+                            and kept[0] == index
+                            and kept[1] == machine.runnable_version)
+                return allowed
+
+            scheduler._vetted = watched
+            machine = Machine(LOCK_TAKEN_FIRST, scheduler=scheduler).run()
+            assert [(s.tid, s.op, s.sync[1])
+                    for s in machine.trace.sync_events()] == sync_order
+            assert machine.memory.snapshot()["globals"]["shared"] == 3
+    assert dropped > 0
