@@ -32,8 +32,8 @@ cost lookup, no end-of-body test, no opcode string comparisons.  The
 commonest operand shapes - a binary op on (register, constant) or
 (register, register), ``mov`` from a register, ``jz``/``jnz`` on a
 register - read ``frame.registers`` directly rather than through
-operand getters, and a comparison of those shapes is evaluated inline
-rather than by a call.
+operand getters, and a comparison of those shapes calls its
+``operator`` function (a C call) rather than a Python lambda.
 
 Run loop
 --------
@@ -122,6 +122,7 @@ divergent I/O event.
 
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -218,58 +219,11 @@ def _getter(operand):
     raise MachineError(f"bad operand {operand!r}")
 
 
-# -- comparison handlers -----------------------------------------------------
-#
-# The register-direct handlers of the six comparisons, one per operator
-# and shape, each evaluating its comparison inline to the int 0/1 that
-# ``BINARY_FUNCS`` returns rather than calling a function per step.  The
-# two shapes are written once, below, and compiled per operator at
-# import; each reads ``a`` before ``b`` like the other register-direct
-# handlers, so an undefined register is named the same way.
-
-_COMPARE_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-                    "gt": ">", "ge": ">="}
-
-_COMPARE_SOURCE = """
-def reg_const(dst, name_a, b):
-    def run_compare_reg_const(machine, thread, frame, record):
-        registers = frame.registers
-        try:
-            a = registers[name_a]
-        except KeyError:
-            raise _UndefinedRegister(name_a) from None
-        registers[dst] = 1 if a {symbol} b else 0
-        frame.pc += 1
-        return True
-    return run_compare_reg_const
-
-
-def reg_reg(dst, name_a, name_b):
-    def run_compare_reg_reg(machine, thread, frame, record):
-        registers = frame.registers
-        try:
-            a = registers[name_a]
-            b = registers[name_b]
-        except KeyError:
-            raise _UndefinedRegister(
-                name_b if name_a in registers else name_a) from None
-        registers[dst] = 1 if a {symbol} b else 0
-        frame.pc += 1
-        return True
-    return run_compare_reg_reg
-"""
-
-
-def _compare_handlers(symbol: str) -> Tuple[Callable, Callable]:
-    """The (Reg, Const) and (Reg, Reg) handler makers for ``symbol``."""
-    namespace = {"_UndefinedRegister": _UndefinedRegister}
-    exec(compile(_COMPARE_SOURCE.format(symbol=symbol),
-                 f"<compare {symbol}>", "exec"), namespace)
-    return namespace["reg_const"], namespace["reg_reg"]
-
-
-_COMPARE_HANDLERS = {op: _compare_handlers(symbol)
-                     for op, symbol in _COMPARE_SYMBOLS.items()}
+# The six comparisons, for the register-direct handlers: each is a C
+# call with no Python frame, whose bool the handler stores as the int
+# 0/1 that ``BINARY_FUNCS`` returns.
+_COMPARISONS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+                "le": operator.le, "gt": operator.gt, "ge": operator.ge}
 
 
 # -- instruction compilers ---------------------------------------------------
@@ -302,13 +256,22 @@ def _compile_binary(fn: Function, instr: Instr, program: Program):
     func = BINARY_FUNCS[op]
     # The commonest shapes read their registers directly, ``a`` before
     # ``b`` as the getters do, with ``func`` outside the ``try``; a
-    # comparison is evaluated inline there (``_COMPARE_HANDLERS``).
-    compare = _COMPARE_HANDLERS.get(op)
+    # comparison there calls its ``_COMPARISONS`` function instead.
+    compare = _COMPARISONS.get(op)
     if isinstance(source_a, Reg) and isinstance(source_b, Const):
         name_a = source_a.name
         value_b = source_b.value
         if compare is not None:
-            return compare[0](dst, name_a, value_b)
+            def run_compare_reg_const(machine, thread, frame, record):
+                registers = frame.registers
+                try:
+                    a = registers[name_a]
+                except KeyError:
+                    raise _UndefinedRegister(name_a) from None
+                registers[dst] = 1 if compare(a, value_b) else 0
+                frame.pc += 1
+                return True
+            return run_compare_reg_const
 
         def run_binary_reg_const(machine, thread, frame, record):
             registers = frame.registers
@@ -324,7 +287,18 @@ def _compile_binary(fn: Function, instr: Instr, program: Program):
         name_a = source_a.name
         name_b = source_b.name
         if compare is not None:
-            return compare[1](dst, name_a, name_b)
+            def run_compare_reg_reg(machine, thread, frame, record):
+                registers = frame.registers
+                try:
+                    a = registers[name_a]
+                    b = registers[name_b]
+                except KeyError:
+                    raise _UndefinedRegister(
+                        name_b if name_a in registers else name_a) from None
+                registers[dst] = 1 if compare(a, b) else 0
+                frame.pc += 1
+                return True
+            return run_compare_reg_reg
 
         def run_binary_reg_reg(machine, thread, frame, record):
             registers = frame.registers

@@ -270,9 +270,11 @@ class SyncOrderScheduler(Scheduler):
     picked last (its ``current``) has run, so while the sync index and
     the machine's runnable set (``runnable_version``) are unchanged that
     thread is the only one whose admission can change, and it alone is
-    re-vetted.  Any other decision - a moved index, a changed runnable
-    set, an inner without ``current`` - rescans every runnable thread
-    (:meth:`_allowed`).  A clone starts with nothing kept.
+    re-vetted.  That holds only for an inner whose pick makes the thread
+    it returns ``current`` (:func:`sticky_inner`).  Any other decision -
+    a moved index, a changed runnable set, any other inner - rescans
+    every runnable thread (:meth:`_allowed`).  A clone starts with
+    nothing kept.
     """
 
     def __init__(self, sync_order: Sequence[Tuple[int, str, object]],
@@ -284,8 +286,10 @@ class SyncOrderScheduler(Scheduler):
                 or notifier(self._inner, "notify_sync") is not None:
             raise SchedulerError(
                 "a sync-order scheduler does not notify its inner scheduler")
-        # ``(index, runnable_version, allowed)`` of the last vetting
-        # (see :meth:`_vetted`), or None.
+        # The inner whose ``current`` is the thread it picked last, or
+        # None; and ``(index, runnable_version, allowed)`` of the last
+        # vetting (see :meth:`_vetted`), or None.
+        self._sticky = sticky_inner(self._inner)
         self._vet: Optional[Tuple[int, int, List[int]]] = None
 
     def pick(self, machine, runnable: List[int]) -> int:
@@ -331,7 +335,8 @@ class SyncOrderScheduler(Scheduler):
         else a full :meth:`_allowed` scan."""
         expected_tid, expected_op, __ = self.sync_order[index]
         version = machine.runnable_version
-        current = getattr(self._inner, "current", None)
+        sticky = self._sticky
+        current = None if sticky is None else sticky.current
         vet = self._vet
         if current is not None and vet is not None and vet[0] == index \
                 and vet[1] == version:

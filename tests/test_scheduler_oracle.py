@@ -344,6 +344,7 @@ UNDEFINED_READS = {
     "add %x, %missing, 1": ("run_binary_reg_const", "missing"),
     "add %x, %missing, %i": ("run_binary_reg_reg", "missing"),
     "sub %x, %i, %missing": ("run_binary_reg_reg", "missing"),
+    "xor %x, %missing, %gone": ("run_binary_reg_reg", "missing"),
     "gt %x, %missing, %gone": ("run_compare_reg_reg", "missing"),
     "ge %x, %i, %missing": ("run_compare_reg_reg", "missing"),
     "lt %x, %missing, 1": ("run_compare_reg_const", "missing"),

@@ -587,3 +587,29 @@ def test_sync_order_drops_a_current_thread_at_an_out_of_order_sync_op():
                     for s in machine.trace.sync_events()] == sync_order
             assert machine.memory.snapshot()["globals"]["shared"] == 3
     assert dropped > 0
+
+
+class _StalePick(RandomScheduler):
+    """Picks the highest tid it is offered, but names only the first
+    thread it picked ``current``: a pick of its own, whose ``current``
+    the kept list must not trust."""
+
+    def pick(self, machine, runnable):
+        if self.current is None:
+            self.current = runnable[0]
+        return runnable[-1]
+
+
+def test_sync_order_rescans_around_an_inner_with_its_own_pick():
+    """Around an inner whose pick is not RandomScheduler's own,
+    ``current`` may name a thread other than the one that ran, so every
+    decision rescans: the worker, picked whenever it is admitted, is
+    held at its lock until main has taken and released it in the
+    recorded order."""
+    sync_order = [(0, "spawn", 1), (0, "lock", "m"), (0, "unlock", "m"),
+                  (1, "lock", "m"), (1, "unlock", "m"), (0, "join", 1)]
+    scheduler = SyncOrderScheduler(sync_order, inner=_StalePick(0))
+    machine = Machine(LOCK_TAKEN_FIRST, scheduler=scheduler).run()
+    assert [(s.tid, s.op, s.sync[1])
+            for s in machine.trace.sync_events()] == sync_order
+    assert machine.memory.snapshot()["globals"]["shared"] == 8
