@@ -136,7 +136,8 @@ def _fleet_cell(payload: Tuple[int, Tuple[str, ...], bool, Any],
     every owed model, then receive, replay and score every payload.
 
     Returns ``(provenance, rows, quarantined, record_seconds,
-    replay_seconds)``.  A quarantine verdict carries its refused
+    replay_seconds)``; a task owing no model only rebuilds the case
+    for its provenance.  A quarantine verdict carries its refused
     payload so ``run_matrix`` can ship one exemplar per dedupe bucket
     to the run store; it is stripped before the verdict reaches the
     artifact.  Injected faults fire at ``record:{seed}``,
@@ -251,7 +252,9 @@ def run_matrix(seeds: Iterable[int],
     owed: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
     for seed in seed_list:
         missing = tuple(m for m in models if (seed, m) not in rows)
-        if missing:
+        if missing or seed not in cases:
+            # A seed whose rows are all stored but whose provenance is
+            # not gets a task with no models: it only rebuilds the case.
             owed[f"seed:{seed}"] = (seed, missing)
     tasks = [(key, (seed, missing, verify, faults))
              for key, (seed, missing) in owed.items()]

@@ -12,11 +12,12 @@ Layout of a store directory::
     objects/<aa>/<sha256>.json   one object per content address
     index.jsonl                  append-only index (crash-tolerant)
 
-The object plane is immutable and self-verifying: an object's file name
-*is* its hash, so ``get`` recomputes the address on read and refuses a
-corrupted object instead of returning silently wrong bytes.  Writes are
-atomic (temp file + rename) and idempotent - re-putting existing
-content is a no-op that costs one hash.
+The object plane is immutable and self-verifying: an object's file holds
+exactly the canonical encoding its name hashes, so a read hashes the
+bytes it read, refuses a mismatch instead of returning silently wrong
+content, and only then parses those same bytes.  Writes are atomic
+(temp file + rename) and idempotent - re-putting existing content is a
+no-op that costs one hash.
 
 The index is the mutable-world view over the immutable objects: JSONL,
 append + flush per entry, torn final line ignored on load.  It is also
@@ -50,14 +51,16 @@ entries); it never touches referenced content.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.util.hashing import canonical_json, content_address, sha256_hex
+from repro.util.hashing import canonical_json, sha256_hex
 
 OBJECTS_DIR = "objects"
 INDEX_NAME = "index.jsonl"
@@ -67,6 +70,8 @@ STORE_VERSION = 1
 _ENTRY_KEYS = {"row": ("seed", "model", "code_hash"),
                "case": ("seed", "code_hash"),
                "bucket": ("bucket",), "exemplar": ("bucket",)}
+# What an entry's ``address``, when it has one, must be: a SHA-256 name.
+_ADDRESS = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -90,7 +95,10 @@ def _decode_entry(line: bytes, number: int, path: str) -> Dict[str, Any]:
     try:
         entry = json.loads(line)
         keys = _ENTRY_KEYS.get(entry.get("kind"), ())
-        if all(isinstance(entry.get(key), (int, str)) for key in keys):
+        address = entry.get("address")
+        if (all(isinstance(entry.get(key), (int, str)) for key in keys)
+                and (not address or (isinstance(address, str)
+                                     and _ADDRESS.fullmatch(address)))):
             return entry
     except (ValueError, AttributeError, TypeError, RecursionError):
         pass  # not JSON (or nested too deeply), not an object, or an
@@ -202,6 +210,7 @@ class RunStore:
         self.root = root
         self.objects_dir = os.path.join(root, OBJECTS_DIR)
         self.index_path = os.path.join(root, INDEX_NAME)
+        self._objects_prefix = os.path.join(self.objects_dir, "")
         key = os.path.abspath(self.index_path)
         self._index = _VIEWS.get(key)
         if self._index is None:
@@ -210,8 +219,7 @@ class RunStore:
     # -- object plane --------------------------------------------------------
 
     def _object_path(self, address: str) -> str:
-        return os.path.join(self.objects_dir, address[:2],
-                            f"{address}.json")
+        return f"{self._objects_prefix}{address[:2]}{os.sep}{address}.json"
 
     def put_object(self, payload: Any) -> str:
         """Store a JSON-able payload; returns its content address.
@@ -244,29 +252,42 @@ class RunStore:
     def get_object(self, address: str) -> Any:
         """Load an object by address, verifying its content on read."""
         try:
-            with open(self._object_path(address), "rb") as handle:
-                payload = json.load(handle)
+            return self._read(address)
         except FileNotFoundError:
             raise ReproError(
                 f"store {self.root!r} has no object {address[:12]}…; "
                 f"was it gc'd, or is the address from another store?"
             ) from None
-        except (ValueError, RecursionError):
-            payload = found = None  # not JSON: hashes to no address
-        else:
-            found = content_address(payload)
+
+    def _read(self, address: str) -> Any:
+        """The object stored under ``address``, read and parsed once.
+
+        ``put_object`` stores exactly the bytes it hashed, so the bytes
+        read must hash to the address before they are parsed.  Raises
+        ``FileNotFoundError`` when there is no such object.
+        """
+        with open(self._object_path(address), "rb") as handle:
+            data = handle.read()
+        found = hashlib.sha256(data).hexdigest()
         if found != address:
-            raise ReproError(
-                f"store object {address[:12]}… is corrupt: content "
-                f"re-hashes to {str(found)[:12]}… - the file was "
-                f"modified in place; delete it and re-run the sweep")
-        return payload
+            detail = f"content hashes to {found[:12]}…"
+        else:
+            try:
+                return json.loads(data)
+            except (ValueError, RecursionError):
+                detail = "content named by its hash is not JSON"
+        raise ReproError(
+            f"store object {address[:12]}… is corrupt: {detail} - the "
+            f"file was modified in place; delete it and re-run the sweep")
 
     def _stored(self, address: Optional[str]) -> Any:
         """The object an index entry points at; None when the entry has
         no address or its object was gc'd away (the cell reruns)."""
-        if address and self.has_object(address):
-            return self.get_object(address)
+        if address:
+            try:
+                return self._read(address)
+            except FileNotFoundError:
+                pass
         return None
 
     def has_object(self, address: str) -> bool:

@@ -33,13 +33,16 @@ lists: both default to a shared empty tuple and the interpreter assigns a
 real list only on the (rare) steps that actually touch shared memory.
 
 ``Trace`` maintains lazily built indexes - per-location writes keyed by
-global step number, per-site positions, and cached io/sync/shared-access
-event lists - so the analysis passes (race detection, root-cause
-diagnosis, replay search) ask O(log n)/O(1) questions instead of
-rescanning the full step list.  The indexes are built on first query and
-extended incrementally from a watermark, so the hot ``append`` path pays
-nothing for them.  They assume steps are only ever *appended*; do not
-mutate ``trace.steps`` in place.
+global step number, per-site positions, cached io/sync/shared-access/
+write/memory-or-sync event lists and per-thread branch paths - so the
+analysis passes (race detection, root-cause diagnosis, replay search)
+ask O(log n)/O(1) questions instead of rescanning the full step list.
+Each index has its own watermark and is extended only when a query that
+reads it asks, so the hot ``append`` path pays nothing, and a caller of
+one query (the lockset detector reads only ``memory_or_sync_events``)
+builds no other index - no site string is formatted unless a site query
+asks.  They assume steps are only ever *appended*; do not mutate
+``trace.steps`` in place.
 """
 
 from __future__ import annotations
@@ -177,8 +180,9 @@ class Trace:
         self.total_steps = total_steps or len(self.steps)
         # Set by an events-mode machine: ``steps`` holds effect steps only.
         self.sparse = False
-        # Lazily built indexes; _indexed_upto is the watermark position.
-        self._indexed_upto = 0
+        # Lazily built indexes, each covering the first _indexed[name]
+        # steps (see _unindexed).
+        self._indexed: Dict[str, int] = {}
         # loc -> (global step indexes, records) of the writes to it.
         self._write_index: Dict[Location,
                                 Tuple[List[int], List[StepRecord]]] = {}
@@ -237,40 +241,13 @@ class Trace:
 
     # -- lazy index maintenance -----------------------------------------
 
-    def _extend_indexes(self) -> None:
-        """Bring every index up to date with the current step list."""
+    def _unindexed(self, index: str) -> List[StepRecord]:
+        """The steps appended since ``index`` was last extended, which
+        the caller adds to it; ``index`` now covers every step."""
         steps = self.steps
-        upto = self._indexed_upto
-        if upto >= len(steps):
-            return
-        write_index = self._write_index
-        site_index = self._site_index
-        sites = self._sites
-        for pos in range(upto, len(steps)):
-            step = steps[pos]
-            site = f"{step.function}@{step.pc}"
-            sites.append(site)
-            site_index.setdefault(site, []).append(pos)
-            if step.writes:
-                self._write_steps.append(step)
-                for loc, __ in step.writes:
-                    writes = write_index.get(loc)
-                    if writes is None:
-                        writes = write_index[loc] = ([], [])
-                    writes[0].append(step.index)
-                    writes[1].append(step)
-            if step.reads or step.writes:
-                self._shared_steps.append(step)
-            if step.sync is not None:
-                self._sync_steps.append(step)
-            if step.reads or step.writes or step.sync is not None:
-                self._memory_or_sync_steps.append(step)
-            if step.io is not None:
-                self._io_steps.append(step)
-            if step.branch_taken is not None:
-                self._branch_paths.setdefault(step.tid, []).append(
-                    step.branch_taken)
-        self._indexed_upto = len(steps)
+        upto = self._indexed.get(index, 0)
+        self._indexed[index] = len(steps)
+        return steps[upto:] if upto else steps
 
     def require_every_step(self, query: str) -> None:
         """Refuse ``query`` on a sparse trace: it needs every step."""
@@ -300,33 +277,45 @@ class Trace:
                 switches += 1
         return switches
 
+    def _extend_sites(self) -> None:
+        sites = self._sites
+        site_index = self._site_index
+        for step in self._unindexed("sites"):
+            site = f"{step.function}@{step.pc}"
+            site_index.setdefault(site, []).append(len(sites))
+            sites.append(site)
+
     def sites_executed(self) -> List[str]:
         """Static sites in execution order (used by slicing/diagnosis)."""
         self.require_every_step("sites_executed")
-        self._extend_indexes()
+        self._extend_sites()
         return list(self._sites)
 
     def steps_at_site(self, site: str) -> List[StepRecord]:
         """Every step executed at static site ``function@pc``, in order."""
         self.require_every_step("steps_at_site")
-        self._extend_indexes()
+        self._extend_sites()
         return [self.steps[pos] for pos in self._site_index.get(site, ())]
 
     def io_events(self) -> List[StepRecord]:
-        self._extend_indexes()
+        self._io_steps += [step for step in self._unindexed("io")
+                           if step.io is not None]
         return list(self._io_steps)
 
     def sync_events(self) -> List[StepRecord]:
-        self._extend_indexes()
+        self._sync_steps += [step for step in self._unindexed("sync")
+                             if step.sync is not None]
         return list(self._sync_steps)
 
     def shared_accesses(self) -> List[StepRecord]:
-        self._extend_indexes()
+        self._shared_steps += [step for step in self._unindexed("shared")
+                               if step.reads or step.writes]
         return list(self._shared_steps)
 
     def write_events(self) -> List[StepRecord]:
         """Steps that wrote shared memory, in execution order."""
-        self._extend_indexes()
+        self._write_steps += [step for step in self._unindexed("write")
+                              if step.writes]
         return list(self._write_steps)
 
     def memory_or_sync_events(self) -> List[StepRecord]:
@@ -335,14 +324,19 @@ class Trace:
         Race detectors only react to these; iterating this cached subset
         instead of ``steps`` skips the (dominant) pure-register steps.
         """
-        self._extend_indexes()
+        self._memory_or_sync_steps += [
+            step for step in self._unindexed("memory_or_sync")
+            if step.reads or step.writes or step.sync is not None]
         return list(self._memory_or_sync_steps)
 
     def thread_branch_paths(self) -> Dict[int, List[bool]]:
         """Per-thread branch outcome sequences (path-determinism checks)."""
         self.require_every_step("thread_branch_paths")
-        self._extend_indexes()
-        return {tid: list(path) for tid, path in self._branch_paths.items()}
+        paths = self._branch_paths
+        for step in self._unindexed("branches"):
+            if step.branch_taken is not None:
+                paths.setdefault(step.tid, []).append(step.branch_taken)
+        return {tid: list(path) for tid, path in paths.items()}
 
     # -- step-keyed comparison -------------------------------------------
 
@@ -404,8 +398,15 @@ class Trace:
         trace - which keeps every write - answers as a full one does.
         O(log n): a bisect finds the last write preceding ``step_index``.
         """
-        self._extend_indexes()
-        writes = self._write_index.get(loc)
+        write_index = self._write_index
+        for step in self._unindexed("write_index"):
+            for written, __ in step.writes:
+                writes = write_index.get(written)
+                if writes is None:
+                    writes = write_index[written] = ([], [])
+                writes[0].append(step.index)
+                writes[1].append(step)
+        writes = write_index.get(loc)
         if writes is None:
             return None
         cut = bisect_left(writes[0], step_index)

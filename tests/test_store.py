@@ -20,6 +20,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.corpus.matrix import matrix_code_hash, run_matrix
 from repro.errors import ReproError
 from repro.harness.faults import FaultPlan
 from repro.store import INDEX_NAME, RunStore, runstore
+from repro.util import hashing
 from repro.util.hashing import (canonical_json, content_address, sha256_hex,
                                 source_tree_hash)
 
@@ -220,6 +222,75 @@ def test_rerun_after_deleted_row_object_recomputes_that_cell(tmp_path):
     assert second["timing"]["store_hits"] == 1
     assert _comparable(second) == _comparable(first)
     assert store.has_object(gone), "the rerun restored the row's object"
+
+
+def test_rerun_after_deleted_case_object_restores_it(tmp_path):
+    store_dir = str(tmp_path / "store")
+    first = run_matrix(SEEDS, models=MODELS, store=store_dir)
+    store = RunStore(store_dir)
+    code_hash = matrix_code_hash()
+    gone = next(entry["address"] for entry in store.entries()
+                if entry["kind"] == "case" and entry["seed"] == 0)
+    os.unlink(store._object_path(gone))
+    assert store.get_case(0, code_hash) is None
+    second = run_matrix(SEEDS, models=MODELS, store=store_dir)
+    # Every row is still a hit; seed 0's task only rebuilt its case.
+    assert second["timing"]["store_hits"] == len(SEEDS) * len(MODELS)
+    assert _comparable(second) == _comparable(first)
+    assert store.has_object(gone), "the rerun restored the case object"
+
+
+def test_fully_stored_rerun_reads_each_object_once(store_runs, monkeypatch):
+    """A rerun whose every cell is stored opens and parses each object
+    once, re-encodes nothing, and probes presence only for its rows."""
+    __, ___, store_dir = store_runs
+    calls = {"canonical_json": 0, "loads": 0, "has_object": 0}
+    opened = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hashing, "canonical_json",
+                        counted("canonical_json", hashing.canonical_json))
+    monkeypatch.setattr(runstore, "canonical_json",
+                        counted("canonical_json", runstore.canonical_json))
+    monkeypatch.setattr(runstore, "json", types.SimpleNamespace(
+        loads=counted("loads", json.loads), dumps=json.dumps))
+    monkeypatch.setattr(RunStore, "has_object",
+                        counted("has_object", RunStore.has_object))
+
+    def opening(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(runstore, "open", opening, raising=False)
+    results = run_matrix(SEEDS, models=MODELS, store=store_dir)
+    cells = len(SEEDS) * len(MODELS)
+    assert results["timing"]["store_hits"] == cells
+    objects = cells + len(SEEDS)  # every row and every seed's case
+    assert len(opened) == len(set(opened)) == objects
+    assert calls == {"canonical_json": 0, "loads": objects,
+                     "has_object": cells}, \
+        "stored_cells probes each row; get_case probes nothing"
+
+
+def test_object_paths_join_nothing(store, monkeypatch):
+    address = store.put_object({"value": 1})
+    expected = os.path.join(store.root, "objects", address[:2],
+                            f"{address}.json")
+    joins = []
+    real_join = os.path.join
+
+    def join(*parts):
+        joins.append(parts)
+        return real_join(*parts)
+
+    monkeypatch.setattr(os.path, "join", join)
+    assert store._object_path(address) == expected
+    assert joins == []
 
 
 def test_reruns_parse_each_index_line_once(tmp_path, monkeypatch):

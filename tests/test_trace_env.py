@@ -7,7 +7,9 @@ from repro.errors import MachineError, SparseTraceError
 from repro.vm import RandomScheduler, assemble, run_program
 from repro.vm.cost import CostModel, OverheadMeter, RecordingCosts
 from repro.vm.environment import Environment
+from repro.util.rng import DeterministicRng
 from repro.vm.machine import Machine
+from repro.vm.trace import StepRecord, Trace
 
 
 def sample_machine(seed=5):
@@ -133,6 +135,97 @@ def test_queries_needing_every_step_refuse_a_sparse_trace(twins, query):
         query(events)
     with pytest.raises(SparseTraceError):
         query(events.fork())
+
+
+# -- per-query lazy indexes ----------------------------------------------------
+
+
+def _probes(trace):
+    """``last_write_before`` questions: every shared location touched,
+    just before and just after each step that touched it."""
+    return [(loc, step.index + delta) for step in trace.shared_accesses()
+            for loc, __ in list(step.reads) + list(step.writes)
+            for delta in (0, 1)]
+
+
+QUERIES = {
+    "io_events": lambda trace, full: _keys(trace.io_events()),
+    "sync_events": lambda trace, full: _keys(trace.sync_events()),
+    "shared_accesses": lambda trace, full: _keys(trace.shared_accesses()),
+    "write_events": lambda trace, full: _keys(trace.write_events()),
+    "memory_or_sync_events":
+        lambda trace, full: _keys(trace.memory_or_sync_events()),
+    "last_write_before": lambda trace, full: [
+        _keys([write]) if write else None for write in (
+            trace.last_write_before(loc, before)
+            for loc, before in _probes(full))],
+    "sites_executed": lambda trace, full: trace.sites_executed(),
+    "steps_at_site": lambda trace, full: [
+        _keys(trace.steps_at_site(site))
+        for site in sorted(set(full.sites_executed()))],
+    "thread_branch_paths": lambda trace, full: trace.thread_branch_paths(),
+}
+EVERY_STEP = ("sites_executed", "steps_at_site", "thread_branch_paths")
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "events"])
+def test_indexes_grown_between_queries_match_a_fresh_trace(twins, sparse,
+                                                           order):
+    """Appends and queries interleaved in seeded orders: every answer is
+    the one a trace built from the same steps at once gives."""
+    full = twins[0]
+    source = twins[1] if sparse else full
+    rng = DeterministicRng(order, "trace-index-order")
+    names = [name for name in QUERIES
+             if not (sparse and name in EVERY_STEP)]
+    grown = Trace()
+    grown.sparse = sparse
+    cuts = sorted(rng.randint(0, len(source.steps)) for __ in range(5))
+    done = 0
+    for cut in cuts + [len(source.steps)]:
+        for step in source.steps[done:cut]:
+            grown.append(step)
+        done = cut
+        fresh = Trace(steps=source.steps[:cut])
+        fresh.sparse = sparse
+        for name in rng.shuffle(names)[:rng.randint(1, len(names))]:
+            assert QUERIES[name](grown, full) == QUERIES[name](fresh, full), \
+                (name, cut)
+
+
+class _WatchedStep(StepRecord):
+    """A step counting reads of ``function``, which every site string
+    is formatted from."""
+
+    __slots__ = ("_function",)
+    function_reads = 0
+
+    @property
+    def function(self):
+        _WatchedStep.function_reads += 1
+        return self._function
+
+    @function.setter
+    def function(self, value):
+        self._function = value
+
+
+def test_event_and_branch_queries_format_no_site_string(twins, monkeypatch):
+    full, __ = twins
+    trace = Trace(steps=[
+        _WatchedStep(s.index, s.tid, s.function, s.pc, s.op, s.cost,
+                     s.reads, s.writes, s.sync, s.io, s.branch_taken)
+        for s in full.steps])
+    monkeypatch.setattr(_WatchedStep, "function_reads", 0)
+    events = trace.memory_or_sync_events()
+    paths = trace.thread_branch_paths()
+    assert _WatchedStep.function_reads == 0
+    assert _keys(events) == _keys(full.memory_or_sync_events())
+    assert paths == full.thread_branch_paths()
+    monkeypatch.setattr(_WatchedStep, "function_reads", 0)
+    assert trace.sites_executed() == full.sites_executed()
+    assert _WatchedStep.function_reads == len(full.steps)
 
 
 def test_first_divergence_refuses_a_sparse_side(twins):
