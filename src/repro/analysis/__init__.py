@@ -19,9 +19,8 @@ from repro.analysis.invariants import (InvariantInferencer, InvariantSet,
                                        RangeInvariant, ConstInvariant)
 from repro.analysis.planes import (PlaneClassification, PlaneProfiler,
                                    classify_planes)
-from repro.analysis.rootcause import (RootCause, Diagnoser, diagnose,
-                                      enumerate_root_causes,
-                                      register_spec_diagnoser)
+from repro.analysis.rootcause import (RootCause, Diagnoser,
+                                      enumerate_root_causes)
 from repro.analysis.triggers import (RaceTrigger, InvariantTrigger,
                                      PredicateTrigger)
 
@@ -29,7 +28,6 @@ __all__ = [
     "RaceReport", "HappensBeforeDetector", "LocksetDetector", "find_races",
     "InvariantInferencer", "InvariantSet", "RangeInvariant", "ConstInvariant",
     "PlaneClassification", "PlaneProfiler", "classify_planes",
-    "RootCause", "Diagnoser", "diagnose", "enumerate_root_causes",
-    "register_spec_diagnoser",
+    "RootCause", "Diagnoser", "enumerate_root_causes",
     "RaceTrigger", "InvariantTrigger", "PredicateTrigger",
 ]

@@ -4,7 +4,7 @@ Code-based selection (§3.1.1) needs to know which code is control plane.
 Following Altekar & Stoica's observation (cited as [3] in the paper) that
 control-plane code "executes less frequently and operates at substantially
 lower data rates than data-plane code", the classifier profiles training
-runs and deems low-data-rate functions control-plane.
+runs and deems the functions that move the least data control-plane.
 
 The same rate-threshold classifier is reused at message-channel
 granularity by the distributed simulator (HyperLite's `meta` vs `data`
@@ -32,16 +32,8 @@ def data_units(value) -> int:
 class FunctionProfile:
     """Per-function traffic counters accumulated over training runs."""
 
-    steps: int = 0
     memory_units: int = 0
     io_units: int = 0
-
-    @property
-    def data_rate(self) -> float:
-        """Data words moved per instruction executed."""
-        if self.steps == 0:
-            return 0.0
-        return (self.memory_units + self.io_units) / self.steps
 
     @property
     def data_volume(self) -> int:
@@ -72,7 +64,7 @@ class PlaneClassification:
 
 
 class PlaneProfiler:
-    """Accumulates per-function data rates from executions."""
+    """Accumulates per-function data volumes from executions."""
 
     def __init__(self):
         self.profiles: Dict[str, FunctionProfile] = {}
@@ -82,7 +74,6 @@ class PlaneProfiler:
 
     def observe_step(self, step: StepRecord) -> None:
         profile = self.profiles.setdefault(step.function, FunctionProfile())
-        profile.steps += 1
         profile.memory_units += sum(
             data_units(v) for __, v in step.reads)
         profile.memory_units += sum(
@@ -98,10 +89,6 @@ class PlaneProfiler:
     def observe_trace(self, trace: Trace) -> None:
         for step in trace.steps:
             self.observe_step(step)
-
-    def rates(self) -> Dict[str, float]:
-        return {name: profile.data_rate
-                for name, profile in self.profiles.items()}
 
     def volumes(self) -> Dict[str, float]:
         return {name: float(profile.data_volume)
@@ -120,25 +107,19 @@ def classify_rates(rates: Dict[str, float],
     return result
 
 
-def classify_planes(traces: Iterable[Trace],
-                    threshold: float = None,
-                    metric: str = "volume") -> PlaneClassification:
+def classify_planes(traces: Iterable[Trace]) -> PlaneClassification:
     """Profile traces and classify functions into planes.
 
-    ``metric`` selects the statistic: ``"volume"`` (total data words per
-    function across the training runs, the default) or ``"rate"`` (words
-    per instruction).  When ``threshold`` is omitted it is chosen
-    automatically at the widest gap in the sorted statistic - the
-    natural bimodal split [3] observes between control- and data-plane
-    code.
+    The statistic is each function's data volume (total data words
+    across the training runs), split at the widest gap in its sorted
+    values - the natural bimodal split [3] observes between control-
+    and data-plane code.
     """
     profiler = PlaneProfiler()
     for trace in traces:
         profiler.observe_trace(trace)
-    scores = profiler.volumes() if metric == "volume" else profiler.rates()
-    if threshold is None:
-        threshold = _auto_threshold(list(scores.values()))
-    return classify_rates(scores, threshold)
+    scores = profiler.volumes()
+    return classify_rates(scores, _auto_threshold(list(scores.values())))
 
 
 def _auto_threshold(rates: List[float]) -> float:

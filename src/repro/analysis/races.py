@@ -64,14 +64,13 @@ class HappensBeforeDetector:
     access when their clocks are concurrent and at least one is a write.
     """
 
-    def __init__(self, keep_reports: bool = True):
+    def __init__(self):
         self._thread_clocks: Dict[int, VectorClock] = {0: VectorClock().tick(0)}
         self._lock_clocks: Dict[str, VectorClock] = {}
         self._last_accesses: Dict[Location, List[_Access]] = {}
         self._held_locks: Dict[int, Set[str]] = {}
         self.reports: List[RaceReport] = []
         self.report_keys: Set[Tuple] = set()
-        self.keep_reports = keep_reports
 
     # -- observer interface -------------------------------------------------
 
@@ -147,8 +146,7 @@ class HappensBeforeDetector:
                     is_write_write=is_write and prior.is_write)
                 if report.key not in self.report_keys:
                     self.report_keys.add(report.key)
-                    if self.keep_reports:
-                        self.reports.append(report)
+                    self.reports.append(report)
                     new_reports.append(report)
         access = _Access(tid, site, clock, is_write, held)
         # Keep history bounded: a write supersedes everything it ordered.

@@ -7,9 +7,9 @@ methodology used instead:
 
 * a **diagnosis engine** that maps an (execution trace, failure) pair to
   a :class:`RootCause` - rule-based over failure kinds, with a lockset
-  race analysis for concurrency attribution, plus a registry where
-  applications contribute failure-specific rules (the equivalent of the
-  manual analysis in the paper's §4 case study);
+  race analysis for concurrency attribution, plus the failure-specific
+  rules each application supplies (the equivalent of the manual
+  analysis in the paper's §4 case study);
 * **root-cause enumeration**: searching executions that exhibit the same
   failure and collecting the distinct causes they diagnose - the ``n``
   in the paper's debugging-fidelity metric DF = 1/n.
@@ -45,38 +45,29 @@ class RootCause:
         return f"{self.kind} @ {self.site}"
 
 
-# Application-provided diagnosis rules, keyed by failure location (spec
-# clause name or failing site).  Each rule sees (trace, failure) and may
-# return a cause or decline with None.  During enumeration the trace is
-# sparse (events mode): ``trace.steps`` holds only the steps with
-# shared reads/writes, sync or I/O, in execution order, and the queries
-# that need every step raise SparseTraceError (see repro.vm.trace).  A
-# rule must read only those steps and the run-level observables.
+# Application-provided diagnosis rules (a case's ``diagnoser_rules``),
+# keyed by failure location (spec clause name or failing site).  Each
+# rule sees (trace, failure) and may return a cause or decline with
+# None.  During enumeration the trace is sparse (events mode):
+# ``trace.steps`` holds only the steps with shared reads/writes, sync
+# or I/O, in execution order, and the queries that need every step
+# raise SparseTraceError (see repro.vm.trace).  A rule must read only
+# those steps and the run-level observables.
 SpecDiagnoser = Callable[[Trace, FailureReport], Optional[RootCause]]
-_SPEC_DIAGNOSERS: Dict[str, SpecDiagnoser] = {}
-
-
-def register_spec_diagnoser(location: str, rule: SpecDiagnoser) -> None:
-    """Register an app-specific diagnosis rule for one failure location."""
-    _SPEC_DIAGNOSERS[location] = rule
 
 
 class Diagnoser:
     """Rule pipeline mapping (trace, failure) to a root cause."""
 
     def __init__(self,
-                 extra_rules: Optional[Dict[str, SpecDiagnoser]] = None,
-                 use_registry: bool = True):
+                 extra_rules: Optional[Dict[str, SpecDiagnoser]] = None):
         self.extra_rules = dict(extra_rules or {})
-        self.use_registry = use_registry
 
     def diagnose(self, trace: Optional[Trace],
                  failure: Optional[FailureReport]) -> Optional[RootCause]:
         if failure is None:
             return None
         rule = self.extra_rules.get(failure.location)
-        if rule is None and self.use_registry:
-            rule = _SPEC_DIAGNOSERS.get(failure.location)
         if rule is not None and trace is not None:
             cause = rule(trace, failure)
             if cause is not None:
@@ -116,13 +107,6 @@ class Diagnoser:
         race = min(races, key=lambda r: str(r.location))
         return RootCause("data-race", f"{race.location}",
                          str(race))
-
-
-def diagnose(trace: Optional[Trace], failure: Optional[FailureReport],
-             extra_rules: Optional[Dict[str, SpecDiagnoser]] = None
-             ) -> Optional[RootCause]:
-    """One-shot diagnosis with the default rule pipeline."""
-    return Diagnoser(extra_rules=extra_rules).diagnose(trace, failure)
 
 
 def enumerate_root_causes(search: ExecutionSearch,

@@ -28,21 +28,12 @@ from repro.vm.trace import StepRecord
 class RaceTrigger:
     """Fires when the happens-before detector exposes a new race."""
 
-    def __init__(self, sample_every: int = 1):
-        """``sample_every``: check only every k-th memory access, modelling
-        sampling-based low-overhead detectors (sync events are always
-        processed to keep the clocks sound)."""
+    def __init__(self):
         self.name = "race-detector"
         self.detector = HappensBeforeDetector()
-        self.sample_every = max(1, sample_every)
-        self._access_counter = 0
         self.fired_at: Optional[int] = None
 
     def observe(self, machine: Machine, step: StepRecord) -> bool:
-        if step.sync is None and (step.reads or step.writes):
-            self._access_counter += 1
-            if self._access_counter % self.sample_every != 0:
-                return False
         new_races = self.detector.process(step)
         if new_races and self.fired_at is None:
             self.fired_at = step.index

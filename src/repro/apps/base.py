@@ -12,6 +12,9 @@ from repro.vm.machine import Machine, run_program
 from repro.vm.program import Program
 from repro.vm.scheduler import RandomScheduler
 
+# Step limit of one production run of a case.
+MAX_STEPS = 500_000
+
 
 @dataclass(eq=False)
 class AppCase:
@@ -46,8 +49,7 @@ class AppCase:
         same one so the recorded run *is* the run being studied."""
         return RandomScheduler(seed=seed, switch_prob=self.switch_prob)
 
-    def run(self, seed: int, max_steps: int = 500_000,
-            trace_mode: str = "full") -> Machine:
+    def run(self, seed: int, trace_mode: str = "full") -> Machine:
         """One production run under a seeded preemptive scheduler."""
         return run_program(
             self.program,
@@ -56,17 +58,9 @@ class AppCase:
             scheduler=self.production_scheduler(seed),
             io_spec=self.io_spec,
             net_drop_rate=self.net_drop_rate,
-            max_steps=max_steps,
+            max_steps=MAX_STEPS,
             trace_mode=trace_mode,
         )
-
-    def run_digest(self, seed: int) -> str:
-        """SHA-256 fingerprint of one production run's full behaviour.
-
-        The corpus generator pins each generated case's failing run with
-        this digest; determinism tests compare it across regenerations.
-        """
-        return self.run(seed).trace.fingerprint()
 
 
 def find_failing_seed(case: AppCase, seeds=range(200),

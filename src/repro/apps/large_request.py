@@ -101,11 +101,11 @@ def _diagnose(trace, failure):
     return None
 
 
-def large_request_trigger(threshold: int = STAGING_CAPACITY):
+def large_request_trigger():
     """§3.1.2's data-based trigger: fire while a large request is staged."""
     def predicate(machine, step) -> bool:
         for loc, value in step.writes:
-            if loc == ("g", "current_size") and value > threshold:
+            if loc == ("g", "current_size") and value > STAGING_CAPACITY:
                 return True
         return False
     return PredicateTrigger("large-request", predicate)

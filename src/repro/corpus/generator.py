@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.analysis.rootcause import Diagnoser, RootCause
+from repro.analysis.rootcause import Diagnoser
 from repro.apps.base import AppCase, find_failing_seed
 from repro.replay.search import InputSpace
 from repro.util.intervals import Interval
@@ -402,33 +402,29 @@ def _kind_matches(expected, kind: str) -> bool:
     return kind == expected
 
 
-# Per-process memo for the default seed range: generation is a pure
-# function of the seed but pays draw validation runs, so the matrix's
-# record and replay halves (and repeated bench sweeps) share one
-# instance.  Cached cases are shared - treat them as immutable; every
-# consumer copies ``inputs`` at use.
+# Per-process memo: generation is a pure function of the seed but pays
+# draw validation runs, so the matrix's record and replay halves (and
+# repeated bench sweeps) share one instance.  Cached cases are shared -
+# treat them as immutable; every consumer copies ``inputs`` at use.
 _CASE_CACHE: Dict[int, GeneratedCase] = {}
 
 
-def generate_case(seed: int,
-                  failing_seeds: Iterable[int] = FAILING_SEED_RANGE
-                  ) -> GeneratedCase:
+def generate_case(seed: int) -> GeneratedCase:
     """Generate the corpus case for one seed (pure function of the seed)."""
-    if failing_seeds is not FAILING_SEED_RANGE:
-        return _build_case(seed, failing_seeds)
     case = _CASE_CACHE.get(seed)
     if case is None:
-        case = _build_case(seed, failing_seeds)
+        case = _build_case(seed)
         _CASE_CACHE[seed] = case
     return case
 
 
-def _build_case(seed: int, failing_seeds: Iterable[int]) -> GeneratedCase:
+def _build_case(seed: int) -> GeneratedCase:
     """Draw template parameters from ``random.Random(seed)`` until a
     draw's planted bug demonstrably fires: some scheduler seed in
-    ``failing_seeds`` produces a failing run whose trace diagnosis
+    ``FAILING_SEED_RANGE`` produces a failing run whose trace diagnosis
     matches the planted class.  That diagnosis becomes the case's
-    ground-truth cause.
+    ground-truth cause, and the run's trace fingerprint its
+    ``failing_digest``.
     """
     bug_class = BUG_CLASSES[seed % len(BUG_CLASSES)]
     rng = random.Random(seed)
@@ -452,7 +448,6 @@ def _build_case(seed: int, failing_seeds: Iterable[int]) -> GeneratedCase:
             bug_class=bug_class,
             source=draw.source,
         )
-        truth: List[RootCause] = []
 
         def planted_bug_fired(machine) -> bool:
             cause = diagnoser.diagnose(machine.trace, machine.failure)
@@ -462,19 +457,18 @@ def _build_case(seed: int, failing_seeds: Iterable[int]) -> GeneratedCase:
             if (draw.expected_site is not None
                     and cause.site != draw.expected_site):
                 return False
-            truth.clear()
-            truth.append(cause)
+            # The accepted run is the case's pinned failing run.
+            case.known_cause = cause
+            case.failing_digest = machine.trace.fingerprint()
             return True
 
-        failing_seed = find_failing_seed(case, failing_seeds,
+        failing_seed = find_failing_seed(case, FAILING_SEED_RANGE,
                                          accept=planted_bug_fired)
         if failing_seed is None:
             last_error = (f"draw for class {bug_class!r} never fired on "
-                          f"scheduler seeds {failing_seeds!r}")
+                          f"scheduler seeds {FAILING_SEED_RANGE!r}")
             continue
-        case.known_cause = truth[0]
         case.failing_seed = failing_seed
-        case.failing_digest = case.run_digest(failing_seed)
         return case
     raise RuntimeError(
         f"corpus seed {seed}: {last_error} after {MAX_PARAM_DRAWS} draws")

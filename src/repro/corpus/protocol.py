@@ -162,7 +162,9 @@ def _recv_exact(sock: socket.socket, count: int,
 def _decode_body(body: bytes) -> Dict[str, Any]:
     try:
         frame = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer literal past
+    # the interpreter's digit limit.
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(

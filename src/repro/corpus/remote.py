@@ -106,17 +106,17 @@ class RemoteCoordinator(Transport):
     to :func:`~repro.corpus.fleet.dispatch` - ``run_matrix`` does, with
     its local transport as the fallback; workers persist across
     dispatches, and each dispatch waits ``worker_wait`` seconds for
-    workers afresh.  ``faults`` rides in every task frame, where the
-    worker draws its network faults.  The coordinator is a context
+    workers afresh.  ``faults`` (set by ``run_matrix`` when it injects
+    faults) rides in every task frame, where the worker draws its
+    network faults.  The coordinator is a context
     manager: leaving the block sends every connected worker a ``stop``
     frame and closes the listener.
     """
 
     def __init__(self, listen: Tuple[str, int] = ("127.0.0.1", 0),
-                 faults: Optional[FaultPlan] = None,
                  worker_wait: float = DEFAULT_WORKER_WAIT,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS):
-        self.faults = faults
+        self.faults: Optional[FaultPlan] = None
         self.worker_wait = worker_wait
         self.lease_seconds = lease_seconds
         self.workers: List[_RemoteWorker] = []

@@ -2,10 +2,10 @@
 
 Cost accounting mirrors the MiniVM recorders: each logged artefact
 charges cycles against the run's native handler cost, and the overhead
-factor is the paper's x-axis.  Defaults are calibrated so that recording
-*every payload* on a row-sized data plane costs ~3.5x (the paper's
-value-determinism measurement on Hypertable) while recording only order
-tokens and control-channel payloads stays near 1.1x (RCSE).
+factor is the paper's x-axis.  The costs are calibrated so that
+recording *every payload* on a row-sized data plane costs ~3.5x (the
+paper's value-determinism measurement on Hypertable) while recording
+only order tokens and control-channel payloads stays near 1.1x (RCSE).
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from repro.distsim.trace import DeliveryRecord, DistTrace
 from repro.vm.failures import FailureReport
 
 
-@dataclass(frozen=True)
-class DistRecordingCosts:
-    """Per-artefact recording costs (cost units, cf. handler costs)."""
-
-    order_token: int = 1        # one schedule/order entry, payload-free
-    payload_base: int = 6       # fixed cost of logging one payload
-    payload_unit: int = 3       # per payload word
+# Per-artefact recording costs (cost units, cf. handler costs).
+ORDER_TOKEN_COST = 1      # one schedule/order entry, payload-free
+PAYLOAD_BASE_COST = 6     # fixed cost of logging one payload
+PAYLOAD_UNIT_COST = 3     # per payload word
 
 
 @dataclass
@@ -65,8 +62,7 @@ class DistRecorder:
 
     model = "abstract"
 
-    def __init__(self, costs: Optional[DistRecordingCosts] = None):
-        self.costs = costs or DistRecordingCosts()
+    def __init__(self):
         self.log = DistRecordingLog(model=self.model)
 
     def attach(self, sim: Simulator) -> None:
@@ -101,11 +97,11 @@ class ValueDistRecorder(DistRecorder):
 
     def observe(self, sim: Simulator, record: DeliveryRecord) -> None:
         self.log.order_tokens.append(record.order_token)
-        self.charge("order", self.costs.order_token)
+        self.charge("order", ORDER_TOKEN_COST)
         if not record.is_timer:
             self.log.payloads.append(record.payload)
-            self.charge("payload", self.costs.payload_base
-                        + self.costs.payload_unit * record.units)
+            self.charge("payload", PAYLOAD_BASE_COST
+                        + PAYLOAD_UNIT_COST * record.units)
 
 
 class FailureDistRecorder(DistRecorder):
@@ -128,18 +124,17 @@ class RcseDistRecorder(DistRecorder):
 
     model = "rcse"
 
-    def __init__(self, control_channels,
-                 costs: Optional[DistRecordingCosts] = None):
-        super().__init__(costs)
+    def __init__(self, control_channels):
+        super().__init__()
         self.control_channels = frozenset(control_channels)
         self.log.control_channels = tuple(sorted(self.control_channels))
 
     def observe(self, sim: Simulator, record: DeliveryRecord) -> None:
         self.log.order_tokens.append(record.order_token)
-        self.charge("order", self.costs.order_token)
+        self.charge("order", ORDER_TOKEN_COST)
         if (not record.is_timer
                 and record.channel in self.control_channels):
             self.log.control_payloads.append(
                 (record.order_token, record.payload))
-            self.charge("control_payload", self.costs.payload_base
-                        + self.costs.payload_unit * record.units)
+            self.charge("control_payload", PAYLOAD_BASE_COST
+                        + PAYLOAD_UNIT_COST * record.units)

@@ -26,6 +26,11 @@ from repro.vm.failures import FailureReport
 ScenarioBuilder = Callable[[int, FaultPlan], Simulator]
 DistSpec = Callable[[DistTrace], Optional[FailureReport]]
 
+# The seed a forced-order replay rebuilds the scenario with.
+REPLAY_SEED = 777
+# Runs the failure synthesizer tries before giving up.
+MAX_SYNTHESIS_ATTEMPTS = 200
+
 
 class _ForcedOrder(OrderController):
     """Dispatches message events in a recorded token order.
@@ -94,10 +99,7 @@ class _ForcedOrder(OrderController):
 
 def replay_forced_order(builder: ScenarioBuilder,
                         log: DistRecordingLog,
-                        spec: DistSpec,
-                        model: Optional[str] = None,
-                        replay_seed: int = 777,
-                        faults: Optional[FaultPlan] = None) -> ReplayResult:
+                        spec: DistSpec) -> ReplayResult:
     """Re-run the scenario with the recorded dispatch order enforced.
 
     Used for value and RCSE logs - each provides order tokens.
@@ -105,14 +107,14 @@ def replay_forced_order(builder: ScenarioBuilder,
     against the replayed run; mismatches count as divergences rather than
     aborting, since relaxed replay is best-effort by design.
     """
-    sim = builder(replay_seed, faults or FaultPlan.none())
+    sim = builder(REPLAY_SEED, FaultPlan.none())
     controller = _ForcedOrder(log.order_tokens)
     sim.order_controller = controller
     trace = sim.run()
     trace.failure = spec(trace)
     divergences = controller.divergences + _verify_payloads(log, trace)
     return ReplayResult(
-        model=model or log.model,
+        model=log.model,
         trace=trace,
         failure=trace.failure,
         replay_cycles=trace.native_cost,
@@ -142,19 +144,11 @@ def _verify_payloads(log: DistRecordingLog, trace: DistTrace) -> int:
     return mismatches
 
 
-def replay_rcse(builder: ScenarioBuilder, log: DistRecordingLog,
-                spec: DistSpec, replay_seed: int = 777) -> ReplayResult:
-    """RCSE replay: forced order + control payload verification."""
-    return replay_forced_order(builder, log, spec, model="rcse",
-                               replay_seed=replay_seed)
-
-
 def synthesize_failure(builder: ScenarioBuilder,
                        log: DistRecordingLog,
                        spec: DistSpec,
                        seeds: Iterable[int],
-                       fault_plans: Iterable[FaultPlan],
-                       max_attempts: int = 200) -> ReplayResult:
+                       fault_plans: Iterable[FaultPlan]) -> ReplayResult:
     """ESD-style inference: find *any* run with the recorded failure.
 
     The search space includes injected fault plans: a slave crash or a
@@ -171,7 +165,7 @@ def synthesize_failure(builder: ScenarioBuilder,
     inference_cost = 0
     for plan in fault_plans:
         for seed in seeds:
-            if attempts >= max_attempts:
+            if attempts >= MAX_SYNTHESIS_ATTEMPTS:
                 return ReplayResult(model="failure", trace=None,
                                     failure=None, attempts=attempts,
                                     inference_cycles=inference_cost,

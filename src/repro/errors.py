@@ -137,7 +137,8 @@ class LogAttestationError(LogFormatError):
     mismatched:
 
     ``field``      which attested hash disagreed (``content``, ``guest``,
-                   ``scheduler``, ``replay_config``)
+                   ``scheduler``, ``replay_config``), or ``block`` when
+                   the attestation block itself is malformed
     ``expected``   the hash stamped into the log at record time
     ``found``      the hash recomputed by the verifier
     ``path``       where the log came from, when known

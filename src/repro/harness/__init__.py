@@ -21,8 +21,7 @@ rows are the series the paper plots; the benchmark suite executes them
 under pytest-benchmark and asserts the qualitative shape.
 """
 
-from repro.harness.experiments import (MODEL_ORDER, evaluate_app_model,
-                                       count_root_causes)
+from repro.harness.experiments import MODEL_ORDER, evaluate_app_model
 from repro.harness.fig1 import run_fig1
 from repro.harness.fig2 import run_fig2
 from repro.harness.sec2 import run_sec2_adder, run_sec2_msgserver
@@ -30,7 +29,7 @@ from repro.harness.sec32 import run_sec32_efficiency
 from repro.harness.registry import EXPERIMENTS, run_experiment
 
 __all__ = [
-    "MODEL_ORDER", "evaluate_app_model", "count_root_causes",
+    "MODEL_ORDER", "evaluate_app_model",
     "run_fig1", "run_fig2", "run_sec2_adder", "run_sec2_msgserver",
     "run_sec32_efficiency", "EXPERIMENTS", "run_experiment",
 ]

@@ -11,14 +11,12 @@ replayers through the registry -
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.analysis.rootcause import RootCause
 from repro.apps.base import AppCase
 from repro.metrics import DebuggingMetrics
-from repro.models import (DebugSession, REDIAGNOSE, ModelConfig, get_model,
-                          model_order)
-from repro.models.session import count_root_causes  # noqa: F401 (re-export)
+from repro.models import DebugSession, REDIAGNOSE, model_order
 
 # The five core models, in the paper's chronological relaxation order -
 # an import-time snapshot of the registry kept for the historical
@@ -27,13 +25,9 @@ from repro.models.session import count_root_causes  # noqa: F401 (re-export)
 # their defaults.
 MODEL_ORDER = model_order()
 
-# Chronological relaxation order used by Figure 1's x-axis annotations.
-CHRONOLOGY = {name: index for index, name in enumerate(MODEL_ORDER)}
-
 
 def evaluate_app_model(case: AppCase, model: str,
                        seed: Optional[int] = None,
-                       seeds: Iterable[int] = range(200),
                        ground_truth_cause: Optional[RootCause] = None,
                        cause_count_attempts: int = 120
                        ) -> DebuggingMetrics:
@@ -44,7 +38,7 @@ def evaluate_app_model(case: AppCase, model: str,
     the original-run re-diagnosis is skipped entirely.
     """
     session = DebugSession(case, model, seed=seed)
-    session.record(seeds=seeds)
+    session.record()
     original_cause = (ground_truth_cause if ground_truth_cause is not None
                       else REDIAGNOSE)
     return session.score(original_cause=original_cause,

@@ -18,7 +18,7 @@ Expected shape (what the bench asserts):
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from repro.apps import ALL_APPS
 from repro.harness.experiments import evaluate_app_model
@@ -28,18 +28,16 @@ from repro.util.tables import Table
 FIG1_APPS = ("racy_counter", "adder", "msg_server", "bank")
 
 
-def run_fig1(apps: Iterable[str] = FIG1_APPS,
-             models: Optional[Iterable[str]] = None
-             ) -> Tuple[Table, Table]:
+def run_fig1() -> Tuple[Table, Table]:
     """Return (per-cell table, per-model summary table).
 
-    ``models`` defaults to the registry's core sweep order at call time.
+    The models are the registry's core sweep order at call time.
     """
-    models = tuple(models) if models is not None else model_order()
+    models = model_order()
     cells = Table(["app", "model", "overhead_x", "DF", "DE", "DU",
                    "failure_reproduced"],
                   title="Fig.1 - per-bug determinism model comparison")
-    for app_name in apps:
+    for app_name in FIG1_APPS:
         case = ALL_APPS[app_name]()
         for model in models:
             metrics = evaluate_app_model(case, model)
@@ -54,10 +52,8 @@ def run_fig1(apps: Iterable[str] = FIG1_APPS,
     return cells, summary
 
 
-def summarize_fig1(cells: Table,
-                   models: Optional[Iterable[str]] = None) -> Table:
+def summarize_fig1(cells: Table, models: Iterable[str]) -> Table:
     """Average each model's overhead/DF/DU across the corpus."""
-    models = tuple(models) if models is not None else model_order()
     summary = Table(["model", "mean_overhead_x", "mean_DF", "mean_DU",
                      "bugs_reproduced"],
                     title="Fig.1 - relaxation trend (corpus averages)")

@@ -18,21 +18,25 @@ over a training run, not hard-coded - the §3.1.1 pipeline end to end.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.analysis.planes import classify_rates
+from repro.distsim.record import (FailureDistRecorder, RcseDistRecorder,
+                                  ValueDistRecorder)
+from repro.distsim.replay import replay_forced_order, synthesize_failure
 from repro.distsim.sim import FaultPlan
 from repro.hypertable.diagnosis import ALL_KNOWN_CAUSES, HyperDiagnoser
-from repro.hypertable.scenario import (HyperScenario, build_scenario,
-                                       find_failing_seed, hyperlite_spec)
+from repro.hypertable.scenario import (build_scenario, find_failing_seed,
+                                       hyperlite_spec)
 from repro.metrics import evaluate_replay
-from repro.models import get_model
 from repro.util.tables import Table
 
 # Data-rate threshold (payload words per message) separating control
 # channels from data channels; swept by the planes ablation bench.
 RATE_THRESHOLD = 15.0
 
+# The synthesizer's search space: scheduler seeds x injected faults.
+SYNTHESIS_SEEDS = range(12)
 SYNTHESIS_FAULT_PLANS = (
     FaultPlan(crashes={"rs2": 80.0}),
     FaultPlan(memory_limits={"dumper": 300}),
@@ -40,31 +44,25 @@ SYNTHESIS_FAULT_PLANS = (
 )
 
 
-def classify_control_channels(seed: int,
-                              scenario: Optional[HyperScenario] = None,
-                              threshold: float = RATE_THRESHOLD):
+def classify_control_channels(seed: int):
     """§3.1.1 pipeline: profile a training run, classify channels."""
-    sim = build_scenario(seed, FaultPlan.none(), scenario)
-    trace = sim.run()
-    classification = classify_rates(trace.channel_rates(), threshold)
-    return classification
+    trace = build_scenario(seed, FaultPlan.none()).run()
+    return classify_rates(trace.channel_rates(), RATE_THRESHOLD)
 
 
-def run_fig2(seed: Optional[int] = None,
-             scenario: Optional[HyperScenario] = None,
-             synthesis_seeds: Iterable[int] = range(12)) -> Table:
+def run_fig2(seed: Optional[int] = None) -> Table:
     """Reproduce Figure 2; returns one row per determinism model."""
-    scenario = scenario or HyperScenario()
     if seed is None:
-        seed = find_failing_seed(scenario=scenario)
+        seed = find_failing_seed()
         if seed is None:
             raise RuntimeError("no failing seed for the issue-63 workload")
 
-    def builder(s, faults):
-        return build_scenario(s, faults, scenario)
-
-    classification = classify_control_channels(seed + 1000, scenario)
-    control_channels = frozenset(classification.control)
+    classification = classify_control_channels(seed + 1000)
+    recorders = {
+        "value": ValueDistRecorder,
+        "rcse": lambda: RcseDistRecorder(classification.control),
+        "failure": FailureDistRecorder,
+    }
     diagnoser = HyperDiagnoser()
     n_causes = len(ALL_KNOWN_CAUSES)
 
@@ -72,22 +70,24 @@ def run_fig2(seed: Optional[int] = None,
                    "failure_reproduced", "replay_cause"],
                   title="Fig.2 - Hypertable issue 63: overhead vs fidelity")
 
-    for model in ("value", "rcse", "failure"):
-        sim = builder(seed, FaultPlan.none())
-        # The same registered models drive both substrates; the
-        # distributed case study goes through their dist hooks.
-        model_obj = get_model(model)
-        recorder = model_obj.make_dist_recorder(
-            control_channels=control_channels)
+    for model, make_recorder in recorders.items():
+        sim = build_scenario(seed, FaultPlan.none())
+        recorder = make_recorder()
         recorder.attach(sim)
         trace = sim.run()
         trace.failure = hyperlite_spec(trace)
         log = recorder.finalize(trace)
         original_cause = diagnoser.diagnose(trace, trace.failure)
 
-        replay = model_obj.replay_dist(
-            builder, log, hyperlite_spec,
-            seeds=synthesis_seeds, fault_plans=SYNTHESIS_FAULT_PLANS)
+        if model == "failure":
+            replay = synthesize_failure(build_scenario, log, hyperlite_spec,
+                                        SYNTHESIS_SEEDS,
+                                        SYNTHESIS_FAULT_PLANS)
+        else:
+            # Value and RCSE logs both pin the dispatch order; they
+            # differ only in the payloads checked against the replay.
+            replay = replay_forced_order(build_scenario, log,
+                                         hyperlite_spec)
 
         metrics = evaluate_replay(
             model=model,

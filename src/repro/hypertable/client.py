@@ -14,7 +14,6 @@ class LoaderClient(Node):
 
     def __init__(self, name: str, range_map: RangeMap,
                  rows: Dict[int, str], cadence: float = 2.0,
-                 retries: bool = True,
                  order: Optional[List[int]] = None):
         super().__init__(name)
         self.cached_map = range_map.copy()
@@ -23,7 +22,6 @@ class LoaderClient(Node):
         # record/replay runs rebuild the identical commit stream.
         self.pending: List[int] = list(order) if order else sorted(rows)
         self.cadence = cadence
-        self.retries = retries
         self.acked = 0
         self.nacked_retries = 0
 
@@ -52,10 +50,9 @@ class LoaderClient(Node):
 
     def handle_commit_nack(self, src: str, body) -> None:
         """Only the fixed server sends these: refresh routing and retry."""
-        if self.retries:
-            self.nacked_retries += 1
-            self.pending.insert(0, body["row"])
-            self.set_timer(self.cadence, "send_next")
+        self.nacked_retries += 1
+        self.pending.insert(0, body["row"])
+        self.set_timer(self.cadence, "send_next")
 
     # -- control plane ------------------------------------------------------
 

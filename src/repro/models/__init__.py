@@ -2,8 +2,12 @@
 
 This package is the system's model plane: every determinism model the
 paper compares is one :class:`~repro.models.base.DeterminismModel` value
-in a global registry, and every experiment - the figures, the corpus
-matrix, the CLI - constructs recorders and replayers only through it.
+in a global registry, and every experiment on the VM - Figure 1, the
+corpus matrix, the CLI - constructs recorders and replayers only
+through it.  A model is a recorder factory and a replayer factory, no
+more: Figure 2's Hypertable study runs on the distributed simulator,
+and :mod:`repro.harness.fig2` calls its value, RCSE and failure
+recorders and replayers in :mod:`repro.distsim` directly.
 
 Registering a new model
 -----------------------

@@ -3,8 +3,9 @@
 A determinism model used to be a string case inside the harness's
 ``make_recorder``/``make_replayer`` factories; here it is a first-class,
 registerable value: a name, a place on the paper's relaxation chronology,
-a recorder factory, a replayer factory, and (optionally) the distributed
-substrate's recorder/replay hooks used by the Figure-2 case study.
+a recorder factory and a replayer factory.  (The Figure-2 case study
+runs on the distributed substrate and calls :mod:`repro.distsim`
+directly.)
 
 Registration is global and import-driven: a model module calls
 :func:`register_model` at import time, and :mod:`repro.models` imports
@@ -177,10 +178,6 @@ class DeterminismModel:
     default holds a replay to every observable its log recorded;
     models that deliberately relax an observable (RCSE re-simulates the
     data plane, so recorded outputs are advisory) narrow it.
-
-    ``dist_recorder_factory``/``dist_replay`` are the distributed-
-    substrate hooks consumed by the Figure-2 Hypertable case study; VM
-    models that have no distributed analogue leave them ``None``.
     """
 
     name: str
@@ -192,8 +189,6 @@ class DeterminismModel:
     ships_base_inputs: bool = False
     replay_matches: Tuple[str, ...] = ("schedule", "outputs",
                                        "branch-path", "failure")
-    dist_recorder_factory: Optional[Callable[..., Any]] = None
-    dist_replay: Optional[Callable[..., ReplayResult]] = None
 
     def make_recorder(self, config: ModelConfig) -> Recorder:
         """Instantiate this model's recorder for one case config."""
@@ -203,22 +198,6 @@ class DeterminismModel:
                       log: RecordingLog) -> Replayer:
         """Instantiate this model's replayer for one config and log."""
         return self.replayer_factory(config, log)
-
-    def make_dist_recorder(self, **kwargs: Any):
-        """Distributed-substrate recorder (Figure-2 hook)."""
-        if self.dist_recorder_factory is None:
-            raise UnknownModelError(
-                f"model {self.name!r} has no distributed-substrate "
-                f"recorder")
-        return self.dist_recorder_factory(**kwargs)
-
-    def replay_dist(self, builder, log, spec, **kwargs: Any) -> ReplayResult:
-        """Distributed-substrate replay (Figure-2 hook)."""
-        if self.dist_replay is None:
-            raise UnknownModelError(
-                f"model {self.name!r} has no distributed-substrate "
-                f"replayer")
-        return self.dist_replay(builder, log, spec, **kwargs)
 
 
 # -- the registry -------------------------------------------------------------
@@ -275,7 +254,6 @@ def model_order(core_only: bool = True) -> Tuple[str, ...]:
 def replay_log(program: Program, log: RecordingLog,
                case=None,
                config: Optional[ModelConfig] = None,
-               io_spec: Optional[IOSpec] = None,
                verify: bool = True) -> ReplayResult:
     """Replay a recording with the replayer its log calls for.
 
@@ -298,6 +276,4 @@ def replay_log(program: Program, log: RecordingLog,
     if config is None:
         config = ModelConfig.from_shipped(log, case=case)
     replayer = model.make_replayer(config, log)
-    return replayer.replay(program, log,
-                           io_spec=io_spec if io_spec is not None
-                           else config.io_spec)
+    return replayer.replay(program, log, io_spec=config.io_spec)

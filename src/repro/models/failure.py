@@ -25,18 +25,6 @@ def _replayer(config: ModelConfig,
         minimize_extra_attempts=config.minimize_extra_attempts)
 
 
-def _dist_recorder(**kwargs):
-    from repro.distsim.record import FailureDistRecorder
-    return FailureDistRecorder()
-
-
-def _dist_replay(builder, log, spec, seeds=range(12), fault_plans=(),
-                 **kwargs):
-    from repro.distsim.replay import synthesize_failure
-    return synthesize_failure(builder, log, spec, seeds=seeds,
-                              fault_plans=fault_plans)
-
-
 FAILURE = register_model(DeterminismModel(
     name="failure",
     display_order=30,
@@ -44,6 +32,4 @@ FAILURE = register_model(DeterminismModel(
                 "execution reaching the same failure (ESD)",
     recorder_factory=_recorder,
     replayer_factory=_replayer,
-    dist_recorder_factory=_dist_recorder,
-    dist_replay=_dist_replay,
 ))

@@ -23,16 +23,6 @@ def _replayer(config: ModelConfig, log: RecordingLog) -> SelectiveReplayer:
         target_failure=log.failure)
 
 
-def _dist_recorder(control_channels=frozenset(), **kwargs):
-    from repro.distsim.record import RcseDistRecorder
-    return RcseDistRecorder(control_channels=control_channels)
-
-
-def _dist_replay(builder, log, spec, **kwargs):
-    from repro.distsim.replay import replay_rcse
-    return replay_rcse(builder, log, spec)
-
-
 RCSE = register_model(DeterminismModel(
     name="rcse",
     display_order=40,
@@ -47,6 +37,4 @@ RCSE = register_model(DeterminismModel(
     # control plane, enforced internally); recorded data-plane outputs
     # are advisory, so a divergence walk must not hold replay to them.
     replay_matches=("failure",),
-    dist_recorder_factory=_dist_recorder,
-    dist_replay=_dist_replay,
 ))

@@ -327,8 +327,9 @@ class DebugSession:
         else:
             try:
                 data = json.loads(payload)
-            except (json.JSONDecodeError, UnicodeDecodeError,
-                    TypeError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and an integer
+            # literal past the interpreter's digit limit.
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise LogFormatError(
                     f"shipped payload is not valid JSON (truncated "
                     f"upload?): {exc}") from exc

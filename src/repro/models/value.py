@@ -16,16 +16,6 @@ def _replayer(config: ModelConfig, log: RecordingLog) -> ValueReplayer:
     return ValueReplayer()
 
 
-def _dist_recorder(**kwargs):
-    from repro.distsim.record import ValueDistRecorder
-    return ValueDistRecorder()
-
-
-def _dist_replay(builder, log, spec, **kwargs):
-    from repro.distsim.replay import replay_forced_order
-    return replay_forced_order(builder, log, spec)
-
-
 VALUE = register_model(DeterminismModel(
     name="value",
     display_order=10,
@@ -33,6 +23,4 @@ VALUE = register_model(DeterminismModel(
                 "results; replay feeds them back (iDNA)",
     recorder_factory=_recorder,
     replayer_factory=_replayer,
-    dist_recorder_factory=_dist_recorder,
-    dist_replay=_dist_replay,
 ))

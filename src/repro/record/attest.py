@@ -25,9 +25,12 @@ of the things a replay must agree with:
 ``verify_attestation`` recomputes each hash the verifier has the
 material for and raises a structured
 :class:`~repro.errors.LogAttestationError` on the first mismatch (or
-warns, when the caller opted out of strict verification).  Logs that
-carry no attestation block (v1 logs, hand-built logs) verify trivially -
-attestation is evidence when present, not a gate on old artifacts.
+warns, when the caller opted out of strict verification).  A block that
+is not an object holding a ``content_sha256`` string, or that holds a
+hash of any other type, is refused the same way: it attests nothing.
+Logs that carry no attestation block (v1 logs, hand-built logs) verify
+trivially - attestation is evidence when present, not a gate on old
+artifacts.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from repro.util.hashing import canonical_json, sha256_hex  # noqa: F401
 
 ATTESTATION_KEY = "attestation"
 ATTESTATION_ALGORITHM = "sha256"
+# The hashes a block may hold, each a hex string.
+_HASH_KEYS = ("content_sha256", "guest_sha256", "scheduler_sha256",
+              "replay_config_sha256")
 
 
 def guest_fingerprint(program) -> str:
@@ -108,13 +114,24 @@ def stamp_attestation(log, program=None) -> Dict[str, str]:
     return block
 
 
-def _checks(log, program) -> List[Tuple[str, str, str]]:
+def _malformed(block) -> Optional[str]:
+    """Why ``block`` is no attestation block, or None when it is one."""
+    if not isinstance(block, dict):
+        return f"it is not an object ({type(block).__name__})"
+    for key in _HASH_KEYS:
+        if key in block and not isinstance(block[key], str):
+            return f"its {key} is not a string"
+    if "content_sha256" not in block:
+        return "it holds no content_sha256"
+    return None
+
+
+def _checks(log, block: Dict[str, Any],
+            program) -> List[Tuple[str, str, str]]:
     """(field, expected, found) for every hash the verifier can recompute."""
-    block = log.metadata.get(ATTESTATION_KEY) or {}
     checks: List[Tuple[str, str, str]] = []
-    if "content_sha256" in block:
-        checks.append(("content", block["content_sha256"],
-                       content_fingerprint(log)))
+    checks.append(("content", block["content_sha256"],
+                   content_fingerprint(log)))
     if program is not None and "guest_sha256" in block:
         checks.append(("guest", block["guest_sha256"],
                        guest_fingerprint(program)))
@@ -135,18 +152,26 @@ def verify_attestation(log, program=None, strict: bool = True,
 
     Returns ``True`` when the log carries an attestation block and every
     recomputed hash matches, ``False`` when the log is unattested.  On a
-    mismatch: raises :class:`~repro.errors.LogAttestationError` naming
-    the field (and ``source``, a path or payload description, when
-    given); with ``strict=False`` the refusal is downgraded to a
-    :class:`UserWarning` - the explicit "I know, replay it anyway"
-    escape hatch (``--no-verify`` on the CLI).
+    mismatch or a malformed block: raises
+    :class:`~repro.errors.LogAttestationError` naming the field
+    (``block`` for a malformed one) and ``source``, a path or payload
+    description, when given; with ``strict=False`` the refusal is
+    downgraded to a :class:`UserWarning` - the explicit "I know, replay
+    it anyway" escape hatch (``--no-verify`` on the CLI).
     """
     if ATTESTATION_KEY not in (log.metadata or {}):
         return False
-    for field, expected, found in _checks(log, program):
+    origin = f" in {source!r}" if source else ""
+    block = log.metadata[ATTESTATION_KEY]
+    problem = _malformed(block)
+    if problem is not None:
+        _refuse(f"recording log{origin} has a malformed attestation "
+                f"block: {problem}", strict, field="block",
+                path=source or "")
+        return False
+    for field, expected, found in _checks(log, block, program):
         if expected == found:
             continue
-        origin = f" in {source!r}" if source else ""
         message = (
             f"recording log{origin} failed {field} attestation: "
             f"stamped {ATTESTATION_ALGORITHM}:{expected[:12]}… but "
@@ -154,14 +179,18 @@ def verify_attestation(log, program=None, strict: bool = True,
             f"log was tampered with in transit, or the "
             f"{'guest/workload' if field == 'guest' else 'recording'} "
             f"no longer matches what was recorded")
-        if strict:
-            raise LogAttestationError(message, field=field,
-                                      expected=expected, found=found,
-                                      path=source or "")
-        warnings.warn(f"{message} (verification disabled - replay may "
-                      f"silently diverge)", stacklevel=2)
+        _refuse(message, strict, field=field, expected=expected,
+                found=found, path=source or "")
         return False
     return True
+
+
+def _refuse(message: str, strict: bool, **fields: str) -> None:
+    """Raise :class:`LogAttestationError`, or warn when not ``strict``."""
+    if strict:
+        raise LogAttestationError(message, **fields)
+    warnings.warn(f"{message} (verification disabled - replay may "
+                  f"silently diverge)", stacklevel=3)
 
 
 def is_attested(log) -> bool:

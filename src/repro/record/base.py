@@ -71,8 +71,7 @@ def record_run(program: Program,
                seed: int = 0,
                scheduler: Optional[Scheduler] = None,
                io_spec: Optional[IOSpec] = None,
-               net_drop_rate: float = 0.0,
-               max_steps: int = 2_000_000) -> RecordingLog:
+               net_drop_rate: float = 0.0) -> RecordingLog:
     """Execute one production run under ``recorder`` and return its log.
 
     This is the 'in production' half of a replay-debugging system: the
@@ -84,8 +83,7 @@ def record_run(program: Program,
     env = Environment(inputs=inputs, seed=seed, net_drop_rate=net_drop_rate)
     scheduler = scheduler or RandomScheduler(seed=seed)
     machine = Machine(program, env=env, scheduler=scheduler,
-                      io_spec=io_spec, max_steps=max_steps,
-                      trace_mode="counting")
+                      io_spec=io_spec, trace_mode="counting")
     recorder.attach(machine)
     try:
         machine.run()

@@ -321,8 +321,9 @@ def load_log(path: str, verify: bool = True) -> RecordingLog:
     except OSError as exc:
         raise LogFormatError(
             f"cannot read recording log {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer literal past
+    # the interpreter's digit limit.
+    except (ValueError, RecursionError) as exc:
         raise LogFormatError(
             f"recording log {path!r} is not valid JSON "
             f"(truncated or binary upload?): {exc}") from exc

@@ -523,18 +523,15 @@ def _replay_contract(model_name: str) -> Tuple[str, ...]:
         return ("schedule", "outputs", "branch-path", "failure")
 
 
-def replay_and_diff(program, log, case=None, config=None,
-                    verify: bool = True):
+def replay_and_diff(program, log, case=None):
     """Replay ``log`` and diff the replay against it.
 
     Returns ``(replay_result, divergence_report)``.  The replayer is
     dispatched from the log alone (:func:`repro.models.base.replay_log`);
-    attestation is verified before a single step replays unless the
-    caller opted out.
+    attestation is verified before a single step replays.
     """
     from repro.models.base import replay_log
-    result = replay_log(program, log, case=case, config=config,
-                        verify=verify)
+    result = replay_log(program, log, case=case)
     return result, diff_log_replay(log, result)
 
 

@@ -40,19 +40,16 @@ class OutputOnlyReplayer(Replayer):
 
     def __init__(self, input_space: InputSpace,
                  schedule_seeds: Iterable[int] = range(8),
-                 budget: Optional[SearchBudget] = None,
-                 net_drop_rate: float = 0.0):
+                 budget: Optional[SearchBudget] = None):
         self.input_space = input_space
         self.schedule_seeds = list(schedule_seeds)
         self.budget = budget or SearchBudget()
-        self.net_drop_rate = net_drop_rate
 
     def replay(self, program: Program, log: RecordingLog,
                io_spec: Optional[IOSpec] = None) -> ReplayResult:
         search = ExecutionSearch(
             program, self.input_space,
-            schedule_seeds=self.schedule_seeds,
-            io_spec=io_spec, net_drop_rate=self.net_drop_rate)
+            schedule_seeds=self.schedule_seeds, io_spec=io_spec)
         # Candidates after the first run trace-free, and each dies at its
         # first output value that diverges from the log.
         outcome = search.search(
@@ -73,10 +70,8 @@ class OdrReplayer(Replayer):
 
     model = "output"
 
-    def __init__(self, inner_seeds: Iterable[int] = range(64),
-                 budget: Optional[SearchBudget] = None):
+    def __init__(self, inner_seeds: Iterable[int] = range(64)):
         self.inner_seeds = list(inner_seeds)
-        self.budget = budget or SearchBudget()
 
     def replay(self, program: Program, log: RecordingLog,
                io_spec: Optional[IOSpec] = None) -> ReplayResult:
@@ -92,7 +87,6 @@ class OdrReplayer(Replayer):
         outcome = search.search(
             lambda m: (outputs_match(m, log.outputs)
                        and self._paths_match(m, log)),
-            budget=self.budget,
             early_abort=divergent_output_abort(log.outputs))
         return self._result_from_outcome(self.model, outcome)
 

@@ -38,9 +38,7 @@ which candidate is accepted (enumeration order is preserved):
   instead of replaying from step 0.  A checkpoint is used only by the
   next assignment under its seed, and only if that assignment agrees
   with every value consumed before it (:class:`_Witness`), so a
-  candidate snapshots while the next assignment - if the attempt
-  budget reaches it: each runs under every seed, so the budget reaches
-  ``ceil(max_attempts / len(schedule_seeds))`` - agrees with all it has
+  candidate snapshots while the next assignment agrees with all it has
   consumed; no fork is lost.
 * **Early abort.**  An ``early_abort`` hook sees every executed I/O step
   and may kill the candidate immediately; :func:`divergent_output_abort`
@@ -267,8 +265,8 @@ class _Witness:
     consumption, or a deeper one, only if it agrees with every value
     consumed before that consumption.  So the candidate snapshots while
     :attr:`inputs` is set: it is None from the first value the
-    assignment does not reproduce on, and when no assignment runs next
-    (the space or the attempt budget ends first).
+    assignment does not reproduce on, and when the space holds no next
+    assignment.
     """
 
     __slots__ = ("inputs", "_cursors")
@@ -479,9 +477,9 @@ class ExecutionSearch:
         seed, so the search enables it once a second input candidate is
         known to exist (single-assignment spaces pay nothing).  Even
         then the candidate snapshots a consumption only while
-        ``following`` - the next assignment, None when the attempt
-        budget does not reach one - agrees with every value consumed
-        before it (see :class:`_Witness`).
+        ``following`` - the next assignment, None at the end of the
+        space - agrees with every value consumed before it (see
+        :class:`_Witness`).
 
         Returns ``(machine, executed_cycles)`` where ``executed_cycles``
         excludes the checkpointed prefix the candidate did not re-run.
@@ -593,9 +591,6 @@ class ExecutionSearch:
         pools: Dict[int, _SeedCheckpoints] = {}
         schedule_seeds = self.schedule_seeds
         allows = budget.allows
-        # Every assignment runs under every seed, so the attempt budget
-        # reaches the first ``reach`` of them.
-        reach = -(-budget.max_attempts // max(len(schedule_seeds), 1))
         # A dedupe key is a root-cause diagnosis, which reads only effect
         # steps: an events trace is enough, and most candidates are
         # accepted, so tracing those steps as the candidate runs beats a
@@ -619,7 +614,6 @@ class ExecutionSearch:
             # assignments, so collection starts with the second one;
             # single-assignment spaces never pay for snapshots.
             take_checkpoints = self.prefix_sharing and input_index > 0
-            following = upcoming if input_index + 1 < reach else None
             for seed in schedule_seeds:
                 if not allows(outcome.attempts, outcome.inference_cycles):
                     return outcome
@@ -628,7 +622,7 @@ class ExecutionSearch:
                     budget.remaining_cycles(outcome.inference_cycles),
                     early_abort,
                     trace_mode if outcome.attempts else first_mode,
-                    take_checkpoints, following, outcome)
+                    take_checkpoints, upcoming, outcome)
                 outcome.attempts += 1
                 outcome.inference_cycles += executed
                 if machine is None:

@@ -32,7 +32,7 @@ from repro.vm.environment import Environment
 from repro.vm.failures import FailureReport, IOSpec
 from repro.vm.machine import INTERCEPT_MISS, Machine
 from repro.vm.program import Program
-from repro.vm.scheduler import (RandomScheduler, Scheduler, notifier,
+from repro.vm.scheduler import (RandomScheduler, Scheduler, quiet_inner,
                                  sticky_inner)
 from repro.vm.thread import ThreadState
 
@@ -43,7 +43,17 @@ class GuidedOrderScheduler(Scheduler):
     Tolerates divergence: when no runnable thread can legally proceed the
     blocking queue head is skipped and counted, so a replay of an
     imperfect (relaxed) recording always makes progress.
+
+    The inner scheduler only picks: it is never notified, so an inner
+    that needs its ``notify`` is refused (as by
+    :class:`~repro.vm.scheduler.SyncOrderScheduler`).
     """
+
+    # Pervasive divergence means the recorded constraints no longer
+    # describe this execution (e.g. re-randomized data-plane work
+    # changed loop trip counts); past this many skipped queue heads the
+    # replayer abandons the remaining constraints instead of thrashing.
+    max_divergences = 200
 
     def __init__(self,
                  sync_order: List[Tuple[int, str, Any]],
@@ -51,24 +61,17 @@ class GuidedOrderScheduler(Scheduler):
                  control_plane: Set[str],
                  dialup_sites: Set[str],
                  mapper: TidMapper,
-                 inner: Optional[Scheduler] = None,
-                 max_divergences: int = 200):
+                 inner: Scheduler):
         self.sync_order = list(sync_order)
         self.selective_order = list(selective_order)
         self.control_plane = control_plane
         self.dialup_sites = dialup_sites
         self.mapper = mapper
-        self.inner = inner or RandomScheduler(seed=1)
-        self._inner_notify = notifier(self.inner)
-        self._sticky = sticky_inner(self.inner)
+        self.inner = quiet_inner(inner, "guided-order")
+        self._sticky = sticky_inner(inner)
         self.sync_index = 0
         self.sel_index = 0
         self.divergences = 0
-        # Pervasive divergence means the recorded constraints no longer
-        # describe this execution (e.g. re-randomized data-plane work
-        # changed loop trip counts); past the threshold the replayer
-        # abandons the remaining constraints instead of thrashing.
-        self.max_divergences = max_divergences
         self.abandoned = False
 
     # -- classification -----------------------------------------------------
@@ -168,8 +171,6 @@ class GuidedOrderScheduler(Scheduler):
             self.sync_index = len(self.sync_order)
 
     def notify(self, step) -> None:
-        if self._inner_notify is not None:
-            self._inner_notify(step)
         mapped = self.mapper.to_original(step.tid)
         if (step.sync is not None
                 and self.sync_index < len(self.sync_order)):

@@ -107,6 +107,11 @@ RELOPS = ("==", "!=", "<=", "<", ">=", ">")
 _NEGATE = {"==": "!=", "!=": "==", "<=": ">", "<": ">=",
            ">=": "<", ">": "<="}
 
+# Bounds on solving effort: propagation rounds before giving up on a
+# fixpoint, and values tried by one enumeration before it gives up.
+MAX_ROUNDS = 20
+MAX_ENUMERATE = 200_000
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -158,11 +163,11 @@ class ConstraintSystem:
 
     # -- propagation ------------------------------------------------------
 
-    def propagate(self, max_rounds: int = 20) -> Dict[SymVar, Interval]:
+    def propagate(self) -> Dict[SymVar, Interval]:
         """Narrow variable domains by interval bound propagation."""
         domains = {var: self.domains.get(var, Interval.top())
                    for var in self.variables()}
-        for __ in range(max_rounds):
+        for __ in range(MAX_ROUNDS):
             changed = False
             for constraint in self.constraints:
                 if self._refine(constraint, domains):
@@ -232,8 +237,7 @@ class ConstraintSystem:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(self, max_enumerate: int = 200_000
-              ) -> Optional[Dict[SymVar, int]]:
+    def solve(self) -> Optional[Dict[SymVar, int]]:
         """Find one satisfying assignment, or None.
 
         Propagates bounds first, then enumerates variables smallest-domain
@@ -256,7 +260,7 @@ class ConstraintSystem:
             var = variables[index]
             for value in domains[var]:
                 self.last_enumerated += 1
-                if self.last_enumerated > max_enumerate:
+                if self.last_enumerated > MAX_ENUMERATE:
                     return None
                 assignment[var] = value
                 if self._partial_ok(assignment):
@@ -276,8 +280,7 @@ class ConstraintSystem:
                     return False
         return True
 
-    def iter_solutions(self, limit: int = 100,
-                       max_enumerate: int = 200_000
+    def iter_solutions(self, limit: int = 100
                        ) -> Iterator[Dict[SymVar, int]]:
         """Yield up to ``limit`` satisfying assignments (enumeration order)."""
         domains = self.propagate()
@@ -297,7 +300,7 @@ class ConstraintSystem:
             var = variables[index]
             for value in domains[var]:
                 enumerated += 1
-                if enumerated > max_enumerate:
+                if enumerated > MAX_ENUMERATE:
                     return
                 assignment[var] = value
                 if self._partial_ok(assignment):

@@ -20,7 +20,7 @@ from repro.errors import SolverError
 from repro.replay.solver import (Affine, Constraint, ConstraintSystem,
                                  SymVar)
 from repro.util.intervals import Interval
-from repro.vm.instructions import BINARY_OPS, Const, Instr, Reg
+from repro.vm.instructions import BINARY_FUNCS, Const, Instr, Reg
 from repro.vm.program import Program
 
 SymValue = Union[int, str, Affine]
@@ -28,6 +28,11 @@ SymValue = Union[int, str, Affine]
 _ARITH = {"add", "sub", "mul"}
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 _UNSUPPORTED = {"lock", "unlock", "spawn", "join", "syscall", "yield"}
+
+# Steps after which a path counts as runaway and is dropped, and the
+# most in-bounds values one symbolic array index forks into.
+MAX_STEPS_PER_PATH = 20_000
+MAX_INDEX_FORKS = 64
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,10 @@ class SymbolicExecutor:
 
     def __init__(self, program: Program,
                  input_domain: Interval = Interval(0, 64),
-                 max_paths: int = 256,
-                 max_steps_per_path: int = 20_000,
-                 max_index_forks: int = 64):
+                 max_paths: int = 256):
         self.program = program
         self.input_domain = input_domain
         self.max_paths = max_paths
-        self.max_steps_per_path = max_steps_per_path
-        self.max_index_forks = max_index_forks
         self.input_vars: List[SymVar] = []
         self.paths_explored = 0
 
@@ -163,7 +164,7 @@ class SymbolicExecutor:
     def _run_path(self, state: _PathState,
                   stack: List[_PathState]) -> Optional[PathResult]:
         while True:
-            if state.steps > self.max_steps_per_path:
+            if state.steps > MAX_STEPS_PER_PATH:
                 return None  # runaway path: drop it
             function = self.program.function(state.function)
             if state.pc >= len(function.body):
@@ -230,9 +231,7 @@ class SymbolicExecutor:
             right = self._as_int(state, args[2])
             if isinstance(left, int) and isinstance(right, int):
                 # Concrete comparison: no constraint, no later fork.
-                import repro.vm.machine as machine_mod
-                state.registers[args[0].name] = (
-                    machine_mod._BINARY_FUNCS[op](left, right))
+                state.registers[args[0].name] = BINARY_FUNCS[op](left, right)
             else:
                 diff = Affine.of(left).sub(Affine.of(right))
                 state.registers[args[0].name] = SymBool(
@@ -321,7 +320,7 @@ class SymbolicExecutor:
             Interval(0, len(cells) - 1))
         forks = 0
         for value in feasible:
-            if forks >= self.max_index_forks:
+            if forks >= MAX_INDEX_FORKS:
                 break
             fork = self._fork(state)
             fork.constraints.append(
@@ -360,13 +359,12 @@ class SymbolicExecutor:
         values = [self._value(state, a) for a in args[1:]]
         if any(isinstance(v, (Affine, SymBool)) for v in values):
             raise SolverError(f"{site}: symbolic {op} unsupported")
-        import repro.vm.machine as machine_mod
         if op == "not":
             result = int(not bool(values[0]))
         elif op == "neg":
             result = -values[0]
         else:
-            result = machine_mod._BINARY_FUNCS[op](*values)
+            result = BINARY_FUNCS[op](*values)
         state.registers[args[0].name] = result
         state.pc += 1
         return None

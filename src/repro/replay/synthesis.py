@@ -37,8 +37,7 @@ class ExecutionSynthesizer(Replayer):
                  net_drop_rate: float = 0.0,
                  switch_prob: float = 0.25,
                  minimize: bool = False,
-                 minimize_extra_attempts: int = 50,
-                 early_abort=None):
+                 minimize_extra_attempts: int = 50):
         self.input_space = input_space
         self.schedule_seeds = list(schedule_seeds)
         self.budget = budget or SearchBudget()
@@ -50,10 +49,6 @@ class ExecutionSynthesizer(Replayer):
         self.switch_prob = switch_prob
         self.minimize = minimize
         self.minimize_extra_attempts = minimize_extra_attempts
-        # Optional per-I/O-step kill hook for the candidate search (see
-        # ExecutionSearch.search; must only fire on candidates the
-        # failure acceptor would reject).
-        self.early_abort = early_abort
 
     def replay(self, program: Program, log: RecordingLog,
                io_spec: Optional[IOSpec] = None) -> ReplayResult:
@@ -72,8 +67,7 @@ class ExecutionSynthesizer(Replayer):
             return (machine.failure is not None
                     and target.same_failure(machine.failure))
 
-        outcome = search.search(accept, budget=self.budget,
-                                early_abort=self.early_abort)
+        outcome = search.search(accept, budget=self.budget)
         if not (outcome.found and self.minimize):
             return self._result_from_outcome(self.model, outcome)
         # outcome.inference_cycles already excludes the accepted

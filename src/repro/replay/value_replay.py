@@ -25,22 +25,22 @@ from repro.vm.program import Program
 from repro.vm.scheduler import RoundRobinScheduler
 
 
+# A coarse round-robin quantum keeps per-thread execution contiguous,
+# which is how instruction-level tracing frameworks replay threads.
+QUANTUM = 50
+
+
 class ValueReplayer(Replayer):
     """Replays a :class:`~repro.record.value.ValueRecorder` log."""
 
     model = "value"
-
-    def __init__(self, quantum: int = 50):
-        # A coarse quantum keeps per-thread execution contiguous, which is
-        # how instruction-level tracing frameworks replay threads.
-        self.quantum = quantum
 
     def replay(self, program: Program, log: RecordingLog,
                io_spec: Optional[IOSpec] = None) -> ReplayResult:
         env = Environment(inputs={}, seed=0)
         machine = Machine(
             program, env=env,
-            scheduler=RoundRobinScheduler(quantum=self.quantum),
+            scheduler=RoundRobinScheduler(quantum=QUANTUM),
             io_spec=io_spec,
             max_steps=max(log.total_steps * 4, 1000))
 

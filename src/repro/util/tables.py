@@ -77,13 +77,13 @@ class Table:
         return "\n".join(lines)
 
 
-def merge_tables(tables: Iterable[Table], title: str = "") -> Table:
+def merge_tables(tables: Iterable[Table]) -> Table:
     """Concatenate tables that share a column set."""
     tables = list(tables)
     if not tables:
         raise ValueError("no tables to merge")
     columns = tables[0].columns
-    merged = Table(columns, title or tables[0].title)
+    merged = Table(columns, tables[0].title)
     for table in tables:
         if table.columns != columns:
             raise ValueError("cannot merge tables with different columns")

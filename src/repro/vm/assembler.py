@@ -93,9 +93,9 @@ def _parse_operand(token: str):
         return token  # bare identifier: global/array/mutex/fn/label/channel
 
 
-def assemble(source: str, entry: str = "main") -> Program:
+def assemble(source: str) -> Program:
     """Assemble MiniVM assembly text into a validated :class:`Program`."""
-    builder = ProgramBuilder(entry=entry)
+    builder = ProgramBuilder()
     current_fn = None
     pending_label: Optional[str] = None
 

@@ -37,11 +37,11 @@ from repro.vm.compiler.parser import Parser
 from repro.vm.compiler.codegen import CodeGenerator
 
 
-def compile_source(source: str, entry: str = "main"):
+def compile_source(source: str):
     """Compile MiniLang source text into a MiniVM :class:`Program`."""
     tokens = Lexer(source).tokenize()
     module = Parser(tokens).parse_module()
-    return CodeGenerator(module, entry=entry).generate()
+    return CodeGenerator(module).generate()
 
 
 __all__ = ["compile_source", "Lexer", "Parser", "CodeGenerator",

@@ -30,9 +30,8 @@ Value = Union[Reg, Const]
 class CodeGenerator:
     """Generates a validated :class:`Program` from a parsed module."""
 
-    def __init__(self, module: ast.Module, entry: str = "main"):
+    def __init__(self, module: ast.Module):
         self.module = module
-        self.entry = entry
         self.global_names: Set[str] = {name for name, _ in module.globals_}
         self.array_names: Set[str] = {name for name, _ in module.arrays}
         self.mutex_names: Set[str] = set(module.mutexes)
@@ -45,7 +44,6 @@ class CodeGenerator:
             globals_=dict(self.module.globals_),
             arrays=dict(self.module.arrays),
             mutexes=sorted(self.mutex_names),
-            entry=self.entry,
         )
 
     def _gen_function(self, fn: ast.FunctionDef) -> Function:

@@ -89,8 +89,8 @@ class IOSpec:
     the paper's failure-equivalence requires.
     """
 
-    def __init__(self, clauses: Optional[List[SpecClause]] = None):
-        self.clauses = list(clauses or [])
+    def __init__(self):
+        self.clauses: List[SpecClause] = []
 
     def require(self, name: str,
                 predicate: Callable[[Dict[str, List[int]],

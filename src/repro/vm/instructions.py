@@ -135,7 +135,3 @@ class Instr:
 # Opcodes that create inter-thread ordering.
 SYNC_OPS = frozenset(("lock", "unlock", "spawn", "join"))
 
-
-def is_sync(instr: Instr) -> bool:
-    """True for instructions that create inter-thread ordering."""
-    return instr.op in SYNC_OPS

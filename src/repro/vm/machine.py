@@ -124,7 +124,7 @@ from __future__ import annotations
 
 import operator
 from bisect import insort
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MachineError
 from repro.vm.cost import CostModel, OverheadMeter
@@ -152,10 +152,6 @@ Observer = Callable[["Machine", StepRecord], None]
 # One decoded instruction: its opcode, its handler
 # ``(machine, thread, frame, record) -> bool`` and its cost in cycles.
 CodeEntry = Tuple[str, Callable[..., bool], int]
-
-# Backwards-compatible alias (symbolic execution resolves binary opcodes
-# through the interpreter module).
-_BINARY_FUNCS = BINARY_FUNCS
 
 _BLOCKED = object()
 
@@ -816,7 +812,6 @@ class Machine:
                  cost_model: Optional[CostModel] = None,
                  io_spec: Optional[IOSpec] = None,
                  max_steps: int = 2_000_000,
-                 entry_args: Sequence[Any] = (),
                  trace_mode: str = "full",
                  max_native_cycles: Optional[int] = None):
         if trace_mode not in _TRACE_MODES:
@@ -867,7 +862,7 @@ class Machine:
         self._code = code_table(program, self.cost_model)
 
         self._next_tid = 0
-        self._spawn_thread(program.entry, list(entry_args))
+        self._spawn_thread(program.entry, [])
 
     # -- cycle ceiling ----------------------------------------------------
     #
@@ -896,9 +891,6 @@ class Machine:
             self._sync_io_observers.append(observer)
         else:
             self._observers.append(observer)
-
-    def live_tids(self) -> List[int]:
-        return sorted(t.tid for t in self.threads.values() if t.is_live)
 
     def run(self) -> "Machine":
         """Run to completion, failure, deadlock, or a limit/abort."""
@@ -1326,13 +1318,8 @@ def run_program(program: Program,
                 io_spec: Optional[IOSpec] = None,
                 net_drop_rate: float = 0.0,
                 max_steps: int = 2_000_000,
-                observers: Sequence[Callable] = (),
                 trace_mode: str = "full") -> Machine:
     """Convenience wrapper: build an environment + machine and run it."""
     env = Environment(inputs=inputs, seed=seed, net_drop_rate=net_drop_rate)
-    machine = Machine(program, env=env, scheduler=scheduler,
-                      io_spec=io_spec, max_steps=max_steps,
-                      trace_mode=trace_mode)
-    for observer in observers:
-        machine.add_observer(observer)
-    return machine.run()
+    return Machine(program, env=env, scheduler=scheduler, io_spec=io_spec,
+                   max_steps=max_steps, trace_mode=trace_mode).run()

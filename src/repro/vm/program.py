@@ -58,8 +58,7 @@ class Program:
     Parameters
     ----------
     functions:
-        The function bodies; must include an entry function (``main`` by
-        default).
+        The function bodies; must include the entry function, ``main``.
     globals_:
         Mapping of global scalar name to initial value.
     arrays:
@@ -72,8 +71,7 @@ class Program:
                  functions: Sequence[Function],
                  globals_: Optional[Dict[str, int]] = None,
                  arrays: Optional[Dict[str, int]] = None,
-                 mutexes: Optional[Sequence[str]] = None,
-                 entry: str = "main"):
+                 mutexes: Optional[Sequence[str]] = None):
         self.functions: Dict[str, Function] = {}
         for fn in functions:
             if fn.name in self.functions:
@@ -82,7 +80,7 @@ class Program:
         self.globals = dict(globals_ or {})
         self.arrays = dict(arrays or {})
         self.mutexes = set(mutexes or [])
-        self.entry = entry
+        self.entry = "main"
         # Each function's decoded code under a cost table, keyed by the
         # table's contents and filled by :func:`repro.vm.machine.code_table`:
         # every machine running this program under that table shares it.
@@ -98,10 +96,6 @@ class Program:
         if name not in self.functions:
             raise ProgramError(f"unknown function {name!r}")
         return self.functions[name]
-
-    def instruction_count(self) -> int:
-        """Total static instruction count across all functions."""
-        return sum(len(fn.body) for fn in self.functions.values())
 
     # -- validation -----------------------------------------------------
 
@@ -188,8 +182,7 @@ class ProgramBuilder:
     >>> program = b.build()
     """
 
-    def __init__(self, entry: str = "main"):
-        self._entry = entry
+    def __init__(self):
         self._globals: Dict[str, int] = {}
         self._arrays: Dict[str, int] = {}
         self._mutexes: List[str] = []
@@ -218,7 +211,6 @@ class ProgramBuilder:
             globals_=self._globals,
             arrays=self._arrays,
             mutexes=self._mutexes,
-            entry=self._entry,
         )
 
 

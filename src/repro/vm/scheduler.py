@@ -97,6 +97,17 @@ def notifier(scheduler: Scheduler, hook: str = "notify"
     return getattr(scheduler, hook)
 
 
+def quiet_inner(inner: Scheduler, owner: str) -> Scheduler:
+    """``inner``, for an ``owner`` scheduler that never notifies it: an
+    inner whose class overrides ``notify`` or ``notify_sync`` is refused
+    rather than left silently unnotified."""
+    if notifier(inner) is not None \
+            or notifier(inner, "notify_sync") is not None:
+        raise SchedulerError(
+            f"a {owner} scheduler does not notify its inner scheduler")
+    return inner
+
+
 class RoundRobinScheduler(Scheduler):
     """Deterministic round-robin with a fixed quantum."""
 
@@ -281,11 +292,8 @@ class SyncOrderScheduler(Scheduler):
                  inner: Optional[Scheduler] = None):
         self.sync_order = list(sync_order)
         self._index = 0
-        self._inner = inner or RoundRobinScheduler()
-        if notifier(self._inner) is not None \
-                or notifier(self._inner, "notify_sync") is not None:
-            raise SchedulerError(
-                "a sync-order scheduler does not notify its inner scheduler")
+        self._inner = quiet_inner(inner or RoundRobinScheduler(),
+                                  "sync-order")
         # The inner whose ``current`` is the thread it picked last, or
         # None; and ``(index, runnable_version, allowed)`` of the last
         # vetting (see :meth:`_vetted`), or None.

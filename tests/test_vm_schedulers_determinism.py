@@ -139,6 +139,24 @@ def test_sync_order_scheduler_refuses_an_inner_that_needs_notify():
     SyncOrderScheduler([], inner=RandomScheduler())
 
 
+def test_guided_order_scheduler_refuses_an_inner_that_needs_notify():
+    """Like the sync-order scheduler, the guided-order (rcse) scheduler
+    never notifies its inner scheduler."""
+    from repro.errors import SchedulerError
+    from repro.replay.base import TidMapper
+    from repro.replay.selective_replay import GuidedOrderScheduler
+
+    def guided(inner):
+        return GuidedOrderScheduler([], [], set(), set(), TidMapper({}),
+                                    inner)
+
+    with pytest.raises(SchedulerError, match="does not notify"):
+        guided(FixedScheduler([0]))
+    with pytest.raises(SchedulerError, match="does not notify"):
+        guided(SyncOrderScheduler([]))
+    guided(RandomScheduler())
+
+
 def test_sync_order_scheduler_enforces_lock_order():
     original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
     sync_order = [(s.tid, s.op, s.sync[1])
