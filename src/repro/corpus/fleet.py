@@ -32,7 +32,11 @@ it.  The job splits in two:
 
 Transports are context managers; leaving the block (normally, on
 ``KeyboardInterrupt``, or on any raised exception) terminates and joins
-every worker, so an aborted run never leaves orphan processes.
+every worker, so an aborted run never leaves orphan processes.  A
+supervisor's workers outlive a dispatch: the corpus matrix keeps one
+supervisor warm across every supervised sweep of a process
+(:mod:`repro.corpus.matrix`), a worker that died while idle is
+replaced unstruck, and a worker whose parent died exits on its own.
 
 Workers call ``worker_fn(payload, attempt)`` - the attempt index makes
 retries explicit to the task (the fault-injection harness keys on it),
@@ -47,7 +51,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import Pipe, Process
+from multiprocessing import Pipe, Process, parent_process
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -293,10 +297,17 @@ def _worker_main(conn, worker_fn) -> None:
     Results are streamed cell by cell (not per batch) so the supervisor
     always knows *which* cell a dead or silent worker was running: the
     first cell of the current batch it has not reported yet.
+
+    A worker also returns when its parent dies (SIGKILL, the OOM killer):
+    the fork left it a copy of the parent's end of its pipe, so ``recv``
+    alone would never see end-of-file.
     """
     # The supervisor owns shutdown; a terminal ^C must not race it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = parent_process().sentinel
     while True:
+        if parent in _conn_wait([conn, parent]):
+            return
         try:
             message = conn.recv()
         except (EOFError, OSError):
@@ -311,7 +322,6 @@ def _worker_main(conn, worker_fn) -> None:
                 conn.send(("cell", key, "error", traceback.format_exc()))
             else:
                 conn.send(("cell", key, "ok", value))
-        conn.send(("batch-done",))
 
 
 class _Worker:
@@ -329,7 +339,8 @@ class _Worker:
 
     @property
     def busy(self) -> bool:
-        return bool(self.batch)
+        """Owed a result: idle as soon as its whole batch has reported."""
+        return len(self.done) < len(self.batch)
 
     def start(self, batch: List[Item]) -> None:
         self.batch = batch
@@ -361,13 +372,19 @@ class _Worker:
 # -- the supervisor -----------------------------------------------------------
 
 
+def _terminate(signum, frame):
+    """The supervisor's SIGTERM handler: unwind as ``SystemExit``."""
+    raise SystemExit(128 + signum)
+
+
 class WorkerSupervisor(Transport):
     """The pipe transport: a supervised, persistent worker pool (see
     module docstring).
 
     Workers start only when there is work to take, and one supervisor
-    can serve several dispatches on the same warm fleet; workers are
-    torn down when the ``with`` block exits.
+    can serve several dispatches on the same warm fleet (each may set
+    :attr:`policy` before it calls :meth:`run`); workers are torn down
+    when the ``with`` block exits.
     """
 
     def __init__(self, worker_fn: Callable[[Any, int], Any],
@@ -410,21 +427,20 @@ class WorkerSupervisor(Transport):
             return
         if current not in (signal.SIG_DFL, None):
             return
-
-        def _terminate(signum, frame):
-            raise SystemExit(128 + signum)
-
         signal.signal(signal.SIGTERM, _terminate)
         self._prev_sigterm = current
 
     def close(self) -> None:
-        """Terminate and join every worker (idempotent)."""
+        """Terminate and join every worker (idempotent).  The SIGTERM
+        disposition is put back only if it is still the supervisor's: a
+        handler installed since then stays."""
         workers, self.workers = self.workers, []
         for worker in workers:
             worker.stop()
         if self._prev_sigterm is not None:
             try:
-                signal.signal(signal.SIGTERM, self._prev_sigterm)
+                if signal.getsignal(signal.SIGTERM) is _terminate:
+                    signal.signal(signal.SIGTERM, self._prev_sigterm)
             except (ValueError, OSError):
                 pass
             self._prev_sigterm = None
@@ -437,15 +453,26 @@ class WorkerSupervisor(Transport):
 
     def take(self, ready: List[Item], policy: FleetPolicy) -> int:
         """Bring the fleet up to what the work needs (at most ``jobs``
-        workers), then hand each idle worker a batch."""
+        workers), then hand each idle worker a batch.
+
+        A send that fails finds a worker that died while idle (between
+        dispatches, say): it held no task, so it is dropped with no
+        strike and the batch stays untaken, waiting in the queue
+        unstruck for the replacement a later ``take`` forks.
+        """
         in_flight = sum(1 for worker in self.workers if worker.busy)
         while len(self.workers) < min(self.jobs, in_flight + len(ready)):
             self.workers.append(_Worker(self.worker_fn))
         chunk = policy.chunk(len(ready), self.jobs)
         taken = 0
-        for worker in self.workers:
+        for worker in list(self.workers):
             if taken < len(ready) and not worker.busy:
-                worker.start(ready[taken:taken + chunk])
+                try:
+                    worker.start(ready[taken:taken + chunk])
+                except OSError:
+                    worker.kill()
+                    self.workers.remove(worker)
+                    continue
                 taken = min(len(ready), taken + chunk)
         return taken
 
@@ -465,11 +492,7 @@ class WorkerSupervisor(Transport):
                 continue
             try:
                 while worker.conn.poll():
-                    message = worker.conn.recv()
-                    if message[0] == "batch-done":
-                        worker.batch, worker.done = [], set()
-                        continue
-                    __, key, kind, detail = message
+                    __, key, kind, detail = worker.conn.recv()
                     worker.done.add(key)
                     worker.last_progress = time.monotonic()
                     item = next(i for i in worker.batch if i[0] == key)

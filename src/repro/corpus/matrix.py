@@ -18,7 +18,23 @@ timeouts, crashed or hung workers are detected and replaced, struck
 tasks are retried with deterministic backoff, and a task that exhausts
 its budget is *reported* per cell in the artifact's ``fleet`` section
 (status ``failed``/``timeout``/``quarantined``) instead of killing the
-sweep.  A payload that arrives damaged - truncated,
+sweep.
+
+The supervised workers are a *warm fleet*: one
+:class:`~repro.corpus.fleet.WorkerSupervisor` per process serves every
+supervised sweep, so a process that runs many sweeps forks its workers
+once, at the first sweep's first task.  It is forked again when what a
+worker saw at fork no longer holds - another ``_fleet_cell`` object,
+another ``jobs``, or another model registry - and it is reaped when an
+exception leaves a sweep, on SIGTERM (its handler stays installed while
+the fleet is warm) and at interpreter exit (:func:`close_fleet`); if the
+process dies with no cleanup, each worker exits by itself.  A forked
+child drops the fleet it inherits without touching its pipes, and one
+sweep at a time uses it.  A warm worker regenerates any case the parent
+generated after the fork, so everything a task reads must travel in its
+payload or be a pure function of it.
+
+A payload that arrives damaged - truncated,
 bit-flipped, or stale against its case - is refused by the attestation
 layer and quarantined.  On the all-healthy path the ``matrix``/``summary``
 sections are byte-identical to an unsupervised run's.
@@ -46,19 +62,25 @@ history.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
 import json
 import os
+import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.corpus.fleet import (CellOutcome, CellStatus, FleetPolicy,
-                                Inline, WorkerSupervisor, dispatch)
+                                Inline, Transport, WorkerSupervisor,
+                                dispatch)
 from repro.corpus.generator import GeneratedCase, generate_case
 from repro.corpus.remote import RemoteCoordinator
 from repro.errors import LogFormatError, UnknownModelError
 from repro.metrics import summarize_model_rows
-from repro.models import DebugSession, get_model, model_order
+from repro.models import (DebugSession, get_model, model_order,
+                          registered_models)
 from repro.replay.diff import quarantine_bucket
 from repro.store import RunStore
 from repro.util.hashing import content_address, source_tree_hash
@@ -177,6 +199,79 @@ def _fleet_cell(payload: Tuple[int, Tuple[str, ...], bool, Any],
             recorded - started, time.perf_counter() - recorded)
 
 
+# -- the warm fleet -----------------------------------------------------------
+
+# The warm fleet (see module docstring), what its workers saw when they
+# were forked, and the lock a sweep holds while it uses the fleet.
+_fleet: Optional[WorkerSupervisor] = None
+_fleet_key: Tuple[Any, ...] = ()
+_fleet_lock = threading.Lock()
+
+
+def _warm_fleet(jobs: int, policy: FleetPolicy) -> WorkerSupervisor:
+    """The warm fleet under ``policy``, forked again first if its key
+    moved (call with ``_fleet_lock`` held).
+
+    The key holds ``_fleet_cell`` because the benchmark suite's ledger
+    rebinds it.  A new supervisor's context is entered here and left by
+    :func:`close_fleet`, so its SIGTERM handler stays installed while
+    the fleet is warm.
+    """
+    global _fleet, _fleet_key
+    key = (_fleet_cell, jobs, registered_models())
+    if _fleet is not None and key != _fleet_key:
+        _close_fleet()
+    if _fleet is None:
+        _fleet, _fleet_key = WorkerSupervisor(_fleet_cell, jobs=jobs), key
+        _fleet.__enter__()
+    _fleet.policy = policy
+    return _fleet
+
+
+def _close_fleet() -> None:
+    global _fleet
+    fleet, _fleet = _fleet, None
+    if fleet is not None:
+        fleet.close()
+
+
+def close_fleet() -> None:
+    """Stop and join the warm fleet's workers (idempotent); the next
+    supervised sweep forks a new fleet.  Runs at interpreter exit."""
+    with _fleet_lock:
+        _close_fleet()
+
+
+def _forget_fleet() -> None:
+    """In a forked child: the inherited fleet's workers and pipes are
+    the parent's, so drop it unclosed (and the lock, which a sweep may
+    have held at the fork)."""
+    global _fleet, _fleet_lock
+    _fleet, _fleet_lock = None, threading.Lock()
+
+
+atexit.register(close_fleet)
+os.register_at_fork(after_in_child=_forget_fleet)
+
+
+@contextlib.contextmanager
+def _local_transport(supervised: bool, jobs: int,
+                     policy: FleetPolicy) -> Iterator[Transport]:
+    """A sweep's local transport: the warm fleet, held for the sweep and
+    closed if an exception (``KeyboardInterrupt`` included) leaves it,
+    or a new :class:`Inline`."""
+    if not supervised:
+        yield Inline(_fleet_cell)
+        return
+    with _fleet_lock:
+        fleet = _warm_fleet(jobs, policy)
+        try:
+            yield fleet
+        except BaseException:
+            _close_fleet()
+            raise
+
+
 # -- the matrix ---------------------------------------------------------------
 
 
@@ -202,12 +297,12 @@ def run_matrix(seeds: Iterable[int],
     clock, retry budget, backoff and batch size; ``faults`` (a
     :class:`~repro.harness.faults.FaultPlan`) injects test failures; and
     ``verify=False`` downgrades attestation refusals to warnings.  Tasks
-    run on ``jobs`` supervised worker processes when ``jobs > 1``, a
-    task timeout is set, or faults are injected, and inline otherwise.
-    A ``coordinator`` (owned and closed by the caller) sends them to
-    remote ``repro fleet worker`` hosts instead, and the same dispatch
-    loop falls back to that local transport when no worker is
-    connected.
+    run on the warm fleet's ``jobs`` supervised worker processes (see
+    module docstring) when ``jobs > 1``, a task timeout is set, or
+    faults are injected, and inline otherwise.  A ``coordinator``
+    (owned and closed by the caller) sends them to remote ``repro fleet
+    worker`` hosts instead, and the same dispatch loop falls back to
+    that local transport when no worker is connected.
 
     ``store`` (a directory path or :class:`~repro.store.RunStore`) is
     the sweep's index: completed rows are stored under ``(seed, model,
@@ -309,9 +404,7 @@ def run_matrix(seeds: Iterable[int],
 
     supervised = (jobs > 1 or policy.cell_timeout is not None
                   or faults is not None)
-    local = (WorkerSupervisor(_fleet_cell, jobs=jobs, policy=policy)
-             if supervised else Inline(_fleet_cell))
-    with local:
+    with _local_transport(supervised, jobs, policy) as local:
         if coordinator is not None:
             if faults is not None:
                 coordinator.faults = faults

@@ -1,8 +1,21 @@
-"""Fixtures shared by the matrix resume tests."""
+"""Fixtures shared by the matrix resume tests, and the warm fleet's
+teardown."""
 
 import pytest
 
+from repro.corpus import matrix
 from repro.store import RunStore
+
+
+@pytest.fixture(autouse=True)
+def close_warm_fleet():
+    """Reap the matrix's warm fleet after every test.
+
+    A fleet left warm keeps its SIGTERM handler installed and its
+    workers as they were forked, so the next test would inherit both.
+    """
+    yield
+    matrix.close_fleet()
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.rootcause import Diagnoser
-from repro.corpus import BUG_CLASSES, GeneratedCase, generate_case
+from repro.corpus import BUG_CLASSES, GeneratedCase, generate_case, generator
 from repro.corpus.generator import EXPECTED_KIND, _kind_matches
 
 # One full round of every bug class.
@@ -21,9 +21,12 @@ def test_every_bug_class_appears_in_one_round(first_round):
 
 
 @pytest.mark.parametrize("seed", CLASS_SEEDS)
-def test_same_seed_regenerates_identical_case(first_round, seed):
+def test_same_seed_regenerates_identical_case(first_round, seed,
+                                              monkeypatch):
     case = first_round[seed]
+    monkeypatch.delitem(generator._CASE_CACHE, seed)
     twin = generate_case(seed)
+    assert twin is not case, "the twin must be built, not the cached case"
     assert twin.source == case.source, "program text must be reproducible"
     assert twin.name == case.name
     assert twin.failing_seed == case.failing_seed

@@ -167,14 +167,15 @@ def test_sigterm_unwinds_the_supervisor_and_reaps_workers(tmp_path):
     signal death) and its workers are gone."""
     pid_file = tmp_path / "pids.json"
     script = (
-        "import json, sys, time\n"
+        "import json, os, sys, time\n"
         "from repro.corpus.fleet import WorkerSupervisor\n"
         "def fn(payload, attempt):\n"
         "    return payload\n"
         "with WorkerSupervisor(fn, jobs=2) as sup:\n"
         "    sup.run([('a', 1), ('b', 2), ('c', 3), ('d', 4)])\n"
         "    pids = [w.process.pid for w in sup.workers]\n"
-        f"    open({str(pid_file)!r}, 'w').write(json.dumps(pids))\n"
+        f"    open({str(pid_file)!r} + '.tmp', 'w').write(json.dumps(pids))\n"
+        f"    os.replace({str(pid_file)!r} + '.tmp', {str(pid_file)!r})\n"
         "    time.sleep(60)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -245,6 +246,37 @@ def test_no_tasks_start_no_workers():
     with WorkerSupervisor(toy, jobs=4) as sup:
         assert sup.run([]) == {}
         assert sup.workers == []
+
+
+def test_no_worker_reads_busy_after_a_dispatch():
+    """A worker is idle once its whole batch has reported, so the next
+    dispatch on the same fleet can hand it work at once."""
+    with WorkerSupervisor(toy, jobs=2, policy=FleetPolicy(**FAST)) as sup:
+        for __ in range(10):
+            sup.run([(f"t{i}", ("ok", i)) for i in range(4)])
+            assert len(sup.workers) == 2
+            assert not sup.busy
+            assert not any(worker.busy for worker in sup.workers)
+
+
+def test_worker_that_died_idle_is_replaced_unstruck():
+    """A worker killed between two dispatches held no task: the next
+    dispatch's send to it fails, and the batch waits unstruck for a
+    replacement, so the second dispatch matches the first."""
+    tasks = [(f"t{i}", ("ok", i)) for i in range(4)]
+    with WorkerSupervisor(toy, jobs=2, policy=FleetPolicy(**FAST)) as sup:
+        first = sup.run(tasks)
+        victim = sup.workers[0]
+        os.kill(victim.process.pid, signal.SIGKILL)
+        victim.process.join(timeout=10)
+        assert not victim.process.is_alive()
+        second = sup.run(tasks)
+        assert victim not in sup.workers
+    assert {key: (o.status, o.value, o.attempts, o.strikes)
+            for key, o in second.items()} == {
+        key: (o.status, o.value, o.attempts, o.strikes)
+        for key, o in first.items()}
+    assert all(o.ok and o.strikes == [] for o in second.values())
 
 
 # -- determinism of the retry machinery ---------------------------------------

@@ -134,6 +134,9 @@ def test_sweep_converges_under_injected_faults(clean):
         json.dumps([r for r in clean["matrix"]
                     if f'{r["seed"]}:{r["model"]}' not in expected_bad],
                    sort_keys=True)
+    # The warm fleet that served the faults serves a clean sweep next.
+    again = run_matrix(SEEDS, models=MODELS, jobs=2)
+    assert comparable(again) == comparable(clean)
 
 
 def test_journaled_run_resumes_with_zero_recomputation(clean, tmp_path,
