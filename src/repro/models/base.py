@@ -253,8 +253,7 @@ def model_order(core_only: bool = True) -> Tuple[str, ...]:
 
 def replay_log(program: Program, log: RecordingLog,
                case=None,
-               config: Optional[ModelConfig] = None,
-               verify: bool = True) -> ReplayResult:
+               config: Optional[ModelConfig] = None) -> ReplayResult:
     """Replay a recording with the replayer its log calls for.
 
     Dispatches on ``log.model`` through the registry - the shipped-log
@@ -264,14 +263,11 @@ def replay_log(program: Program, log: RecordingLog,
     a self-describing v2 log's embedded ``replay_config`` fills in every
     knob the recording side configured.
 
-    An *attested* log is verified against ``program`` before a single
-    step replays: a tampered body or a guest that no longer matches the
-    recording raises :class:`~repro.errors.LogAttestationError` instead
-    of silently replaying a divergent execution (``verify=False`` warns
-    instead; unattested logs replay as before).
+    It checks no attestation: a log from outside the process is verified
+    once, by the decoder that read it (``load_log`` or
+    :meth:`~repro.models.session.DebugSession.receive`), before it can
+    reach a replay.
     """
-    from repro.record.attest import verify_attestation
-    verify_attestation(log, program, strict=verify)
     model = get_model(log.model)
     if config is None:
         config = ModelConfig.from_shipped(log, case=case)

@@ -239,7 +239,6 @@ class DebugSession:
             config = config.override(**config_overrides)
         self.config = config
         self.seed = seed
-        self.verify = True  # refuse tampered logs at replay
         self.log: Optional[RecordingLog] = None
         self.replay_result: Optional[ReplayResult] = None
 
@@ -318,9 +317,11 @@ class DebugSession:
         refuses, raise :class:`~repro.errors.LogFormatError`, and an
         attested log whose recomputed hashes disagree with its stamp - a
         tampered body, or a guest program that no longer matches the
-        recording - raises :class:`~repro.errors.LogAttestationError`
-        rather than silently diverging at replay.  ``verify=False``
-        downgrades attestation failures (only) to warnings.
+        recording - or a log that names its case but lost its block
+        raises :class:`~repro.errors.LogAttestationError` rather than
+        silently diverging at replay.  ``verify=False`` downgrades
+        attestation failures (only) to warnings.  This is the log's one
+        check: :meth:`replay` does not verify it again.
         """
         if isinstance(payload, RecordingLog):
             log = payload
@@ -353,17 +354,8 @@ class DebugSession:
                            source="shipped payload")
         session = cls(case, log.model, seed=log.metadata.get("seed"),
                       config=ModelConfig.from_shipped(log, case=case))
-        session.verify = verify  # replay honors the receive-time choice
         session.log = log
         return session
-
-    def attach(self, log: RecordingLog) -> "DebugSession":
-        """Adopt an existing in-process log (the shim/compat path)."""
-        self.log = log
-        self.replay_result = None
-        if self.seed is None:
-            self.seed = log.metadata.get("seed")
-        return self
 
     def replay(self) -> ReplayResult:
         """Replay the held log via registry dispatch on ``log.model``."""
@@ -371,8 +363,7 @@ class DebugSession:
             raise ReproError("nothing to replay: record() or receive() "
                              "first")
         self.replay_result = replay_log(self.case.program, self.log,
-                                        config=self.config,
-                                        verify=self.verify)
+                                        config=self.config)
         return self.replay_result
 
     def diff(self) -> "DivergenceReport":

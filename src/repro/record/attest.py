@@ -28,9 +28,17 @@ material for and raises a structured
 warns, when the caller opted out of strict verification).  A block that
 is not an object holding a ``content_sha256`` string, or that holds a
 hash of any other type, is refused the same way: it attests nothing.
-Logs that carry no attestation block (v1 logs, hand-built logs) verify
-trivially - attestation is evidence when present, not a gate on old
-artifacts.
+The two decoders of outside bytes, ``load_log`` and
+``DebugSession.receive``, verify; a log already decoded is not checked
+again at replay.
+
+Attestation is evidence when present, not a gate on old artifacts: logs
+that carry no block and name no case (v1 logs, bare ``record_run``
+logs, hand-built logs) verify trivially.  The one exception is a log
+that names its case (``metadata["case"]``, which
+``DebugSession._stamp`` writes just before sealing) but carries no
+block: every such log was sealed when it was recorded, so a missing
+block was removed, and the log is refused (field ``block``).
 """
 
 from __future__ import annotations
@@ -61,8 +69,8 @@ def guest_fingerprint(program) -> str:
     compile to the same program intentionally share a fingerprint.
 
     Hashed once per program object and kept on it
-    (``Program.fingerprint_cache``), so a received log's two attestation
-    checks hash no guest after the first.
+    (``Program.fingerprint_cache``), so the stamp, the receive-time
+    check and the case-content key of one program hash its guest once.
     """
     cached = program.fingerprint_cache
     if cached is not None:
@@ -152,17 +160,24 @@ def verify_attestation(log, program=None, strict: bool = True,
 
     Returns ``True`` when the log carries an attestation block and every
     recomputed hash matches, ``False`` when the log is unattested.  On a
-    mismatch or a malformed block: raises
+    mismatch, a malformed block, or a missing block on a log that names
+    its case (see the module docstring): raises
     :class:`~repro.errors.LogAttestationError` naming the field
-    (``block`` for a malformed one) and ``source``, a path or payload
+    (``block`` for a malformed or missing one) and ``source``, a path or payload
     description, when given; with ``strict=False`` the refusal is
     downgraded to a :class:`UserWarning` - the explicit "I know, replay
     it anyway" escape hatch (``--no-verify`` on the CLI).
     """
-    if ATTESTATION_KEY not in (log.metadata or {}):
-        return False
+    metadata = log.metadata or {}
     origin = f" in {source!r}" if source else ""
-    block = log.metadata[ATTESTATION_KEY]
+    if ATTESTATION_KEY not in metadata:
+        if "case" in metadata:
+            _refuse(f"recording log{origin} names its case but carries "
+                    f"no attestation block: a recorded log is sealed, so "
+                    f"the block was removed", strict, field="block",
+                    path=source or "")
+        return False
+    block = metadata[ATTESTATION_KEY]
     problem = _malformed(block)
     if problem is not None:
         _refuse(f"recording log{origin} has a malformed attestation "
@@ -191,8 +206,3 @@ def _refuse(message: str, strict: bool, **fields: str) -> None:
         raise LogAttestationError(message, **fields)
     warnings.warn(f"{message} (verification disabled - replay may "
                   f"silently diverge)", stacklevel=3)
-
-
-def is_attested(log) -> bool:
-    """Whether ``log`` carries an attestation block at all."""
-    return ATTESTATION_KEY in (log.metadata or {})

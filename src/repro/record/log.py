@@ -61,10 +61,6 @@ class RecordingLog:
             return 1.0
         return (self.native_cycles + self.recording_cycles) / self.native_cycles
 
-    def event_count(self) -> int:
-        """Total number of events this log paid to record."""
-        return sum(self.recorded_events.values())
-
     def summary(self) -> str:
         """One-line human-readable description (used by examples)."""
         events = ", ".join(f"{k}={v}" for k, v in

@@ -310,10 +310,11 @@ def load_log(path: str, verify: bool = True) -> RecordingLog:
 
     When the log carries an attestation block (every log produced by
     :class:`~repro.models.session.DebugSession` does), its content hash
-    is re-verified: a tampered or bit-flipped file raises
+    is re-verified: a tampered or bit-flipped file, or one that names its
+    case but lost its block, raises
     :class:`~repro.errors.LogAttestationError`.  ``verify=False``
-    downgrades the refusal to a warning.  Unattested logs (v1, hand
-    built) load as before.
+    downgrades the refusal to a warning.  Logs with no block that name
+    no case (v1, hand built) load as before.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -29,15 +29,13 @@ from repro.replay.solver import Constraint, ConstraintSystem, SymVar
 from repro.replay.symbolic import SymbolicExecutor, PathResult
 from repro.replay.diff import (
     DiffStatus, DivergencePoint, DivergenceReport, FieldDiff,
-    diff_log_replay, diff_logs, diff_traces, quarantine_bucket,
-    replay_and_diff,
+    diff_log_replay, diff_logs, quarantine_bucket,
 )
 
 __all__ = [
     "ReplayResult", "Replayer", "TidMapper",
     "DiffStatus", "DivergencePoint", "DivergenceReport", "FieldDiff",
-    "diff_traces", "diff_logs", "diff_log_replay", "replay_and_diff",
-    "quarantine_bucket",
+    "diff_logs", "diff_log_replay", "quarantine_bucket",
     "DeterministicReplayer", "ValueReplayer",
     "ExecutionSearch", "InputSpace", "SearchBudget",
     "OutputOnlyReplayer", "OdrReplayer",

@@ -137,7 +137,3 @@ class PerThreadFeed:
             return None
         self._cursor[orig_tid] = cursor + 1
         return queue[cursor]
-
-    def exhausted(self) -> bool:
-        return all(self._cursor[tid] >= len(q)
-                   for tid, q in self._queues.items())

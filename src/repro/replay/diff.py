@@ -11,24 +11,20 @@ bucket.  This module is that answer, with the replay-engine discipline:
    difference and reports it; it never "heals" past a mismatch.
 2. **Comparison is read-only** - traces and logs are never mutated.
 3. **Only observables count** - a diff compares what the runs actually
-   exposed (steps, schedule, outputs, failure, branch paths, cycles),
-   and only the sections *both* sides carry: a counting-mode trace is
-   compared on the observables it kept, and a recording log only on the
-   fields its determinism model paid to record.  A sparse (events-mode)
-   trace kept no schedule and no branch paths, so ``diff_traces``
-   compares it on the run-level observables alone, and
+   exposed (schedule, outputs, failure, branch paths, cycles), and only
+   the sections *both* sides carry: a recording log is compared only on
+   the fields its determinism model paid to record.  A sparse
+   (events-mode) replay trace kept no schedule and no branch paths, so
    ``diff_log_replay`` refuses it.
 
 The shapes mirror a production replay engine: :class:`FieldDiff` (one
 field's expected/actual pair), :class:`DivergencePoint` (the step
 index, site, thread, and field-level diffs of the first divergence,
 plus a stable fingerprint), and :class:`DivergenceReport` (status +
-point + what was compared).  Entry points:
+point + what was compared).  Entry points, one per ``repro diff`` verb:
 
-``diff_traces(expected, actual)``    two executions, step by step
 ``diff_logs(expected, actual)``      two recording logs, field by field
 ``diff_log_replay(log, result)``     a log against its own replay
-``replay_and_diff(program, log)``    replay a log, then diff it
 
 Fingerprints hash the divergence's *shape* - kind, site, thread, and
 which fields disagreed - through :func:`repro.util.hashing.content_address`,
@@ -41,11 +37,10 @@ every recording (:mod:`repro.store`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.util.hashing import content_address
-from repro.vm.trace import Trace
 
 
 class DiffStatus:
@@ -60,13 +55,9 @@ class DiffStatus:
 class FieldDiff:
     """One field's expected/actual disagreement."""
 
-    path: str        # e.g. "writes", "schedule[42]", "outputs.out[3]"
+    path: str        # e.g. "failure", "schedule[42]", "outputs.out[3]"
     expected: Any
     actual: Any
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"path": self.path, "expected": _jsonable(self.expected),
-                "actual": _jsonable(self.actual)}
 
     def __str__(self) -> str:
         return (f"{self.path}: expected {self.expected!r}, "
@@ -77,9 +68,9 @@ class FieldDiff:
 class DivergencePoint:
     """The first observable divergence between two runs.
 
-    ``kind`` names the section that diverged (``step``, ``schedule``,
-    ``outputs``, ``failure``, ``branch-path``, ``truncated``, or a
-    ``log:`` field for log-vs-log diffs); ``step_index``/``site``/
+    ``kind`` names the section that diverged (``schedule``,
+    ``outputs``, ``failure``, ``branch-path``, ``truncated``,
+    ``cycles``, or a ``log:`` field for log-vs-log diffs); ``step_index``/``site``/
     ``tid`` locate it in the execution when the section has a position;
     ``diffs`` is the field-level breakdown.
     """
@@ -89,7 +80,6 @@ class DivergencePoint:
     step_index: Optional[int] = None
     site: Optional[str] = None
     tid: Optional[int] = None
-    context: Dict[str, Any] = field(default_factory=dict)
 
     def fingerprint(self) -> str:
         """Stable identity of this divergence's *shape*.
@@ -115,17 +105,6 @@ class DivergencePoint:
         fields = ", ".join(d.path for d in self.diffs)
         return f"{self.kind} divergence{location} ({fields})"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "step_index": self.step_index,
-            "site": self.site,
-            "tid": self.tid,
-            "diffs": [d.to_dict() for d in self.diffs],
-            "fingerprint": self.fingerprint(),
-            "context": dict(self.context),
-        }
-
 
 @dataclass
 class DivergenceReport:
@@ -143,14 +122,6 @@ class DivergenceReport:
     def fingerprint(self) -> Optional[str]:
         return self.point.fingerprint() if self.point else None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "status": self.status,
-            "steps_compared": self.steps_compared,
-            "sections": list(self.sections),
-            "point": self.point.to_dict() if self.point else None,
-        }
-
     def render(self) -> str:
         """Multi-line human report (the CLI's output)."""
         lines = [f"status:          {self.status}",
@@ -164,17 +135,6 @@ class DivergenceReport:
         return "\n".join(lines)
 
 
-def _jsonable(value: Any) -> Any:
-    """A JSON-safe rendering of a diffed value (repr as last resort)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
-
-
 def _matched(sections: Sequence[str], steps: int) -> DivergenceReport:
     return DivergenceReport(DiffStatus.MATCHED, steps_compared=steps,
                             sections=tuple(sections))
@@ -186,109 +146,13 @@ def _report(status: str, point: DivergencePoint, sections: Sequence[str],
                             sections=tuple(sections))
 
 
-# -- trace vs trace -----------------------------------------------------------
-
-
-def _is_counting(trace: Trace) -> bool:
-    """A trace-free (counting-mode) trace: steps executed, none kept."""
-    return not trace.steps and trace.total_steps > 0
+# -- section diffs ------------------------------------------------------------
 
 
 def _failure_tuple(failure) -> Optional[Tuple]:
     if failure is None:
         return None
     return (failure.kind.value, failure.location, failure.detail)
-
-
-def diff_traces(expected: Trace, actual: Trace) -> DivergenceReport:
-    """Compare two executions, halting at the first observable divergence.
-
-    Full traces are walked step by step (the exact first divergent step,
-    with field-level diffs, via :meth:`Trace.first_divergence`); when
-    either side is a counting-mode trace the comparison covers exactly
-    the observables both sides kept - step/cycle counts, outputs,
-    failure, and branch paths - so a counting run and its full-trace
-    twin compare as equivalent, which is the counting mode's contract.
-    A sparse (events-mode) side is compared the same way minus branch
-    paths, which it does not keep.
-    """
-    sections: List[str] = []
-    sparse = expected.sparse or actual.sparse
-    counting = sparse or _is_counting(expected) or _is_counting(actual)
-    steps_compared = 0
-
-    if not counting:
-        sections.append("steps")
-        divergence = expected.first_divergence(actual)
-        if divergence is not None:
-            index, diffs = divergence
-            step = expected.steps[index]
-            point = DivergencePoint(
-                kind="step",
-                step_index=index,
-                site=step.site,
-                tid=step.tid,
-                diffs=tuple(FieldDiff(name, mine, theirs)
-                            for name, mine, theirs in diffs),
-                context={"actual_site": actual.steps[index].site,
-                         "actual_tid": actual.steps[index].tid})
-            return _report(DiffStatus.DIVERGED, point, sections, index)
-        steps_compared = min(len(expected.steps), len(actual.steps))
-        if len(expected.steps) != len(actual.steps):
-            longer = (expected if len(expected.steps) > len(actual.steps)
-                      else actual)
-            next_step = longer.steps[steps_compared]
-            point = DivergencePoint(
-                kind="truncated",
-                step_index=steps_compared,
-                site=next_step.site,
-                tid=next_step.tid,
-                diffs=(FieldDiff("total_steps", len(expected.steps),
-                                 len(actual.steps)),))
-            return _report(DiffStatus.TRUNCATED, point, sections,
-                           steps_compared)
-    else:
-        sections.append("counts")
-        if expected.total_steps != actual.total_steps:
-            point = DivergencePoint(
-                kind="truncated",
-                step_index=min(expected.total_steps, actual.total_steps),
-                diffs=(FieldDiff("total_steps", expected.total_steps,
-                                 actual.total_steps),))
-            return _report(DiffStatus.TRUNCATED, point, sections, 0)
-        steps_compared = 0
-
-    for section, point in _run_level_sections(expected, actual, counting,
-                                              sparse):
-        sections.append(section)
-        if point is not None:
-            return _report(DiffStatus.DIVERGED, point, sections,
-                           steps_compared)
-    return _matched(sections, steps_compared)
-
-
-def _run_level_sections(expected: Trace, actual: Trace, counting: bool,
-                        sparse: bool):
-    """Yield (section, point-or-None) for the run-level observables."""
-    if not counting:
-        yield "schedule", _diff_sequence(
-            "schedule", expected.schedule, actual.schedule)
-    yield "outputs", _diff_channel_map(
-        "outputs", expected.outputs, actual.outputs)
-    yield "inputs", _diff_channel_map(
-        "inputs_consumed", expected.inputs_consumed,
-        actual.inputs_consumed)
-    yield "failure", _diff_failure(expected.failure, actual.failure)
-    if not sparse:
-        yield "branch-path", _diff_branch_paths(
-            expected.thread_branch_paths(), actual.thread_branch_paths())
-    if expected.native_cycles != actual.native_cycles:
-        yield "cycles", DivergencePoint(
-            kind="cycles",
-            diffs=(FieldDiff("native_cycles", expected.native_cycles,
-                             actual.native_cycles),))
-    else:
-        yield "cycles", None
 
 
 def _diff_sequence(path: str, expected: Sequence, actual: Sequence
@@ -521,18 +385,6 @@ def _replay_contract(model_name: str) -> Tuple[str, ...]:
         return get_model(model_name).replay_matches
     except UnknownModelError:
         return ("schedule", "outputs", "branch-path", "failure")
-
-
-def replay_and_diff(program, log, case=None):
-    """Replay ``log`` and diff the replay against it.
-
-    Returns ``(replay_result, divergence_report)``.  The replayer is
-    dispatched from the log alone (:func:`repro.models.base.replay_log`);
-    attestation is verified before a single step replays.
-    """
-    from repro.models.base import replay_log
-    result = replay_log(program, log, case=case)
-    return result, diff_log_replay(log, result)
 
 
 # -- quarantine bucketing -----------------------------------------------------

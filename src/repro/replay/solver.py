@@ -13,7 +13,7 @@ ODR/ESD-style inference pipeline needs in this substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SolverError
 from repro.util.intervals import Interval
@@ -279,36 +279,3 @@ class ConstraintSystem:
                 if not constraint.satisfied_by(assignment):
                     return False
         return True
-
-    def iter_solutions(self, limit: int = 100
-                       ) -> Iterator[Dict[SymVar, int]]:
-        """Yield up to ``limit`` satisfying assignments (enumeration order)."""
-        domains = self.propagate()
-        if any(d.is_empty for d in domains.values()):
-            return
-        variables = sorted(domains, key=lambda v: len(domains[v]))
-        yielded = 0
-        enumerated = 0
-        assignment: Dict[SymVar, int] = {}
-
-        def backtrack(index: int) -> Iterator[Dict[SymVar, int]]:
-            nonlocal enumerated
-            if index == len(variables):
-                if all(c.satisfied_by(assignment) for c in self.constraints):
-                    yield dict(assignment)
-                return
-            var = variables[index]
-            for value in domains[var]:
-                enumerated += 1
-                if enumerated > MAX_ENUMERATE:
-                    return
-                assignment[var] = value
-                if self._partial_ok(assignment):
-                    yield from backtrack(index + 1)
-                del assignment[var]
-
-        for solution in backtrack(0):
-            yield solution
-            yielded += 1
-            if yielded >= limit:
-                return

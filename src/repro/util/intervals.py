@@ -58,14 +58,6 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both (empty operands are ignored)."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- arithmetic ----------------------------------------------------
 
     def add(self, other: "Interval") -> "Interval":
@@ -99,21 +91,6 @@ class Interval:
     def refine_ge(self, bound: int) -> "Interval":
         """Narrow to values >= ``bound``."""
         return Interval(max(self.lo, bound), self.hi)
-
-    def refine_eq(self, value: int) -> "Interval":
-        return self.intersect(Interval.point(value))
-
-    def refine_ne(self, value: int) -> "Interval":
-        """Narrow by an inequality; only trims when ``value`` is an endpoint."""
-        if self.is_empty:
-            return self
-        if self.lo == self.hi == value:
-            return Interval.empty()
-        if value == self.lo:
-            return Interval(self.lo + 1, self.hi)
-        if value == self.hi:
-            return Interval(self.lo, self.hi - 1)
-        return self
 
     def __repr__(self) -> str:
         if self.is_empty:

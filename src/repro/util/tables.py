@@ -8,7 +8,7 @@ dataframe dependency.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
 class Table:
@@ -75,17 +75,3 @@ class Table:
         for row in cells:
             lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
         return "\n".join(lines)
-
-
-def merge_tables(tables: Iterable[Table]) -> Table:
-    """Concatenate tables that share a column set."""
-    tables = list(tables)
-    if not tables:
-        raise ValueError("no tables to merge")
-    columns = tables[0].columns
-    merged = Table(columns, tables[0].title)
-    for table in tables:
-        if table.columns != columns:
-            raise ValueError("cannot merge tables with different columns")
-        merged.rows.extend(table.rows)
-    return merged

@@ -44,10 +44,6 @@ class VectorClock:
                 merged[pid] = t
         return VectorClock(merged)
 
-    def happens_before(self, other: "VectorClock") -> bool:
-        """True iff ``self`` < ``other`` in the happens-before order."""
-        return self <= other and self != other
-
     def concurrent_with(self, other: "VectorClock") -> bool:
         """True iff neither clock happens-before the other."""
         return not self <= other and not other <= self

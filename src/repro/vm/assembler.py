@@ -172,34 +172,3 @@ def _split_label_prefix(line: str) -> Tuple[Optional[str], str]:
     if match and match.group(1) not in OPCODES:
         return match.group(1), match.group(2)
     return None, line
-
-
-def disassemble(program: Program) -> str:
-    """Render a program back to assembly text (for debugging and docs)."""
-    lines: List[str] = []
-    for name, value in sorted(program.globals.items()):
-        lines.append(f"global {name} = {value}")
-    for name, size in sorted(program.arrays.items()):
-        lines.append(f"array {name} {size}")
-    for name in sorted(program.mutexes):
-        lines.append(f"mutex {name}")
-    for fn in program.functions.values():
-        lines.append("")
-        lines.append(f"fn {fn.name}({', '.join(fn.params)}):")
-        for instr in fn.body:
-            if instr.label:
-                lines.append(f"{instr.label}:")
-            rendered = " ".join(_render_operand(a) for a in instr.args)
-            lines.append(f"    {instr.op} {rendered}".rstrip())
-    return "\n".join(lines)
-
-
-def _render_operand(arg) -> str:
-    if isinstance(arg, Reg):
-        return f"%{arg.name}"
-    if isinstance(arg, Const):
-        if isinstance(arg.value, str):
-            escaped = arg.value.replace('"', '\\"')
-            return f'"{escaped}"'
-        return str(arg.value)
-    return str(arg)

@@ -89,9 +89,6 @@ class OverheadMeter:
     recording_cycles: int = 0
     recorded_events: Dict[str, int] = field(default_factory=dict)
 
-    def charge_native(self, cycles: int) -> None:
-        self.native_cycles += cycles
-
     def clone(self) -> "OverheadMeter":
         """A copy for machine snapshot/fork."""
         return OverheadMeter(self.native_cycles, self.recording_cycles,
@@ -102,14 +99,3 @@ class OverheadMeter:
         self.recording_cycles += cycles * count
         self.recorded_events[event_class] = (
             self.recorded_events.get(event_class, 0) + count)
-
-    @property
-    def total_cycles(self) -> int:
-        return self.native_cycles + self.recording_cycles
-
-    @property
-    def overhead_factor(self) -> float:
-        """The paper's 'runtime overhead (x)': recorded time / native time."""
-        if self.native_cycles == 0:
-            return 1.0
-        return self.total_cycles / self.native_cycles

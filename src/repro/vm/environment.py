@@ -77,10 +77,6 @@ class Environment:
             raise MachineError("environment not attached to a machine")
         return machine
 
-    def register_syscall(self, name: str, handler: SyscallHandler) -> None:
-        """Install or override a syscall handler."""
-        self._syscalls[name] = handler
-
     # -- inputs / outputs --------------------------------------------------
 
     def has_input(self, channel: str) -> bool:
@@ -143,15 +139,6 @@ class Environment:
         twin._syscalls = dict(self._syscalls)
         twin._machine = None
         return twin
-
-    def clone_inputs(self) -> Dict[str, List[Any]]:
-        """All inputs originally supplied (consumed + pending), per channel."""
-        combined: Dict[str, List[Any]] = {}
-        for channel, values in self.inputs_consumed.items():
-            combined.setdefault(channel, []).extend(values)
-        for channel, values in self._pending_inputs.items():
-            combined.setdefault(channel, []).extend(values)
-        return combined
 
 
 def _sys_random(env: Environment, args: list) -> int:

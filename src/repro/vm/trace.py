@@ -14,13 +14,9 @@ synchronized, or did I/O, each with its true global ``index``; the
 schedule and branch paths stay empty; outputs, consumed inputs, the
 failure, cycles and ``total_steps`` are those of the whole run.  A
 sparse trace sets ``sparse``.  On it the event-subset queries
-(``io_events``, ``sync_events``, ``shared_accesses``, ``write_events``,
-``memory_or_sync_events``) answer exactly as on the full trace of the
-same run, and ``last_write_before`` keys on ``StepRecord.index``, so it
-answers as on a full trace too.  Every query that needs every step -
-``sites_executed``, ``steps_at_site``, ``per_thread_steps``,
-``context_switches``, ``thread_branch_paths``, ``first_divergence``,
-``fingerprint`` - raises :class:`~repro.errors.SparseTraceError`.
+(``write_events``, ``memory_or_sync_events``) answer exactly as on the
+full trace of the same run; ``thread_branch_paths`` and ``fingerprint``,
+which need every step, raise :class:`~repro.errors.SparseTraceError`.
 
 Recorders do not get to peek at anything a real recorder could not see;
 each one subscribes to the step stream and logs only the events its
@@ -32,39 +28,26 @@ Performance notes
 lists: both default to a shared empty tuple and the interpreter assigns a
 real list only on the (rare) steps that actually touch shared memory.
 
-``Trace`` maintains lazily built indexes - per-location writes keyed by
-global step number, per-site positions, cached io/sync/shared-access/
-write/memory-or-sync event lists and per-thread branch paths - so the
-analysis passes (race detection, root-cause diagnosis, replay search)
-ask O(log n)/O(1) questions instead of rescanning the full step list.
-Each index has its own watermark and is extended only when a query that
-reads it asks, so the hot ``append`` path pays nothing, and a caller of
-one query (the lockset detector reads only ``memory_or_sync_events``)
-builds no other index - no site string is formatted unless a site query
-asks.  They assume steps are only ever *appended*; do not mutate
-``trace.steps`` in place.
+``Trace`` answers the three questions its readers ask - the writes
+(invariant inference), the memory-or-sync steps (the race detectors)
+and the per-thread branch paths (output-deterministic replay and
+``diff_log_replay``) - from three lazily built indexes.  Each index has its own watermark and is
+extended only when its query asks, so the hot ``append`` path pays
+nothing and a caller of one query builds no other index.  They assume
+steps are only ever *appended*; do not mutate ``trace.steps`` in place.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SparseTraceError
 from repro.vm.failures import FailureReport
-from repro.vm.memory import Location
 
 # Shared default for steps that touch no shared memory: truthiness,
 # iteration, and indexing behave like an empty list without allocating.
 _NO_EFFECTS: Tuple = ()
-
-
-# The per-step fields two runs can observably disagree on, in the order
-# a field-level diff reports them.  ``index`` is excluded: positions are
-# the comparison *key*, not an observable effect.
-STEP_FIELDS = ("tid", "function", "pc", "op", "cost",
-               "reads", "writes", "sync", "io", "branch_taken")
 
 
 class StepRecord:
@@ -116,26 +99,6 @@ class StepRecord:
             return NotImplemented
         return self._key() == other._key()
 
-    def field_diffs(self, other: "StepRecord") -> List[Tuple[str, Any, Any]]:
-        """Field-level differences against another step.
-
-        Returns ``(field, mine, theirs)`` triples over
-        :data:`STEP_FIELDS`, empty when the two steps are observably
-        identical.  Effect lists are compared as tuples so a trace whose
-        interpreter allocated lists and one restored from a snapshot
-        (shared tuples) compare equal - the same normalization
-        :meth:`_key` applies.
-        """
-        diffs: List[Tuple[str, Any, Any]] = []
-        for name in STEP_FIELDS:
-            mine = getattr(self, name)
-            theirs = getattr(other, name)
-            if name in ("reads", "writes"):
-                mine, theirs = tuple(mine), tuple(theirs)
-            if mine != theirs:
-                diffs.append((name, mine, theirs))
-        return diffs
-
     def __repr__(self) -> str:
         extras = []
         if self.reads:
@@ -180,17 +143,10 @@ class Trace:
         self.total_steps = total_steps or len(self.steps)
         # Set by an events-mode machine: ``steps`` holds effect steps only.
         self.sparse = False
-        # Lazily built indexes, each covering the first _indexed[name]
-        # steps (see _unindexed).
+        # The three lazily built indexes (writes, memory-or-sync steps,
+        # branch paths), each covering the first _indexed[name] steps
+        # (see _unindexed).
         self._indexed: Dict[str, int] = {}
-        # loc -> (global step indexes, records) of the writes to it.
-        self._write_index: Dict[Location,
-                                Tuple[List[int], List[StepRecord]]] = {}
-        self._site_index: Dict[str, List[int]] = {}
-        self._sites: List[str] = []
-        self._io_steps: List[StepRecord] = []
-        self._sync_steps: List[StepRecord] = []
-        self._shared_steps: List[StepRecord] = []
         self._write_steps: List[StepRecord] = []
         self._memory_or_sync_steps: List[StepRecord] = []
         self._branch_paths: Dict[int, List[bool]] = {}
@@ -260,58 +216,6 @@ class Trace:
 
     # -- queries ---------------------------------------------------------
 
-    def per_thread_steps(self) -> Dict[int, List[StepRecord]]:
-        """Group steps by thread, preserving per-thread order."""
-        self.require_every_step("per_thread_steps")
-        grouped: Dict[int, List[StepRecord]] = {}
-        for step in self.steps:
-            grouped.setdefault(step.tid, []).append(step)
-        return grouped
-
-    def context_switches(self) -> int:
-        """Number of points where the running thread changed."""
-        self.require_every_step("context_switches")
-        switches = 0
-        for prev, cur in zip(self.schedule, self.schedule[1:]):
-            if prev != cur:
-                switches += 1
-        return switches
-
-    def _extend_sites(self) -> None:
-        sites = self._sites
-        site_index = self._site_index
-        for step in self._unindexed("sites"):
-            site = f"{step.function}@{step.pc}"
-            site_index.setdefault(site, []).append(len(sites))
-            sites.append(site)
-
-    def sites_executed(self) -> List[str]:
-        """Static sites in execution order (used by slicing/diagnosis)."""
-        self.require_every_step("sites_executed")
-        self._extend_sites()
-        return list(self._sites)
-
-    def steps_at_site(self, site: str) -> List[StepRecord]:
-        """Every step executed at static site ``function@pc``, in order."""
-        self.require_every_step("steps_at_site")
-        self._extend_sites()
-        return [self.steps[pos] for pos in self._site_index.get(site, ())]
-
-    def io_events(self) -> List[StepRecord]:
-        self._io_steps += [step for step in self._unindexed("io")
-                           if step.io is not None]
-        return list(self._io_steps)
-
-    def sync_events(self) -> List[StepRecord]:
-        self._sync_steps += [step for step in self._unindexed("sync")
-                             if step.sync is not None]
-        return list(self._sync_steps)
-
-    def shared_accesses(self) -> List[StepRecord]:
-        self._shared_steps += [step for step in self._unindexed("shared")
-                               if step.reads or step.writes]
-        return list(self._shared_steps)
-
     def write_events(self) -> List[StepRecord]:
         """Steps that wrote shared memory, in execution order."""
         self._write_steps += [step for step in self._unindexed("write")
@@ -337,30 +241,6 @@ class Trace:
             if step.branch_taken is not None:
                 paths.setdefault(step.tid, []).append(step.branch_taken)
         return {tid: list(path) for tid, path in paths.items()}
-
-    # -- step-keyed comparison -------------------------------------------
-
-    def first_divergence(self, other: "Trace"
-                         ) -> Optional[Tuple[int,
-                                             List[Tuple[str, Any, Any]]]]:
-        """First step where this trace and ``other`` observably differ.
-
-        Walks the common step prefix and returns ``(index, diffs)`` for
-        the first position whose records disagree, where ``diffs`` is
-        the per-field ``(field, mine, theirs)`` breakdown from
-        :meth:`StepRecord.field_diffs` - the structured replacement for
-        "the fingerprints differ".  Returns ``None`` when the common
-        prefix is identical; a pure length difference is the *caller's*
-        verdict (truncation, not divergence), because whichever run is
-        shorter executed no step to disagree at.
-        """
-        self.require_every_step("first_divergence")
-        other.require_every_step("first_divergence")
-        for mine, theirs in zip(self.steps, other.steps):
-            diffs = mine.field_diffs(theirs)
-            if diffs:
-                return mine.index, diffs
-        return None
 
     def fingerprint(self) -> str:
         """Stable digest of the full observable behaviour of this run.
@@ -388,28 +268,3 @@ class Trace:
             self.inputs_consumed.items())).encode("utf-8"))
         digest.update(str(self.native_cycles).encode("utf-8"))
         return digest.hexdigest()
-
-    def last_write_before(self, loc: Location,
-                          step_index: int) -> Optional[StepRecord]:
-        """Most recent write to ``loc`` strictly before ``step_index``.
-
-        ``step_index`` is a global step number (``StepRecord.index``),
-        and the per-location write index is keyed on it, so a sparse
-        trace - which keeps every write - answers as a full one does.
-        O(log n): a bisect finds the last write preceding ``step_index``.
-        """
-        write_index = self._write_index
-        for step in self._unindexed("write_index"):
-            for written, __ in step.writes:
-                writes = write_index.get(written)
-                if writes is None:
-                    writes = write_index[written] = ([], [])
-                writes[0].append(step.index)
-                writes[1].append(step)
-        writes = write_index.get(loc)
-        if writes is None:
-            return None
-        cut = bisect_left(writes[0], step_index)
-        if cut == 0:
-            return None
-        return writes[1][cut - 1]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import AssemblerError, CompileError
 from repro.vm import assemble, run_program
-from repro.vm.assembler import disassemble
 from repro.vm.compiler import compile_source
 from repro.vm.compiler.lexer import Lexer, TokenKind
 
@@ -77,28 +76,6 @@ def test_assemble_instruction_outside_function():
     with pytest.raises(AssemblerError):
         assemble("nop")
 
-
-def test_disassemble_roundtrip():
-    source = """
-    global g = 1
-    array buf 2
-    mutex m
-    fn main():
-        load %x, g
-        lock m
-        astore buf, 0, %x
-        unlock m
-        output "o", %x
-        halt
-    """
-    p1 = assemble(source)
-    p2 = assemble(disassemble(p1))
-    m1 = run_program(p1)
-    m2 = run_program(p2)
-    assert m1.env.outputs == m2.env.outputs
-
-
-# -- lexer ---------------------------------------------------------------------
 
 def test_lexer_tokens():
     tokens = Lexer('fn x() { var y = 12; // c\n }').tokenize()

@@ -12,14 +12,14 @@ import json
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.apps import racy_counter
 from repro.corpus.generator import generate_case
 from repro.errors import LogAttestationError, LogFormatError
-from repro.models import DebugSession, replay_log
+from repro.models import DebugSession
 from repro.record import load_log, log_from_dict, save_log
 from repro.record.attest import (ATTESTATION_KEY, guest_fingerprint,
-                                 is_attested, stamp_attestation,
-                                 verify_attestation)
+                                 stamp_attestation, verify_attestation)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,6 @@ def flip_digit(payload: str, where: int = 0) -> str:
 
 def test_recorded_logs_are_stamped(shipped):
     __, session = shipped
-    assert is_attested(session.log)
     block = session.log.metadata[ATTESTATION_KEY]
     assert block["algorithm"] == "sha256"
     for field in ("content_sha256", "guest_sha256", "scheduler_sha256",
@@ -115,39 +114,65 @@ def test_no_verify_downgrades_refusal_to_warning(shipped, tmp_path):
         load_log(str(path), verify=False)
 
 
-def test_replay_refuses_a_mismatched_guest_program(shipped):
-    """An intact log replayed against a workload that has since changed
+def test_receive_with_wrong_explicit_case_is_refused(shipped):
+    """An intact log received for a workload that has since changed
     must be refused - silent divergence is the failure mode attestation
     exists to kill."""
     payload, __ = shipped
-    log = log_from_dict(json.loads(payload))
     other = racy_counter.make_case()
     assert guest_fingerprint(other.program) != guest_fingerprint(
         DebugSession.receive(payload).case.program)
     with pytest.raises(LogAttestationError) as excinfo:
-        replay_log(other.program, log)
+        DebugSession.receive(payload, case=other)
     assert excinfo.value.field == "guest"
-
-
-def test_receive_with_wrong_explicit_case_is_refused(shipped):
-    payload, __ = shipped
-    with pytest.raises(LogAttestationError):
-        DebugSession.receive(payload, case=racy_counter.make_case())
 
 
 def test_unattested_logs_still_load_and_replay(shipped, tmp_path):
     """Attestation is evidence when present, not a gate on old logs:
-    v1 and hand-built logs carry no block and must work as before."""
+    v1 and hand-built logs carry no block and name no case, and must
+    work as before."""
     payload, session = shipped
     log = log_from_dict(json.loads(payload))
-    log.metadata.pop(ATTESTATION_KEY)
-    assert not is_attested(log)
+    for key in (ATTESTATION_KEY, "case", "determinism_model",
+                "replay_config"):
+        log.metadata.pop(key)
     assert verify_attestation(log, session.case.program) is False  # no error
     path = tmp_path / "unattested.rrlog.json"
     save_log(log, str(path))
     loaded = load_log(str(path))  # verify=True: must not raise
-    received = DebugSession.receive(loaded)
+    received = DebugSession.receive(loaded, case=session.case)
     assert received.replay().reproduced_failure(log.failure)
+
+
+def _stripped(payload):
+    """``payload`` with its attestation block removed and its body
+    edited (seven more steps): a shipped log that names its case."""
+    data = json.loads(payload)
+    del data["metadata"][ATTESTATION_KEY]
+    data["total_steps"] += 7
+    assert "case" in data["metadata"]
+    return json.dumps(data)
+
+
+def test_stripped_block_is_refused_by_both_decoders(shipped, tmp_path):
+    """Every log that names its case was sealed when it was recorded, so
+    one without a block lost it: both decoders refuse it (field
+    ``block``), and ``verify=False`` warns instead."""
+    payload, __ = shipped
+    text = _stripped(payload)
+    path = tmp_path / "stripped.rrlog.json"
+    path.write_text(text)
+    for decode in (lambda: load_log(str(path)),
+                   lambda: DebugSession.receive(text)):
+        with pytest.raises(LogAttestationError,
+                           match="no attestation block") as excinfo:
+            decode()
+        assert excinfo.value.field == "block"
+    with pytest.warns(UserWarning, match="no attestation block"):
+        assert load_log(str(path), verify=False).model == "full"
+    with pytest.warns(UserWarning, match="no attestation block"):
+        session = DebugSession.receive(text, verify=False)
+    assert session.log.total_steps == json.loads(payload)["total_steps"] + 7
 
 
 def test_stamp_is_idempotent_and_self_consistent(shipped):
@@ -166,3 +191,15 @@ def test_guest_fingerprint_is_structural_and_deterministic():
         generate_case(3).program)
     assert guest_fingerprint(a.program) != guest_fingerprint(
         generate_case(4).program)
+
+
+def test_cli_replay_refuses_a_stripped_block(shipped, tmp_path, capsys):
+    """``repro replay`` exits 1 naming the missing block; with
+    ``--no-verify`` it warns and replays."""
+    payload, __ = shipped
+    path = tmp_path / "stripped.rrlog.json"
+    path.write_text(_stripped(payload))
+    assert cli_main(["replay", str(path)]) == 1
+    assert "no attestation block" in capsys.readouterr().err
+    with pytest.warns(UserWarning, match="no attestation block"):
+        assert cli_main(["replay", str(path), "--no-verify"]) == 0

@@ -148,7 +148,8 @@ def test_received_variant_counts_n_on_its_shipped_knobs(enumerations):
     received = DebugSession.receive(payload)
     assert received.case.net_drop_rate != 0.0
     assert received.config.net_drop_rate == 0.0
-    attached = DebugSession(variant, "full").attach(received.log)
+    attached = DebugSession(variant, "full")
+    attached.log = received.log
     cause = variant.known_cause
     assert attached.score(original_cause=cause).n_causes == 1
     assert received.score(original_cause=cause).n_causes == 1

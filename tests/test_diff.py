@@ -1,12 +1,12 @@
 """The first-divergence walker: structured divergence, not booleans.
 
-Edge cases pinned here: identical runs are ``MATCHED`` with no point;
+Edge cases pinned here: identical logs are ``MATCHED`` with no point;
 the committed v1 fixture log diffs cleanly against its pinned replay; a
-counting-mode run diffs as equivalent to its full-trace twin; diverging
-runs report the exact first divergent step (index, site, thread,
-field-level diffs) under a fingerprint that is stable across reruns and
-buckets same-shaped divergences together; and ``repro replay`` /
-``repro diff`` exit non-zero on divergence.
+counting- or events-mode run keeps the run-level observables of its
+full-trace twin; diverging logs report the first divergence under a
+fingerprint that is stable across reruns and buckets same-shaped
+divergences together; and ``repro replay`` / ``repro diff`` exit
+non-zero on divergence.
 """
 
 import dataclasses
@@ -19,12 +19,11 @@ from repro.__main__ import main as cli_main
 from repro.apps import racy_counter
 from repro.corpus.generator import generate_case
 from repro.errors import SparseTraceError
-from repro.models import DebugSession
+from repro.models import DebugSession, replay_log
 from repro.record import load_log, save_log
 from repro.record.attest import stamp_attestation
 from repro.replay import (DeterministicReplayer, DiffStatus, diff_log_replay,
-                          diff_logs, diff_traces, quarantine_bucket,
-                          replay_and_diff)
+                          diff_logs, quarantine_bucket)
 from repro.replay.diff import normalize_error
 
 V1_FIXTURE = pathlib.Path(__file__).parent / "data" / (
@@ -47,21 +46,12 @@ def session(case):
 # -- identical runs -----------------------------------------------------------
 
 
-def test_identical_traces_match_with_no_point(case):
-    run = case.run(case.failing_seed)
-    report = diff_traces(run.trace, run.trace)
+def test_identical_logs_match(session):
+    report = diff_logs(session.log, session.log)
     assert report.status == DiffStatus.MATCHED
     assert not report.diverged
     assert report.point is None
     assert report.fingerprint() is None
-    assert report.steps_compared == len(run.trace.steps)
-    assert "steps" in report.sections
-
-
-def test_identical_logs_match(session):
-    report = diff_logs(session.log, session.log)
-    assert report.status == DiffStatus.MATCHED
-    assert report.point is None
 
 
 def test_faithful_replay_matches_its_log(session):
@@ -109,16 +99,24 @@ def _case_run(case, seed, trace_mode="full"):
                    io_spec=case.io_spec, trace_mode=trace_mode).run()
 
 
+def _observables(trace, branch_paths=True):
+    """The run-level observables every trace mode keeps: steps, cycles,
+    outputs, consumed inputs, the failure, and (unless sparse) the
+    per-thread branch paths."""
+    failure = trace.failure
+    seen = [trace.total_steps, trace.native_cycles, trace.outputs,
+            trace.inputs_consumed,
+            failure and (failure.kind, failure.location, failure.detail)]
+    if branch_paths:
+        seen.append(trace.thread_branch_paths())
+    return seen
+
+
 def test_counting_run_is_equivalent_to_its_full_trace_twin(case):
     full = _case_run(case, case.failing_seed)
     counting = _case_run(case, case.failing_seed, trace_mode="counting")
     assert counting.trace.steps == [] and counting.trace.total_steps > 0
-    for expected, actual in ((full, counting), (counting, full)):
-        report = diff_traces(expected.trace, actual.trace)
-        assert report.status == DiffStatus.MATCHED, report.render()
-        # Only the observables both kept are compared - no step walk.
-        assert "counts" in report.sections
-        assert "steps" not in report.sections
+    assert _observables(counting.trace) == _observables(full.trace)
 
 
 def test_counting_run_still_diverges_from_a_different_run(case):
@@ -126,8 +124,7 @@ def test_counting_run_still_diverges_from_a_different_run(case):
     other_case = generate_case(1)
     other = _case_run(other_case, other_case.failing_seed,
                       trace_mode="counting")
-    report = diff_traces(counting.trace, other.trace)
-    assert report.diverged
+    assert _observables(counting.trace) != _observables(other.trace)
 
 
 # -- events mode (sparse traces) ---------------------------------------------
@@ -137,22 +134,21 @@ def test_events_run_is_equivalent_to_its_full_trace_twin(case):
     full = _case_run(case, case.failing_seed)
     events = _case_run(case, case.failing_seed, trace_mode="events")
     assert events.trace.sparse
-    for expected, actual in ((full, events), (events, full),
-                             (events, events)):
-        report = diff_traces(expected.trace, actual.trace)
-        assert report.status == DiffStatus.MATCHED, report.render()
-        # Neither the steps nor the branch paths it did not keep.
-        assert "counts" in report.sections
-        assert "steps" not in report.sections
-        assert "branch-path" not in report.sections
+    # No branch paths: an events trace keeps its effect steps instead.
+    assert _observables(events.trace, branch_paths=False) == \
+        _observables(full.trace, branch_paths=False)
+    assert [step._key() for step in events.trace.steps] == [
+        step._key() for step in full.trace.steps
+        if step.reads or step.writes or step.sync is not None
+        or step.io is not None]
 
 
 def test_events_run_still_diverges_from_a_different_run(case):
     events = _case_run(case, case.failing_seed, trace_mode="events")
     other_case = generate_case(1)
     other = _case_run(other_case, other_case.failing_seed)
-    assert diff_traces(events.trace, other.trace).diverged
-    assert diff_traces(other.trace, events.trace).diverged
+    assert _observables(events.trace, branch_paths=False) != \
+        _observables(other.trace, branch_paths=False)
 
 
 def test_diff_log_replay_refuses_a_sparse_replay_trace(case, session):
@@ -165,58 +161,43 @@ def test_diff_log_replay_refuses_a_sparse_replay_trace(case, session):
 # -- diverging runs -----------------------------------------------------------
 
 
-def test_first_divergent_step_is_exact(case):
-    """Index, site, thread, and field diffs of the first divergence."""
-    a = case.run(case.failing_seed)
-    b = case.run(case.failing_seed + 1)
-    report = diff_traces(a.trace, b.trace)
-    assert report.status == DiffStatus.DIVERGED
-    point = report.point
-    # The reported index is the first step where the runs disagree.
-    index = point.step_index
-    for mine, theirs in zip(a.trace.steps[:index], b.trace.steps[:index]):
-        assert mine.field_diffs(theirs) == []
-    assert a.trace.steps[index].field_diffs(b.trace.steps[index])
-    assert point.site == a.trace.steps[index].site
-    assert point.tid == a.trace.steps[index].tid
-    assert point.diffs, "field-level diffs must be reported"
-    for diff in point.diffs:
-        assert diff.expected != diff.actual
+def _tampered(log, **failure_fields):
+    """A copy of ``log`` whose failure report differs in those fields."""
+    return dataclasses.replace(
+        log, failure=dataclasses.replace(log.failure, **failure_fields))
 
 
 def test_divergence_fingerprint_is_stable_across_reruns(case):
-    first = diff_traces(case.run(case.failing_seed).trace,
-                        case.run(case.failing_seed + 1).trace)
-    second = diff_traces(case.run(case.failing_seed).trace,
-                         case.run(case.failing_seed + 1).trace)
+    reports = []
+    for __ in range(2):
+        log = DebugSession(case, "full", seed=case.failing_seed).record()
+        reports.append(diff_logs(log, _tampered(log, detail="tampered")))
+    first, second = reports
+    assert first.status == DiffStatus.DIVERGED
     assert first.fingerprint() == second.fingerprint()
-    assert first.point.to_dict() == second.point.to_dict()
+    assert first.point == second.point
 
 
-def test_fingerprint_hashes_shape_not_values(case):
+def test_fingerprint_hashes_shape_not_values(session):
     """Same site + same diverging fields = same dedupe bucket."""
-    base = case.run(case.failing_seed).trace
-    reports = [diff_traces(base, case.run(case.failing_seed + k).trace)
-               for k in (1, 2, 3)]
-    diverged = [r for r in reports if r.status == DiffStatus.DIVERGED]
-    assert diverged
-    for report in diverged:
-        shape = (report.point.kind, report.point.site, report.point.tid,
-                 tuple(sorted(d.path for d in report.point.diffs)))
-        twin = next(r for r in diverged
-                    if (r.point.kind, r.point.site, r.point.tid,
-                        tuple(sorted(d.path for d in r.point.diffs)))
-                    == shape)
-        assert twin.fingerprint() == report.fingerprint()
+    log = session.log
+    reports = [diff_logs(log, _tampered(log, detail=detail))
+               for detail in ("tampered", "also tampered")]
+    assert all(r.status == DiffStatus.DIVERGED for r in reports)
+    assert reports[0].point.diffs != reports[1].point.diffs
+    assert reports[0].fingerprint() == reports[1].fingerprint()
+    # Another field, another bucket.
+    cycles = dataclasses.replace(log, native_cycles=log.native_cycles + 1)
+    assert diff_logs(log, cycles).fingerprint() != reports[0].fingerprint()
 
 
 def test_truncated_trace_reports_truncation(case):
-    full = case.run(case.failing_seed).trace
-    shorter = case.run(case.failing_seed).trace
-    shorter.steps = shorter.steps[:-5]
-    report = diff_traces(full, shorter)
+    """A recording of the run cut five steps short is truncated."""
+    log = DebugSession(case, "failure", seed=case.failing_seed).record()
+    shorter = dataclasses.replace(log, total_steps=log.total_steps - 5)
+    report = diff_logs(log, shorter)
     assert report.status == DiffStatus.TRUNCATED
-    assert report.point.step_index == len(shorter.steps)
+    assert report.point.step_index == shorter.total_steps
     assert report.point.diffs[0].path == "total_steps"
 
 
@@ -234,7 +215,7 @@ def test_tampered_observable_diverges_with_point(case, tmp_path):
     log = session.record()
     log.failure = dataclasses.replace(log.failure, detail="tampered")
     stamp_attestation(log, case.program)  # re-seal: diff, not attest, trips
-    result, report = replay_and_diff(case.program, log, case=case)
+    report = diff_log_replay(log, replay_log(case.program, log, case=case))
     assert report.status == DiffStatus.DIVERGED
     assert report.point.kind == "failure"
     assert report.point.diffs[0].path == "failure"

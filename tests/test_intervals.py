@@ -26,19 +26,10 @@ def test_intersect_disjoint_is_empty():
     assert Interval(0, 3).intersect(Interval(5, 9)).is_empty
 
 
-def test_hull_ignores_empty():
-    assert Interval.empty().hull(Interval(1, 2)) == Interval(1, 2)
-    assert Interval(1, 2).hull(Interval.empty()) == Interval(1, 2)
-
-
 def test_refinements():
     d = Interval(0, 10)
     assert d.refine_le(5) == Interval(0, 5)
     assert d.refine_ge(5) == Interval(5, 10)
-    assert d.refine_eq(7) == Interval.point(7)
-    assert d.refine_ne(0) == Interval(1, 10)
-    assert d.refine_ne(5) == d  # interior removal is not representable
-    assert Interval.point(3).refine_ne(3).is_empty
 
 
 @given(intervals, intervals)

@@ -116,7 +116,6 @@ def test_per_thread_feed_miss_accounting():
     assert feed.next_value(2) is None      # unknown thread
     assert feed.next_value(None) is None   # unmapped thread
     assert feed.misses == 3
-    assert feed.exhausted()
 
 
 def test_value_replay_divergence_counted_on_emptied_log():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.util.rng import DeterministicRng
-from repro.util.tables import Table, merge_tables
+from repro.util.tables import Table
 
 
 def test_same_seed_same_stream():
@@ -67,13 +67,3 @@ def test_table_lookup_ambiguous():
     t.add_row(a=1)
     with pytest.raises(KeyError):
         t.lookup(a=1)
-
-
-def test_merge_tables():
-    t1 = Table(["a"]); t1.add_row(a=1)
-    t2 = Table(["a"]); t2.add_row(a=2)
-    merged = merge_tables([t1, t2])
-    assert merged.column("a") == [1, 2]
-    t3 = Table(["b"])
-    with pytest.raises(ValueError):
-        merge_tables([t1, t3])

@@ -158,7 +158,7 @@ def check_pauses(ref: str) -> None:
     case = resolve_case(ref)
     seed = failing_seed(case)
     sync_order = [(s.tid, s.op, s.sync[1])
-                  for s in case.run(seed).trace.sync_events()]
+                  for s in case.run(seed).trace.steps if s.sync is not None]
 
     def machine(scheduler, trace_mode):
         env = Environment(inputs={k: list(v) for k, v in case.inputs.items()},

@@ -59,15 +59,6 @@ def test_propagation_narrows_domains():
     assert domains[X] == Interval(3, 3)
 
 
-def test_iter_solutions_enumerates_all():
-    system = ConstraintSystem()
-    system.add(Constraint(affine(1, 1, -3), "=="))  # x + y == 3
-    system.set_domain(X, Interval(0, 3))
-    system.set_domain(Y, Interval(0, 3))
-    solutions = {(s[X], s[Y]) for s in system.iter_solutions(limit=50)}
-    assert solutions == {(0, 3), (1, 2), (2, 1), (3, 0)}
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-8, 8),
        st.sampled_from(["==", "!=", "<=", "<", ">=", ">"]))

@@ -5,6 +5,7 @@ import pytest
 from repro.corpus.generator import generate_case
 from repro.errors import MachineError, SparseTraceError
 from repro.vm import RandomScheduler, assemble, run_program
+from repro.record.log import RecordingLog
 from repro.vm.cost import CostModel, OverheadMeter, RecordingCosts
 from repro.vm.environment import Environment
 from repro.util.rng import DeterministicRng
@@ -29,46 +30,11 @@ def sample_machine(seed=5):
     """), scheduler=RandomScheduler(seed=seed))
 
 
-def test_trace_per_thread_grouping():
-    trace = sample_machine().trace
-    grouped = trace.per_thread_steps()
-    assert set(grouped) == {0, 1}
-    assert sum(len(v) for v in grouped.values()) == trace.total_steps
-
-
-def test_trace_context_switches():
-    trace = sample_machine().trace
-    assert 0 < trace.context_switches() < trace.total_steps
-
-
-def test_trace_last_write_before():
-    trace = sample_machine().trace
-    # Find the final load of g and check the write it observed.
-    load_step = next(s for s in trace.steps
-                     if s.op == "load" and s.reads)
-    write = trace.last_write_before(("g", "g"), load_step.index)
-    assert write is not None
-    assert write.writes[0][1] == load_step.reads[0][1]
-
-
 def test_trace_event_selectors():
     trace = sample_machine().trace
-    assert all(s.sync for s in trace.sync_events())
-    assert all(s.io for s in trace.io_events())
-    assert all(s.reads or s.writes for s in trace.shared_accesses())
     assert all(s.writes for s in trace.write_events())
-
-
-def test_trace_steps_at_site():
-    trace = sample_machine().trace
-    sites = trace.sites_executed()
-    assert len(sites) == trace.total_steps
-    # Every step is findable through the per-site index, at its own site.
-    site = sites[0]
-    steps = trace.steps_at_site(site)
-    assert steps
-    assert all(s.site == site for s in steps)
-    assert trace.steps_at_site("nowhere@99") == []
+    assert all(s.reads or s.writes or s.sync
+               for s in trace.memory_or_sync_events())
 
 
 # -- sparse (events-mode) traces ----------------------------------------------
@@ -97,37 +63,40 @@ def _keys(steps):
     return [step._key() for step in steps]
 
 
-@pytest.mark.parametrize("query", ["io_events", "sync_events",
-                                   "shared_accesses", "write_events",
-                                   "memory_or_sync_events"])
+# The effect subsets an events trace keeps: the two the trace answers,
+# and the I/O, sync and shared-access steps read off ``steps``.
+SUBSETS = {
+    "io_events": lambda trace: [s for s in trace.steps if s.io is not None],
+    "sync_events":
+        lambda trace: [s for s in trace.steps if s.sync is not None],
+    "shared_accesses":
+        lambda trace: [s for s in trace.steps if s.reads or s.writes],
+    "write_events": lambda trace: trace.write_events(),
+    "memory_or_sync_events": lambda trace: trace.memory_or_sync_events(),
+}
+
+
+@pytest.mark.parametrize("query", list(SUBSETS))
 def test_sparse_event_subsets_match_the_full_trace(twins, query):
     full, events = twins
-    assert _keys(getattr(events, query)()) == _keys(getattr(full, query)())
+    assert _keys(SUBSETS[query](events)) == _keys(SUBSETS[query](full))
 
 
-def test_sparse_last_write_before_keys_on_the_global_index(twins):
+def test_sparse_trace_keeps_every_write_with_its_global_index(twins):
+    """An events trace keeps every write of the run, each under its
+    global step index: the full trace's step at that index."""
     full, events = twins
-    checked = 0
-    for step in full.shared_accesses():
-        for loc, __ in list(step.reads) + list(step.writes):
-            for before in (step.index, step.index + 1):
-                expected = full.last_write_before(loc, before)
-                found = events.last_write_before(loc, before)
-                assert (found and found._key()) == \
-                    (expected and expected._key()), (loc, before)
-                checked += 1
-    assert checked > 0
+    writes = events.write_events()
+    assert writes
+    assert _keys(writes) == _keys(s for s in full.steps if s.writes)
+    for step in writes:
+        assert full.steps[step.index]._key() == step._key()
 
 
 @pytest.mark.parametrize("query", [
-    lambda trace: trace.sites_executed(),
-    lambda trace: trace.steps_at_site("main@0"),
-    lambda trace: trace.per_thread_steps(),
-    lambda trace: trace.context_switches(),
     lambda trace: trace.thread_branch_paths(),
     lambda trace: trace.fingerprint(),
-], ids=["sites_executed", "steps_at_site", "per_thread_steps",
-        "context_switches", "thread_branch_paths", "fingerprint"])
+], ids=["thread_branch_paths", "fingerprint"])
 def test_queries_needing_every_step_refuse_a_sparse_trace(twins, query):
     full, events = twins
     query(full)
@@ -140,32 +109,13 @@ def test_queries_needing_every_step_refuse_a_sparse_trace(twins, query):
 # -- per-query lazy indexes ----------------------------------------------------
 
 
-def _probes(trace):
-    """``last_write_before`` questions: every shared location touched,
-    just before and just after each step that touched it."""
-    return [(loc, step.index + delta) for step in trace.shared_accesses()
-            for loc, __ in list(step.reads) + list(step.writes)
-            for delta in (0, 1)]
-
-
 QUERIES = {
-    "io_events": lambda trace, full: _keys(trace.io_events()),
-    "sync_events": lambda trace, full: _keys(trace.sync_events()),
-    "shared_accesses": lambda trace, full: _keys(trace.shared_accesses()),
-    "write_events": lambda trace, full: _keys(trace.write_events()),
+    "write_events": lambda trace: _keys(trace.write_events()),
     "memory_or_sync_events":
-        lambda trace, full: _keys(trace.memory_or_sync_events()),
-    "last_write_before": lambda trace, full: [
-        _keys([write]) if write else None for write in (
-            trace.last_write_before(loc, before)
-            for loc, before in _probes(full))],
-    "sites_executed": lambda trace, full: trace.sites_executed(),
-    "steps_at_site": lambda trace, full: [
-        _keys(trace.steps_at_site(site))
-        for site in sorted(set(full.sites_executed()))],
-    "thread_branch_paths": lambda trace, full: trace.thread_branch_paths(),
+        lambda trace: _keys(trace.memory_or_sync_events()),
+    "thread_branch_paths": lambda trace: trace.thread_branch_paths(),
 }
-EVERY_STEP = ("sites_executed", "steps_at_site", "thread_branch_paths")
+EVERY_STEP = ("thread_branch_paths",)
 
 
 @pytest.mark.parametrize("order", range(4))
@@ -190,8 +140,7 @@ def test_indexes_grown_between_queries_match_a_fresh_trace(twins, sparse,
         fresh = Trace(steps=source.steps[:cut])
         fresh.sparse = sparse
         for name in rng.shuffle(names)[:rng.randint(1, len(names))]:
-            assert QUERIES[name](grown, full) == QUERIES[name](fresh, full), \
-                (name, cut)
+            assert QUERIES[name](grown) == QUERIES[name](fresh), (name, cut)
 
 
 class _WatchedStep(StepRecord):
@@ -218,22 +167,18 @@ def test_event_and_branch_queries_format_no_site_string(twins, monkeypatch):
                      s.reads, s.writes, s.sync, s.io, s.branch_taken)
         for s in full.steps])
     monkeypatch.setattr(_WatchedStep, "function_reads", 0)
+    writes = trace.write_events()
     events = trace.memory_or_sync_events()
     paths = trace.thread_branch_paths()
     assert _WatchedStep.function_reads == 0
+    assert _keys(writes) == _keys(full.write_events())
     assert _keys(events) == _keys(full.memory_or_sync_events())
     assert paths == full.thread_branch_paths()
+    # The watch sees a site string formatted.
     monkeypatch.setattr(_WatchedStep, "function_reads", 0)
-    assert trace.sites_executed() == full.sites_executed()
+    assert [step.site for step in trace.steps] == \
+        [step.site for step in full.steps]
     assert _WatchedStep.function_reads == len(full.steps)
-
-
-def test_first_divergence_refuses_a_sparse_side(twins):
-    full, events = twins
-    assert full.first_divergence(full) is None
-    for mine, theirs in ((events, full), (full, events), (events, events)):
-        with pytest.raises(SparseTraceError):
-            mine.first_divergence(theirs)
 
 
 def test_environment_input_bookkeeping():
@@ -241,8 +186,6 @@ def test_environment_input_bookkeeping():
     assert env.has_input("a")
     assert env.read_input("a") == 1
     assert env.inputs_consumed == {"a": [1]}
-    combined = env.clone_inputs()
-    assert combined == {"a": [1, 2], "b": [3]}
     env.read_input("a")
     env.read_input("b")
     assert not env.has_input("a") and not env.has_input("b")
@@ -258,21 +201,6 @@ def test_environment_unknown_syscall():
     env.attach(FakeMachine())
     with pytest.raises(MachineError):
         env.syscall("frobnicate", [])
-
-
-def test_environment_custom_syscall():
-    program = assemble("""
-    fn main():
-        syscall %r, "double", 21
-        output "o", %r
-        halt
-    """)
-    from repro.vm.machine import Machine
-    env = Environment()
-    env.register_syscall("double", lambda env, args: args[0] * 2)
-    machine = Machine(program, env=env)
-    machine.run()
-    assert machine.env.outputs["o"] == [42]
 
 
 def test_time_syscall_reads_the_machine_only_while_it_lives():
@@ -313,19 +241,24 @@ def test_net_send_drop_rate():
     assert env2.outputs["ch"] == [9]
 
 
+def _overhead(meter):
+    """The overhead a recording log reports for ``meter``'s run."""
+    return RecordingLog("full", native_cycles=meter.native_cycles,
+                        recording_cycles=meter.recording_cycles
+                        ).overhead_factor
+
+
 def test_overhead_meter_accounting():
-    meter = OverheadMeter()
-    meter.charge_native(100)
-    assert meter.overhead_factor == 1.0
+    meter = OverheadMeter(native_cycles=100)
+    assert _overhead(meter) == 1.0
     meter.charge_recording("input", 30, count=2)
     assert meter.recording_cycles == 60
     assert meter.recorded_events == {"input": 2}
-    assert meter.overhead_factor == pytest.approx(1.6)
-    assert meter.total_cycles == 160
+    assert _overhead(meter) == pytest.approx(1.6)
 
 
 def test_overhead_meter_empty_run():
-    assert OverheadMeter().overhead_factor == 1.0
+    assert _overhead(OverheadMeter()) == 1.0
 
 
 def test_cost_model_overrides():

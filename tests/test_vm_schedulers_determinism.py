@@ -160,12 +160,12 @@ def test_guided_order_scheduler_refuses_an_inner_that_needs_notify():
 def test_sync_order_scheduler_enforces_lock_order():
     original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
     sync_order = [(s.tid, s.op, s.sync[1])
-                  for s in original.trace.sync_events()]
+                  for s in original.trace.steps if s.sync is not None]
     replay = run_program(
         LOCKED, scheduler=SyncOrderScheduler(
             sync_order, inner=RandomScheduler(seed=1234)))
     replayed_order = [(s.tid, s.op, s.sync[1])
-                      for s in replay.trace.sync_events()]
+                      for s in replay.trace.steps if s.sync is not None]
     assert replayed_order == sync_order
 
 
@@ -200,7 +200,7 @@ def test_sync_order_sticky_pick_matches_filter_then_pick():
     make the same draws, so the same run."""
     original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
     sync_order = [(s.tid, s.op, s.sync[1])
-                  for s in original.trace.sync_events()]
+                  for s in original.trace.steps if s.sync is not None]
     assert sticky_inner(RandomScheduler()) is not None
     assert sticky_inner(_WatchingRandom(0, 0.3)) is None
     assert sticky_inner(_OwnKeeps()) is None
@@ -280,7 +280,7 @@ def test_picking_a_non_runnable_thread_raises(kind, entry):
 def test_sync_order_advance_then_run_matches_one_run(pause_at):
     original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
     sync_order = [(s.tid, s.op, s.sync[1])
-                  for s in original.trace.sync_events()]
+                  for s in original.trace.steps if s.sync is not None]
 
     def replay_machine():
         return Machine(LOCKED, scheduler=SyncOrderScheduler(
@@ -373,7 +373,7 @@ def test_sync_order_admits_a_thread_falling_off_its_end_while_holding():
         sync_order, inner=watcher)).run()
     assert machine.failure is None
     assert [(s.tid, s.op, s.sync[1])
-            for s in machine.trace.sync_events()] == sync_order
+            for s in machine.trace.steps if s.sync is not None] == sync_order
     assert "first@3" in [s.site for s in machine.trace.steps
                          if s.op == "ret"]
     # Each pick allowed exactly the threads whose table entry is None or
@@ -482,7 +482,7 @@ def _locked_replays():
         original = run_program(LOCKED,
                                scheduler=RandomScheduler(recorded_seed))
         sync_order = [(s.tid, s.op, s.sync[1])
-                      for s in original.trace.sync_events()]
+                      for s in original.trace.steps if s.sync is not None]
         for inner_seed in range(4):
             for switch_prob in (0.1, 0.3, 0.6):
                 yield Machine(LOCKED, scheduler=SyncOrderScheduler(
@@ -536,7 +536,7 @@ def test_sync_order_clone_keeps_no_vetted_list(pause_at):
     every decision a run from scratch makes."""
     original = run_program(LOCKED, scheduler=RandomScheduler(seed=9))
     sync_order = [(s.tid, s.op, s.sync[1])
-                  for s in original.trace.sync_events()]
+                  for s in original.trace.steps if s.sync is not None]
 
     def replay_machine():
         return Machine(LOCKED, scheduler=SyncOrderScheduler(
@@ -602,7 +602,8 @@ def test_sync_order_drops_a_current_thread_at_an_out_of_order_sync_op():
             scheduler._vetted = watched
             machine = Machine(LOCK_TAKEN_FIRST, scheduler=scheduler).run()
             assert [(s.tid, s.op, s.sync[1])
-                    for s in machine.trace.sync_events()] == sync_order
+                    for s in machine.trace.steps
+                    if s.sync is not None] == sync_order
             assert machine.memory.snapshot()["globals"]["shared"] == 3
     assert dropped > 0
 
@@ -629,5 +630,5 @@ def test_sync_order_rescans_around_an_inner_with_its_own_pick():
     scheduler = SyncOrderScheduler(sync_order, inner=_StalePick(0))
     machine = Machine(LOCK_TAKEN_FIRST, scheduler=scheduler).run()
     assert [(s.tid, s.op, s.sync[1])
-            for s in machine.trace.sync_events()] == sync_order
+            for s in machine.trace.steps if s.sync is not None] == sync_order
     assert machine.memory.snapshot()["globals"]["shared"] == 8
